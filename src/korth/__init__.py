@@ -52,7 +52,6 @@ from .gates import (
     find_transversal_phases,
     logical_phase_action,
     phase_quantization_exponent,
-    transversal_cnot_check,
     verify_korth_necessity,
 )
 from .gf2 import (
@@ -66,8 +65,6 @@ from .gf2 import (
     parse_matrix_text,
     rank,
     span_enumerate,
-    weight,
-    xor_add,
 )
 from .ortho import (
     OrthogonalityReport,

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,28 +20,6 @@ from .gf2 import BitVec, format_matrix_text, parse_matrix_text
 from .phases import DyadicPhaseVector
 
 SCHEMA = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: a single subcommand plus its options."""
-
-    subcommand: str
-    seed: int
-    verbose: bool
-    threads: int
-    out: Optional[Path] = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        out = getattr(args, "out", None)
-        return cls(
-            subcommand=args.subcommand,
-            seed=args.seed,
-            verbose=args.verbose,
-            threads=getattr(args, "threads", 1),
-            out=Path(out) if out else None,
-        )
 
 
 def _parse_phase_list(spec: str, n: int, k: int) -> DyadicPhaseVector:
@@ -78,12 +55,7 @@ def _load_standard_form(path: str) -> codes.StandardFormCode:
 
 def _cmd_construct(args) -> int:
     sf = families.subdual_css(args.m)
-    code = sf.to_stabilizer_code()
-    text = codes.code_to_json(code)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(codes.code_to_json_dict(sf.to_stabilizer_code()), args.out)
     if args.ax:
         Path(args.ax).write_text(format_matrix_text(sf.a_x), encoding="utf-8")
     if args.az:
@@ -166,9 +138,15 @@ def _cmd_verify_gate(args) -> int:
     sf = _load_standard_form(args.code)
     if args.gate:
         spec = json.loads(_read_text(args.gate))
-        k = int(spec["k"])
-        controls = int(spec.get("controls", 0))
-        theta = DyadicPhaseVector(k, tuple(int(x) for x in spec["p"]))
+        try:
+            k = int(spec["k"])
+            controls = int(spec.get("controls", 0))
+            p = tuple(int(x) for x in spec["p"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise KorthError(
+                f"gate descriptor needs integer k, optional controls and a list p: {exc!r}"
+            ) from None
+        theta = DyadicPhaseVector(k, p)
     else:
         if args.k is None or args.p is None:
             raise KorthError("verify-gate needs --gate FILE or both --k and --p")
@@ -225,15 +203,14 @@ def _cmd_distance(args) -> int:
         sf = _load_standard_form(args.code)
         if not codes.is_css(sf):
             raise KorthError("distance computation needs a CSS code")
-        a_x, a_z, r, s = sf.a_x, sf.a_z, sf.r, sf.s
+        a_x, a_z = sf.a_x, sf.a_z
     else:
         if not (args.ax and args.az):
             raise KorthError("distance needs --code or both --ax and --az")
         a_x = parse_matrix_text(_read_text(args.ax))
         a_z = parse_matrix_text(_read_text(args.az))
-        r = s = None
     report = distance.css_distances(
-        a_x, a_z, r, s, strategy=args.strategy, weight_cap=args.weight_cap
+        a_x, a_z, strategy=args.strategy, weight_cap=args.weight_cap
     )
     payload = {
         "schema": SCHEMA,
@@ -270,7 +247,6 @@ def _cmd_search_min(args) -> int:
     report = search.minimality_search(space, prune=args.prune, workers=args.threads)
     payload = report.to_dict()
     payload["command"] = "search-min"
-    payload["seed"] = args.seed
     _emit(payload, args.out)
     return 1 if report.witnesses else 0
 
@@ -305,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stabilizer codes with transversal phase gates: "
         "construct, certify, measure, search.",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in reports for reproducible runs")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -380,17 +354,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = RunConfig.from_args(args)
     start = time.perf_counter()
     try:
         status = args.func(args)
     except (KorthError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.verbose:
+    if args.verbose:
         print(
-            f"{config.subcommand}: exit {status} in "
-            f"{time.perf_counter() - start:.3f}s (seed {config.seed})",
+            f"{args.subcommand}: exit {status} in {time.perf_counter() - start:.3f}s",
             file=sys.stderr,
         )
     return status

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InvalidCodeError, SignFixError
-from .gf2 import BitMat, BitVec, in_rowspan, null_space, rank, rref, solve
+from .gf2 import BitMat, BitVec, RowSpace, in_rowspan, null_space, rank, solve
 from .phases import DyadicPhaseVector
 
 __all__ = [
@@ -63,13 +63,17 @@ class PauliOp:
     @classmethod
     def from_label(cls, label: str) -> "PauliOp":
         """Parse a signed Pauli string such as "+XZZXI" or "-iYZ"."""
+        if not isinstance(label, str):
+            raise InvalidCodeError(f"Pauli label must be a string, got {label!r}")
         sign = None
         for prefix in ("+i", "-i", "+", "-"):
             if label.startswith(prefix):
                 sign = prefix
                 break
         if sign is None:
-            raise ValueError(f"Pauli label must start with one of +, -, +i, -i: {label!r}")
+            raise InvalidCodeError(
+                f"Pauli label must start with one of +, -, +i, -i: {label!r}"
+            )
         body = label[len(sign):]
         x = z = 0
         e = _SIGN_VALUES[sign]
@@ -83,7 +87,7 @@ class PauliOp:
                 z |= 1 << i
                 e += 1
             elif ch != "I":
-                raise ValueError(f"invalid Pauli letter {ch!r} in {label!r}")
+                raise InvalidCodeError(f"invalid Pauli letter {ch!r} in {label!r}")
         return cls(len(body), x, z, e)
 
     def label(self) -> str:
@@ -303,54 +307,45 @@ def is_css(sf: StandardFormCode) -> bool:
     return all(row.bits == 0 for row in sf.b.rows)
 
 
-def _x_part_reduce(gens: Sequence[PauliOp], n: int) -> tuple[list[PauliOp], list[PauliOp]]:
-    """RREF on the X parts via exact Pauli row operations."""
-    work = list(gens)
+def _pauli_reduce(
+    gens: Sequence[PauliOp], n: int, on_x: bool
+) -> tuple[list[PauliOp], int]:
+    """RREF on the X parts (``on_x``) or Z parts of Pauli rows.
+
+    Row operations are exact Pauli products, carried out on parallel lists
+    of the x, z and phase-exponent ints; returns the reordered rows and the
+    pivot count (the pivot rows come first).
+    """
+    xs = [g.x for g in gens]
+    zs = [g.z for g in gens]
+    es = [g.i_exp for g in gens]
+    keys = xs if on_x else zs
     row_idx = 0
     for col in range(n):
         mask = 1 << col
-        pivot = next((i for i in range(row_idx, len(work)) if work[i].x & mask), None)
+        pivot = next((i for i in range(row_idx, len(keys)) if keys[i] & mask), None)
         if pivot is None:
             continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for i in range(len(work)):
-            if i != row_idx and work[i].x & mask:
-                work[i] = work[i] * work[row_idx]
+        for field in (xs, zs, es):
+            field[row_idx], field[pivot] = field[pivot], field[row_idx]
+        px, pz, pe = xs[row_idx], zs[row_idx], es[row_idx]
+        for i in range(len(keys)):
+            if i != row_idx and keys[i] & mask:
+                # (i**e_i X_i Z_i)(i**pe X_p Z_p): moving Z_i past X_p
+                # contributes (-1)**|z_i & x_p|.
+                es[i] += pe + 2 * (zs[i] & px).bit_count()
+                xs[i] ^= px
+                zs[i] ^= pz
         row_idx += 1
-    return work[:row_idx], work[row_idx:]
-
-
-def _z_part_reduce(gens: Sequence[PauliOp], n: int) -> list[PauliOp]:
-    work = list(gens)
-    row_idx = 0
-    for col in range(n):
-        mask = 1 << col
-        pivot = next((i for i in range(row_idx, len(work)) if work[i].z & mask), None)
-        if pivot is None:
-            continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for i in range(len(work)):
-            if i != row_idx and work[i].z & mask:
-                work[i] = work[i] * work[row_idx]
-        row_idx += 1
-    return work
-
-
-def _coset_residue(v: BitVec, basis: BitMat) -> BitVec:
-    """Reduce v against an RREF basis; zero iff v is in the row span."""
-    reduced, pivots = rref(basis)
-    res = v.bits
-    for prow, pcol in zip(reduced.row_ints(), pivots):
-        if (res >> pcol) & 1:
-            res ^= prow
-    return BitVec(v.n, res)
+    return [PauliOp(n, x, z, e) for x, z, e in zip(xs, zs, es)], row_idx
 
 
 def _derive_r(a_x: BitMat, z_block: BitMat) -> BitVec:
+    stabilizers = RowSpace(z_block)
     for v in null_space(a_x).rows:
-        res = _coset_residue(v, z_block)
-        if not res.is_zero():
-            return res
+        res = stabilizers.residue(v.bits)
+        if res:
+            return BitVec(v.n, res)
     raise InvalidCodeError("no pure-Z logical operator exists; not a one-qubit code")
 
 
@@ -432,9 +427,10 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
             f"expected one logical qubit ({n - 1} generators on {n} qubits), got {k}; "
             "promote the logical operators of the extra qubits to stabilizers first"
         )
-    x_rows, z_raw = _x_part_reduce(code.generators, n)
+    reduced, m = _pauli_reduce(code.generators, n, on_x=True)
+    x_rows, z_raw = reduced[:m], reduced[m:]
     assert all(g.x == 0 for g in z_raw)
-    z_rows = _z_part_reduce(z_raw, n)
+    z_rows, _ = _pauli_reduce(z_raw, n, on_x=False)
 
     # Reduce the Z parts of the X-bearing rows against the (reduced-echelon)
     # Z block; for a CSS group this empties B entirely.
@@ -586,13 +582,8 @@ def nondegenerate_reduction(
     for cls in part.classes:
         agg[cls.representative] = sum(theta.p[i] for i in cls.indices) % q
     reps = part.representatives()
-    reduced = BitMat.from_ints(
-        len(reps),
-        [
-            sum(((row.bits >> j) & 1) << t for t, j in enumerate(reps))
-            for row in sf.a_x.rows
-        ],
-    )
+    cols = sf.a_x.column_ints()
+    reduced = BitMat.from_columns(sf.m, [cols[j] for j in reps])
     return ReducedView(part, reps, reduced), DyadicPhaseVector(theta.k, tuple(agg))
 
 
@@ -651,8 +642,10 @@ def code_from_json_dict(data: dict) -> StabilizerCode:
     try:
         n = int(data["n"])
         labels = data["stabilizers"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidCodeError(f"code descriptor missing field: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidCodeError(f"code descriptor needs integer n, stabilizers: {exc}") from None
+    if not isinstance(labels, list):
+        raise InvalidCodeError(f"stabilizers must be a list of Pauli labels, got {labels!r}")
     gens = []
     for label in labels:
         op = PauliOp.from_label(label)

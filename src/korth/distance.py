@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidCodeError, RangeError
-from .gf2 import BitMat, BitVec, null_space, rank, rref
+from .gf2 import BitMat, BitVec, RowSpace, null_space, rank, span_ints
 
 __all__ = ["DistanceReport", "ThreeColumnCheck", "css_distances", "z_distance_floor"]
 
@@ -49,35 +49,15 @@ class ThreeColumnCheck:
     triple: Optional[tuple[int, int, int]]
 
 
-class _SpanReducer:
-    """Reduce vectors against a fixed row space; zero residue = member."""
-
-    def __init__(self, M: BitMat):
-        reduced, pivots = rref(M)
-        self.rows = reduced.row_ints()
-        self.pivots = pivots
-
-    def contains(self, bits: int) -> bool:
-        for prow, pcol in zip(self.rows, self.pivots):
-            if (bits >> pcol) & 1:
-                bits ^= prow
-        return bits == 0
-
-
 def _min_logical_coset(
-    check: BitMat, other: BitMat
+    check: BitMat, stabilizers: RowSpace
 ) -> tuple[int, BitVec] | None:
     """Scan the whole null space of ``check``, skipping stabilizer members."""
-    basis = null_space(check)
-    reducer = _SpanReducer(other)
-    rows = basis.row_ints()
     best_w = None
     best = None
-    acc = 0
-    for idx in range(1, 1 << len(rows)):
-        acc ^= rows[(idx & -idx).bit_length() - 1]
+    for acc in span_ints(null_space(check).row_ints()):
         w = acc.bit_count()
-        if (best_w is None or w < best_w) and not reducer.contains(acc):
+        if (best_w is None or w < best_w) and not stabilizers.contains(acc):
             best_w = w
             best = acc
     if best_w is None:
@@ -86,7 +66,7 @@ def _min_logical_coset(
 
 
 def _min_logical_weight_search(
-    check: BitMat, other: BitMat, cap: int
+    check: BitMat, stabilizers: RowSpace, cap: int
 ) -> tuple[int, BitVec] | None | tuple[None, None]:
     """Search supports of increasing weight; the first hit is the minimum.
 
@@ -95,7 +75,6 @@ def _min_logical_weight_search(
     """
     n = check.ncols
     cols = check.column_ints()
-    reducer = _SpanReducer(other)
     for w in range(1, min(cap, n) + 1):
         for support in itertools.combinations(range(n), w):
             syndrome = 0
@@ -103,7 +82,7 @@ def _min_logical_weight_search(
             for j in support:
                 syndrome ^= cols[j]
                 bits |= 1 << j
-            if syndrome == 0 and not reducer.contains(bits):
+            if syndrome == 0 and not stabilizers.contains(bits):
                 return w, BitVec(n, bits)
     if cap >= n:
         return None
@@ -112,7 +91,7 @@ def _min_logical_weight_search(
 
 def _one_side(
     check: BitMat,
-    other: BitMat,
+    stabilizers: RowSpace,
     strategy: str,
     coset_dim_limit: int,
     weight_cap: int | None,
@@ -126,14 +105,14 @@ def _one_side(
                 f"coset enumeration over a {dim}-dimensional null space exceeds "
                 f"the 2**{_COSET_HARD_LIMIT} ceiling; use the weight strategy"
             )
-        found = _min_logical_coset(check, other)
+        found = _min_logical_coset(check, stabilizers)
         if found is None:
             raise InvalidCodeError("no logical operator of this type exists")
         return found[0], found[1], "coset", True
     if strategy != "weight":
         raise RangeError(f"unknown strategy {strategy!r}")
     cap = check.ncols if weight_cap is None else weight_cap
-    found = _min_logical_weight_search(check, other, cap)
+    found = _min_logical_weight_search(check, stabilizers, cap)
     if found is None:
         raise InvalidCodeError("no logical operator of this type exists")
     if found == (None, None):
@@ -144,37 +123,37 @@ def _one_side(
 def css_distances(
     a_x: BitMat,
     a_z: BitMat,
-    r: BitVec | None = None,
-    s: BitVec | None = None,
     strategy: str = "auto",
     coset_dim_limit: int = 16,
     weight_cap: int | None = None,
 ) -> DistanceReport:
     """Exact minimum-weight Z-type and X-type logicals of a CSS pair.
 
-    ``r`` and ``s`` are accepted for interface symmetry and witness sanity
-    checks but the search itself only needs the two check blocks.  Each side
-    auto-selects coset enumeration when its null-space dimension is at most
-    ``coset_dim_limit``, else the capped weight-increasing search.
+    Each side auto-selects coset enumeration when its null-space dimension
+    is at most ``coset_dim_limit``, else the weight-increasing search, which
+    ``weight_cap`` (at least 1) may stop early.
     """
+    if weight_cap is not None and weight_cap < 1:
+        raise RangeError(f"weight cap must be >= 1, got {weight_cap}")
     if a_x.ncols != a_z.ncols:
         raise InvalidCodeError("check blocks have different widths")
     for c in a_z.rows:
         for a in a_x.rows:
             if c.dot_parity(a):
                 raise InvalidCodeError("A_Z is not orthogonal to A_X; not a CSS pair")
+    z_stabilizers, x_stabilizers = RowSpace(a_z), RowSpace(a_x)
     d_z, wit_z, method_z, exact_z = _one_side(
-        a_x, a_z, strategy, coset_dim_limit, weight_cap
+        a_x, z_stabilizers, strategy, coset_dim_limit, weight_cap
     )
     d_x, wit_x, method_x, exact_x = _one_side(
-        a_z, a_x, strategy, coset_dim_limit, weight_cap
+        a_z, x_stabilizers, strategy, coset_dim_limit, weight_cap
     )
-    for wit, check, other in ((wit_z, a_x, a_z), (wit_x, a_z, a_x)):
+    for wit, check, stabilizers in ((wit_z, a_x, z_stabilizers), (wit_x, a_z, x_stabilizers)):
         if wit is None:
             continue
         if any(wit.dot_parity(row) for row in check.rows):
             raise AssertionError("distance witness fails the null-space check")
-        if _SpanReducer(other).contains(wit.bits):
+        if stabilizers.contains(wit.bits):
             raise AssertionError("distance witness is a stabilizer")
     return DistanceReport(
         d_z=d_z, d_x=d_x,

@@ -48,14 +48,6 @@ def _column_value(col: int, m: int) -> int:
     return sum(((col >> i) & 1) << (m - 1 - i) for i in range(m))
 
 
-def _mat_from_columns(cols: list[int], m: int) -> BitMat:
-    rows = [
-        sum(((col >> i) & 1) << j for j, col in enumerate(cols))
-        for i in range(m)
-    ]
-    return BitMat.from_ints(len(cols), rows)
-
-
 def subdual_parts(m: int) -> SubdualParts:
     """The (c, V, d, J) blocks used by :func:`subdual_css`."""
     if m < 2:
@@ -70,7 +62,7 @@ def subdual_parts(m: int) -> SubdualParts:
     return SubdualParts(
         m=m,
         c=BitVec(m, c),
-        v=_mat_from_columns(v_cols, m),
+        v=BitMat.from_columns(m, v_cols),
         d=BitVec.from_indices(len(v_cols), [j for j, dj in enumerate(d) if dj]),
         j_block=BitMat.from_ints(m, j_rows),
     )
@@ -89,7 +81,7 @@ def hamming_parity_check(m: int) -> BitMat:
     cols = [1 << i for i in range(m)]
     cols.append(parts.c.bits)
     cols.extend(parts.v.column_ints())
-    return _mat_from_columns(cols, m)
+    return BitMat.from_columns(m, cols)
 
 
 def subdual_css(m: int) -> StandardFormCode:
@@ -143,4 +135,4 @@ def minimal_korth_matrix(k: int) -> BitMat:
             _column_value(col, m) * (1 if col.bit_count() % 2 == 0 else -1),
         ),
     )
-    return _mat_from_columns(cols, m)
+    return BitMat.from_columns(m, cols)

@@ -8,18 +8,15 @@ carry the violating string and residue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .codes import StandardFormCode, degeneracy_classes, is_css
 from .errors import CongruenceError, DegenerateCodeError, RangeError, UnsupportedCodeError
-from .gf2 import BitMat, BitVec
-from .ortho import OrthogonalityReport, is_k_orthogonal, isolate_column
+from .gf2 import BitVec, and_product, span_ints
+from .ortho import OrthogonalityReport, is_k_orthogonal, isolate_column, row_products
 from .phases import DyadicPhase, DyadicPhaseVector
 
 __all__ = [
-    "DyadicPhase",
-    "DyadicPhaseVector",
     "GateDescriptor",
     "PhaseActionResult",
     "PhaseSolutionSet",
@@ -29,7 +26,6 @@ __all__ = [
     "find_transversal_phases",
     "verify_korth_necessity",
     "controlled_phase_action",
-    "transversal_cnot_check",
 ]
 
 
@@ -127,16 +123,6 @@ class ControlledPhaseReport:
     witness_modulus: Optional[int] = None
 
 
-def _span_masks(a_x: BitMat) -> list[int]:
-    rows = a_x.row_ints()
-    masks = [0]
-    acc = 0
-    for i in range(1, 1 << len(rows)):
-        acc ^= rows[(i & -i).bit_length() - 1]
-        masks.append(acc)
-    return masks
-
-
 def logical_phase_action(
     sf: StandardFormCode, theta: DyadicPhaseVector
 ) -> PhaseActionResult:
@@ -150,7 +136,7 @@ def logical_phase_action(
     """
     theta.check_length(sf.n)
     q = theta.modulus
-    for mask in _span_masks(sf.a_x):
+    for mask in span_ints(sf.a_x.row_ints()):
         residue = theta.masked_sum(mask) % q
         if residue:
             return PhaseActionResult(
@@ -182,11 +168,8 @@ def phase_quantization_exponent(sf: StandardFormCode) -> int:
                 "nondegenerate_reduction first"
             )
     for col in range(sf.n):
-        iso = isolate_column(sf.a_x, col)
-        acc = (1 << sf.n) - 1
-        for row in iso.row_ints():
-            acc &= row
-        assert acc == 1 << col, "column isolation failed on distinct columns"
+        rows = isolate_column(sf.a_x, col).rows
+        assert and_product(rows).bits == 1 << col, "column isolation failed on distinct columns"
     return max(sf.m - 2, 0)
 
 
@@ -201,9 +184,7 @@ def find_transversal_phases(sf: StandardFormCode, k: int) -> PhaseSolutionSet:
     if k < 1:
         raise RangeError(f"denominator exponent must be >= 1, got {k}")
     n = sf.n
-    q = 1 << k
-    masks = _span_masks(sf.a_x)
-    rows = [[(mask >> j) & 1 for j in range(n)] for mask in masks]
+    rows = [[(mask >> j) & 1 for j in range(n)] for mask in span_ints(sf.a_x.row_ints())]
     gens = _kernel_mod_power_of_two(rows, n, k)
     generators = tuple(DyadicPhaseVector(k, vec) for vec, _ in gens)
     orders = tuple(order for _, order in gens)
@@ -299,22 +280,17 @@ def verify_korth_necessity(
             residue=raw_numerator,
             modulus=q,
         )
-    rows = sf.a_x.row_ints()
-    for t in range(1, min(k, len(rows)) + 1):
-        modulus = 1 << (k - t + 1)
-        for subset in combinations(range(len(rows)), t):
-            acc = (1 << sf.n) - 1
-            for i in subset:
-                acc &= rows[i]
-            residue = theta.masked_sum(acc) % modulus
-            if residue:
-                raise CongruenceError(
-                    f"graded congruence broke: rows {subset} product sums to "
-                    f"{residue} mod {modulus}",
-                    witness=BitVec(sf.n, acc),
-                    residue=residue,
-                    modulus=modulus,
-                )
+    for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << sf.n) - 1):
+        modulus = 1 << (k - len(subset) + 1)
+        residue = theta.masked_sum(acc) % modulus
+        if residue:
+            raise CongruenceError(
+                f"graded congruence broke: rows {subset} product sums to "
+                f"{residue} mod {modulus}",
+                witness=BitVec(sf.n, acc),
+                residue=residue,
+                modulus=modulus,
+            )
     r_prime = BitVec.from_indices(
         sf.n, [i for i, p in enumerate(theta.p) if p % 2]
     )
@@ -349,21 +325,14 @@ def controlled_phase_action(
         non_clifford = k - min_val >= 3
     else:
         non_clifford = False
-    rows = sf.a_x.row_ints()
     passed = True
     wit_rows = wit_res = wit_mod = None
-    for t in range(1, min(k, len(rows)) + 1):
-        modulus = 1 << (k - max(q_ctrl, t - 1))
-        for subset in combinations(range(len(rows)), t):
-            acc = (1 << sf.n) - 1
-            for i in subset:
-                acc &= rows[i]
-            residue = theta.masked_sum(acc) % modulus
-            if residue:
-                passed = False
-                wit_rows, wit_res, wit_mod = subset, residue, modulus
-                break
-        if not passed:
+    for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << sf.n) - 1):
+        modulus = 1 << (k - max(q_ctrl, len(subset) - 1))
+        residue = theta.masked_sum(acc) % modulus
+        if residue:
+            passed = False
+            wit_rows, wit_res, wit_mod = subset, residue, modulus
             break
     size_bound_ok = None
     if passed and non_clifford:
@@ -389,8 +358,3 @@ def controlled_phase_action(
         witness_residue=wit_res,
         witness_modulus=wit_mod,
     )
-
-
-def transversal_cnot_check(sf: StandardFormCode) -> bool:
-    """CSS structure is exactly what a transversal controlled-not needs."""
-    return is_css(sf)

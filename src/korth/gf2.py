@@ -17,11 +17,11 @@ __all__ = [
     "BitVec",
     "BitMat",
     "and_product",
-    "weight",
-    "xor_add",
     "rank",
     "rref",
     "null_space",
+    "RowSpace",
+    "span_ints",
     "span_enumerate",
     "covered_columns_count",
     "in_rowspan",
@@ -50,7 +50,7 @@ class BitVec:
             if ch == "1":
                 bits |= 1 << i
             elif ch != "0":
-                raise ValueError(f"invalid bit character {ch!r}")
+                raise MatrixParseError(f"invalid bit character {ch!r}", 1, i + 1)
         return cls(len(text), bits)
 
     @classmethod
@@ -153,6 +153,15 @@ class BitMat:
         return cls(ncols, tuple(BitVec(ncols, r) for r in rows))
 
     @classmethod
+    def from_columns(cls, nrows: int, cols: Sequence[int]) -> "BitMat":
+        """Matrix whose column j is ``cols[j]`` packed as an int (bit i = row i)."""
+        rows = [
+            sum(((col >> i) & 1) << j for j, col in enumerate(cols))
+            for i in range(nrows)
+        ]
+        return cls.from_ints(len(cols), rows)
+
+    @classmethod
     def zero(cls, nrows: int, ncols: int) -> "BitMat":
         return cls(ncols, tuple(BitVec.zeros(ncols) for _ in range(nrows)))
 
@@ -221,16 +230,6 @@ def and_product(vs: Sequence[BitVec]) -> BitVec:
     return BitVec(n, acc)
 
 
-def weight(v: BitVec) -> int:
-    """Population count of a vector."""
-    return v.bits.bit_count()
-
-
-def xor_add(a: BitVec, b: BitVec) -> BitVec:
-    """Sum modulo 2 (bitwise XOR) of two equal-length vectors."""
-    return a ^ b
-
-
 def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon over GF(2); returns (nonzero rows, pivot columns)."""
     work = list(rows)
@@ -284,20 +283,49 @@ def null_space(M: BitMat) -> BitMat:
     return BitMat.from_ints(M.ncols, basis)
 
 
+class RowSpace:
+    """The row space of a matrix, eliminated once, for reducing many vectors.
+
+    ``residue`` reduces packed bits against the reduced-echelon basis: the
+    result is the canonical coset representative, zero exactly for members.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, M: BitMat):
+        self.rows, self.pivots = _eliminate(M.row_ints(), M.ncols)
+
+    def residue(self, bits: int) -> int:
+        for prow, pcol in zip(self.rows, self.pivots):
+            if (bits >> pcol) & 1:
+                bits ^= prow
+        return bits
+
+    def contains(self, bits: int) -> bool:
+        return self.residue(bits) == 0
+
+
+def span_ints(rows: Sequence[int]) -> Iterator[int]:
+    """All XOR combinations of packed rows, in Gray-code order starting at zero.
+
+    Element i flips the row at the lowest set bit of i, so it is the XOR of
+    the rows selected by the bits of i ^ (i >> 1).
+    """
+    acc = 0
+    yield acc
+    for i in range(1, 1 << len(rows)):
+        acc ^= rows[(i & -i).bit_length() - 1]
+        yield acc
+
+
 def span_enumerate(M: BitMat) -> list[BitVec]:
-    """All XOR combinations of the rows, in Gray-code order starting at zero.
+    """All XOR combinations of the rows, in the order of :func:`span_ints`.
 
     Yields 2**nrows entries; when the rows are dependent each span element
     appears 2**(nrows - rank) times, so pass an independent basis if distinct
     values are wanted.
     """
-    rows = M.row_ints()
-    out = [BitVec(M.ncols, 0)]
-    acc = 0
-    for i in range(1, 1 << len(rows)):
-        acc ^= rows[(i & -i).bit_length() - 1]
-        out.append(BitVec(M.ncols, acc))
-    return out
+    return [BitVec(M.ncols, v) for v in span_ints(M.row_ints())]
 
 
 def covered_columns_count(M: BitMat, q: int) -> int:
@@ -314,12 +342,7 @@ def in_rowspan(v: BitVec, M: BitMat) -> bool:
     """True when ``v`` lies in the GF(2) row space of ``M``."""
     if v.n != M.ncols:
         raise DimensionError(f"vector length {v.n} != column count {M.ncols}")
-    reduced, pivots = _eliminate(M.row_ints(), M.ncols)
-    res = v.bits
-    for prow, pcol in zip(reduced, pivots):
-        if (res >> pcol) & 1:
-            res ^= prow
-    return res == 0
+    return RowSpace(M).contains(v.bits)
 
 
 def solve(M: BitMat, b: BitVec) -> BitVec | None:

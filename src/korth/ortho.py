@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import NoSyndromeError, RangeError
 from .gf2 import BitMat, BitVec
@@ -19,6 +19,7 @@ from .gf2 import BitMat, BitVec
 __all__ = [
     "OrthogonalityWitness",
     "OrthogonalityReport",
+    "row_products",
     "is_k_orthogonal",
     "max_orthogonality",
     "isolate_column",
@@ -41,6 +42,19 @@ class OrthogonalityReport:
     witness: Optional[OrthogonalityWitness] = None
 
 
+def row_products(
+    rows: Sequence[int], k: int, mask: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(subset, mask & AND of rows[subset])`` for every row subset of
+    size 1..k, in (t, lexicographic) order."""
+    for t in range(1, min(k, len(rows)) + 1):
+        for subset in combinations(range(len(rows)), t):
+            acc = mask
+            for i in subset:
+                acc &= rows[i]
+            yield subset, acc
+
+
 def is_k_orthogonal(a_x: BitMat, k: int, r: BitVec | None = None) -> OrthogonalityReport:
     """Check k-orthogonality of ``a_x``, optionally restricted to support ``r``.
 
@@ -53,17 +67,11 @@ def is_k_orthogonal(a_x: BitMat, k: int, r: BitVec | None = None) -> Orthogonali
         r = BitVec.ones(a_x.ncols)
     elif r.n != a_x.ncols:
         raise RangeError(f"restriction length {r.n} != column count {a_x.ncols}")
-    rows = a_x.row_ints()
-    rbits = r.bits
-    for t in range(1, min(k, len(rows)) + 1):
-        for subset in combinations(range(len(rows)), t):
-            acc = rbits
-            for i in subset:
-                acc &= rows[i]
-            if acc.bit_count() & 1:
-                return OrthogonalityReport(
-                    k, False, OrthogonalityWitness(t, subset, r)
-                )
+    for subset, acc in row_products(a_x.row_ints(), k, r.bits):
+        if acc.bit_count() & 1:
+            return OrthogonalityReport(
+                k, False, OrthogonalityWitness(len(subset), subset, r)
+            )
     return OrthogonalityReport(k, True)
 
 

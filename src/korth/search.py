@@ -1,17 +1,32 @@
 """Exhaustive minimality search for k-orthogonal check matrices.
 
 Candidates at (m, n) are the n-subsets of the 2**m - 1 nonzero column
-values (distinct nonzero columns for free) that have full row rank.  The
-fast path folds a precomputed per-column parity table: one bit per row
-subset T with |T| <= k, set when T lies inside the column's support, so a
-candidate is k-orthogonal exactly when the XOR of its column entries is
-zero.  Boxes small enough to afford per-candidate rank counting take a slow
-path over :func:`enumerate_candidates` instead; both paths visit every
-subset, and any hit is re-verified before it is reported as a witness.
+values (distinct nonzero columns for free) that have full row rank.  Every
+box is scanned one way: a depth-first walk over the subsets folds a
+per-column parity table, with one bit per row subset T with |T| <= k, set
+when T lies inside the column's support, so a subset is k-orthogonal
+exactly when its column entries XOR to zero.  Each such hit is checked for
+full rank and re-verified with :func:`is_k_orthogonal` before it is
+reported as a witness.
 
-Work inside a fast box is partitioned by leading column index into
-independent chunks; with ``workers > 1`` the chunks run in a process pool
-and are merged deterministically.
+Per box, ``subsets`` counts the subsets visited, and ``mode`` says what
+``candidates`` and ``hits`` mean:
+
+- ``"slow"``, a box of at most ``_EXACT_COUNT_LIMIT`` subsets: the exact
+  number of full-rank subsets in the box (:func:`full_rank_count`), and
+  the number of full-rank k-orthogonal subsets found;
+- ``"fast"``, a larger box: None, and all k-orthogonal subsets found;
+- ``"fast-orbit"``, under ``prune="orbit"``: as ``"fast"``, with the
+  identity columns fixed and only the other n - m columns varied;
+- ``"skip"``: not scanned, for the reason in ``skipped``.
+
+A subset cap stops the walk at the subset that takes the running total past
+the cap: a sequential scan visits ``cap - used_before + 1`` subsets of the
+box it stops in, marks that box incomplete and skips the later boxes.  The
+subsets of a box are split by leading column index into chunks; with
+``workers > 1`` the chunks run in a process pool and merge
+deterministically, each chunk may visit up to the remaining cap, and a box
+where the cap is reached is marked incomplete.
 """
 
 from __future__ import annotations
@@ -20,6 +35,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -33,11 +49,13 @@ __all__ = [
     "BoxResult",
     "SearchReport",
     "subset_parity_table",
+    "full_rank_count",
     "enumerate_candidates",
     "minimality_search",
 ]
 
-_SLOW_PATH_LIMIT = 200_000
+# Boxes with at most this many subsets report an exact candidate count.
+_EXACT_COUNT_LIMIT = 200_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +74,10 @@ class SearchSpace:
             raise RangeError(f"orthogonality level must be >= 1, got {self.k}")
         if self.n_max < 1:
             raise RangeError(f"n_max must be >= 1, got {self.n_max}")
+        for name in ("budget_seconds", "budget_subsets"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise RangeError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +89,7 @@ class SearchWitness:
     columns: tuple[int, ...]
 
     def matrix(self) -> BitMat:
-        return _matrix_from_columns(self.m, self.columns)
+        return BitMat.from_columns(self.m, self.columns)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,14 +155,6 @@ class SearchReport:
         }
 
 
-def _matrix_from_columns(m: int, cols: tuple[int, ...]) -> BitMat:
-    rows = [
-        sum(((col >> i) & 1) << j for j, col in enumerate(cols))
-        for i in range(m)
-    ]
-    return BitMat.from_ints(len(cols), rows)
-
-
 def subset_parity_table(m: int, k: int) -> list[int]:
     """Per-column-value parity fingerprints for the fast k-orthogonality scan.
 
@@ -159,13 +173,28 @@ def subset_parity_table(m: int, k: int) -> list[int]:
     return table
 
 
+def full_rank_count(m: int, n: int) -> int:
+    """Number of n-subsets of the nonzero m-bit values that span GF(2)**m.
+
+    Moebius inversion over the subspace lattice:
+    sum_j (-1)**j 2**C(j,2) [m choose j]_2 C(2**(m-j) - 1, n).
+    """
+    total = 0
+    gaussian = 1  # [m choose j]_2
+    for j in range(m + 1):
+        term = (1 << math.comb(j, 2)) * gaussian * math.comb((1 << (m - j)) - 1, n)
+        total += -term if j % 2 else term
+        gaussian = gaussian * ((1 << (m - j)) - 1) // ((1 << (j + 1)) - 1)
+    return total
+
+
 def enumerate_candidates(m: int, n: int) -> Iterator[BitMat]:
     """All full-rank m x n matrices with n distinct nonzero columns, as
     ascending combinations of the column values 1..2**m-1."""
     if m > n:
         return
     for cols in combinations(range(1, 1 << m), n):
-        mat = _matrix_from_columns(m, cols)
+        mat = BitMat.from_columns(m, cols)
         if rank(mat) == m:
             yield mat
 
@@ -174,31 +203,40 @@ def _scan_range(
     values: list[int],
     fps: list[int],
     n: int,
-    chunk_indices: list[int],
     base: tuple[int, ...],
     base_acc: int,
     deadline: Optional[float],
+    limit: Optional[int],
+    chunk_indices: list[int],
 ) -> tuple[int, list[tuple[int, ...]], bool]:
     """Scan the subsets whose first free column index is in ``chunk_indices``.
 
-    Every subset extends ``base`` (already-fixed columns).  Returns the
-    visited count, the fingerprint hits, and whether the range completed
-    before the deadline.
+    Every subset extends ``base`` (already-fixed columns).  At most
+    ``limit`` subsets are visited.  Returns the visited count, the
+    fingerprint hits, and whether the range completed within the deadline
+    and the limit.
     """
     length = len(values)
     hits: list[tuple[int, ...]] = []
     visited = 0
     chosen: list[int] = list(base)
 
-    def rec(start: int, depth: int, acc: int) -> bool:
+    def leaves(indices, acc: int) -> bool:
+        """Visit the subsets completed by each last column in ``indices``."""
         nonlocal visited
+        if limit is not None and len(indices) > limit - visited:
+            indices = indices[: limit - visited]
+        visited += len(indices)
+        for i in indices:
+            if acc == fps[i]:
+                hits.append(tuple(chosen) + (values[i],))
+        if limit is not None and visited >= limit:
+            return False
+        return deadline is None or time.monotonic() <= deadline
+
+    def rec(start: int, depth: int, acc: int) -> bool:
         if depth == n - 1:
-            count = length - start
-            visited += count
-            for i in range(start, length):
-                if acc == fps[i]:
-                    hits.append(tuple(chosen) + (values[i],))
-            return deadline is None or time.monotonic() <= deadline
+            return leaves(range(start, length), acc)
         for i in range(start, length - (n - depth) + 1):
             chosen.append(values[i])
             ok = rec(i + 1, depth + 1, acc ^ fps[i])
@@ -211,13 +249,11 @@ def _scan_range(
         if base_acc == 0:
             hits.append(tuple(base))
         return 1, hits, True
+    if n == 1:
+        complete = leaves(chunk_indices, base_acc)
+        return visited, hits, complete
     complete = True
     for i0 in chunk_indices:
-        if n == 1:
-            visited += 1
-            if base_acc == fps[i0]:
-                hits.append(tuple(base) + (values[i0],))
-            continue
         chosen.append(values[i0])
         ok = rec(i0 + 1, 1, base_acc ^ fps[i0])
         chosen.pop()
@@ -225,11 +261,6 @@ def _scan_range(
             complete = False
             break
     return visited, hits, complete
-
-
-def _chunk_task(payload) -> tuple[int, list[tuple[int, ...]], bool]:
-    values, fps, n, chunk_indices, base, base_acc, deadline = payload
-    return _scan_range(values, fps, n, chunk_indices, base, base_acc, deadline)
 
 
 def _scan_fast(
@@ -242,30 +273,20 @@ def _scan_fast(
     workers: int = 1,
 ) -> tuple[int, list[tuple[int, ...]], bool]:
     fps = [table[v] for v in values]
-    if n == 0:
-        visited, hits, _ = _scan_range(values, fps, 0, [], base, base_acc, None)
-        return visited, hits, budget.charge(visited)
     leading = list(range(len(values) - n + 1))
-    if workers <= 1 or len(leading) < 2:
-        visited, hits, complete = _scan_range(
-            values, fps, n, leading, base, base_acc, budget.deadline
-        )
-        return visited, hits, budget.charge(visited) and complete
-    # Round-robin the leading indices so chunk costs balance.
-    chunks = [leading[w::workers] for w in range(workers)]
-    payloads = [
-        (values, fps, n, chunk, base, base_acc, budget.deadline)
-        for chunk in chunks if chunk
-    ]
-    visited = 0
-    hits: list[tuple[int, ...]] = []
-    complete = True
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part_visited, part_hits, part_complete in pool.map(_chunk_task, payloads):
-            visited += part_visited
-            hits.extend(part_hits)
-            complete = complete and part_complete
-    hits.sort()
+    scan = partial(
+        _scan_range, values, fps, n, base, base_acc, budget.deadline, budget.remaining()
+    )
+    if n == 0 or workers <= 1 or len(leading) < 2:
+        parts = [scan(leading)]
+    else:
+        # Round-robin the leading indices so chunk costs balance.
+        chunks = [leading[w::workers] for w in range(min(workers, len(leading)))]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(scan, chunks))
+    visited = sum(part[0] for part in parts)
+    hits = sorted(hit for part in parts for hit in part[1])
+    complete = all(part[2] for part in parts)
     return visited, hits, budget.charge(visited) and complete
 
 
@@ -281,58 +302,35 @@ def _scan_box(
     if prune == "orbit":
         # Every full-rank candidate is row-space equivalent to one containing
         # the identity columns, and k-orthogonality only sees the row space.
-        identity = [1 << i for i in range(m)]
+        base = tuple(1 << i for i in range(m))
         base_acc = 0
-        for v in identity:
+        for v in base:
             base_acc ^= table[v]
-        id_set = set(identity)
-        values = [v for v in range(1, 1 << m) if v not in id_set]
-        visited, raw_hits, complete = _scan_fast(
-            values, table, n - m, budget, tuple(identity), base_acc, workers
-        )
-        mode = "fast-orbit"
-        candidates = None
-    elif math.comb((1 << m) - 1, n) <= _SLOW_PATH_LIMIT:
-        return _scan_box_slow(m, n, k, budget)
+        values = [v for v in range(1, 1 << m) if v not in base]
+        mode, candidates = "fast-orbit", None
     else:
+        base, base_acc = (), 0
         values = list(range(1, 1 << m))
-        visited, raw_hits, complete = _scan_fast(
-            values, table, n, budget, workers=workers
-        )
-        mode = "fast"
-        candidates = None
+        if math.comb(len(values), n) <= _EXACT_COUNT_LIMIT:
+            mode, candidates = "slow", full_rank_count(m, n)
+        else:
+            mode, candidates = "fast", None
+    visited, raw_hits, complete = _scan_fast(
+        values, table, n - len(base), budget, base, base_acc, workers
+    )
+    full_rank = 0
     witnesses = []
     for cols in raw_hits:
         cols = tuple(sorted(cols))
-        mat = _matrix_from_columns(m, cols)
-        if rank(mat) == m and is_k_orthogonal(mat, k).holds:
-            witnesses.append(SearchWitness(m, n, cols))
-    return BoxResult(
-        m=m, n=n, subsets=visited, candidates=candidates, hits=len(raw_hits),
-        witnesses=tuple(witnesses), complete=complete, mode=mode,
-    )
-
-
-def _scan_box_slow(m: int, n: int, k: int, budget: "_Budget") -> BoxResult:
-    subsets = 0
-    candidates = 0
-    hits = 0
-    witnesses = []
-    complete = True
-    for cols in combinations(range(1, 1 << m), n):
-        subsets += 1
-        mat = _matrix_from_columns(m, cols)
+        mat = BitMat.from_columns(m, cols)
         if rank(mat) == m:
-            candidates += 1
+            full_rank += 1
             if is_k_orthogonal(mat, k).holds:
-                hits += 1
                 witnesses.append(SearchWitness(m, n, cols))
-        if not budget.charge(1):
-            complete = False
-            break
     return BoxResult(
-        m=m, n=n, subsets=subsets, candidates=candidates, hits=hits,
-        witnesses=tuple(witnesses), complete=complete, mode="slow",
+        m=m, n=n, subsets=visited, candidates=candidates,
+        hits=full_rank if mode == "slow" else len(raw_hits),
+        witnesses=tuple(witnesses), complete=complete, mode=mode,
     )
 
 
@@ -342,6 +340,11 @@ class _Budget:
         self.subset_cap = subsets
         self.used = 0
         self.exhausted = False
+
+    def remaining(self) -> Optional[int]:
+        """Subsets the next scan may visit: up to and including the one that
+        takes the running total past the cap."""
+        return None if self.subset_cap is None else self.subset_cap - self.used + 1
 
     def charge(self, amount: int) -> bool:
         """Account for visited subsets; True while within budget."""

@@ -58,7 +58,7 @@ def test_criterion_02_steane_emergence():
         assert sf.n == 7
         assert is_k_orthogonal(sf.a_x, 2).holds
         assert not is_k_orthogonal(sf.a_x, 3).holds
-        rep = css_distances(sf.a_x, sf.a_z, sf.r, sf.s)
+        rep = css_distances(sf.a_x, sf.a_z)
         assert (rep.d_z, rep.d_x) == (3, 3)
         res = logical_phase_action(sf, DyadicPhaseVector.all_ones(7, 2))
         assert res.ok and res.phase == DyadicPhase(3, 2)  # 3*pi/2
@@ -70,7 +70,7 @@ def test_criterion_03_reed_muller_emergence():
         assert sf.n == 15
         assert is_k_orthogonal(sf.a_x, 3).holds
         assert not is_k_orthogonal(sf.a_x, 4).holds
-        rep = css_distances(sf.a_x, sf.a_z, sf.r, sf.s)
+        rep = css_distances(sf.a_x, sf.a_z)
         assert (rep.d_z, rep.d_x) == (3, 7)
         res = logical_phase_action(sf, DyadicPhaseVector.all_ones(15, 3))
         assert res.ok and res.phase == DyadicPhase(7, 3)  # 7*pi/4, a T-type gate
@@ -87,7 +87,7 @@ def test_criterion_04_m5_family():
         assert res.phase == DyadicPhase(15, 4) and res.phase.k == 4
         # X distance 15 through the 2**6 = 64 element dual null space
         assert null_space(sf.a_z).nrows == 6
-        rep = css_distances(sf.a_x, sf.a_z, sf.r, sf.s)
+        rep = css_distances(sf.a_x, sf.a_z)
         assert rep.d_x == 15 and rep.method_x == "coset" and rep.exact_x
 
 

@@ -238,3 +238,37 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["construct", "--bogus"]) == 2
+
+
+class TestBadInput:
+    """Malformed input exits 2 with an ``error:`` line, never a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        code, ax = tmp_path / "code.json", tmp_path / "ax.txt"
+        run(capsys, "construct", "--m", "3", "--out", str(code), "--ax", str(ax))
+        files = {"code": code, "ax": ax}
+        for name, content in (
+            ("gate_without_p", {"k": 2, "controls": 0}),
+            ("letter_q", {"n": 3, "stabilizers": ["+QZI", "+ZZI"]}),
+            ("stabilizers_int", {"n": 3, "stabilizers": 5}),
+        ):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(content))
+        return {name: str(path) for name, path in files.items()}
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-gate", "--code", "{code}", "--gate", "{gate_without_p}"],
+        ["standard-form", "--code", "{letter_q}"],
+        ["standard-form", "--code", "{stabilizers_int}"],
+        ["check-orth", "--matrix", "{ax}", "--k", "1", "--r", "1012"],
+        ["distance", "--code", "{code}", "--strategy", "weight", "--weight-cap", "-3"],
+        ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "3",
+         "--budget-seconds", "-1"],
+    ], ids=["gate-without-p", "pauli-letter-q", "stabilizers-int", "restriction-bit-2",
+            "weight-cap-below-1", "negative-budget"])
+    def test_exit_two(self, files, argv, capsys):
+        status, _, err = run(capsys, *(a.format(**files) for a in argv))
+        assert status == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

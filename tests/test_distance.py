@@ -29,7 +29,7 @@ def brute_min_logical(check: BitMat, other: BitMat) -> int:
 class TestCssDistances:
     def test_subdual3(self):
         sf = subdual_css(3)
-        rep = css_distances(sf.a_x, sf.a_z, sf.r, sf.s)
+        rep = css_distances(sf.a_x, sf.a_z)
         assert (rep.d_z, rep.d_x) == (3, 3)
         assert rep.exact_z and rep.exact_x
 
@@ -40,12 +40,12 @@ class TestCssDistances:
 
     def test_subdual4(self):
         sf = subdual_css(4)
-        rep = css_distances(sf.a_x, sf.a_z, sf.r, sf.s)
+        rep = css_distances(sf.a_x, sf.a_z)
         assert (rep.d_z, rep.d_x) == (3, 7)
 
     def test_subdual5(self):
         sf = subdual_css(5)
-        rep = css_distances(sf.a_x, sf.a_z, sf.r, sf.s)
+        rep = css_distances(sf.a_x, sf.a_z)
         assert (rep.d_z, rep.d_x) == (3, 15)
         # the X side enumerates the 2**6 = 64 element dual null space
         assert rep.method_x == "coset"

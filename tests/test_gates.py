@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from korth.codes import css_standard_form, to_standard_form
+from korth.codes import css_standard_form, is_css, to_standard_form
 from korth.errors import CongruenceError, DegenerateCodeError, RangeError, UnsupportedCodeError
 from korth.families import hamming_parity_check, subdual_css
 from korth.gates import (
@@ -13,7 +13,6 @@ from korth.gates import (
     find_transversal_phases,
     logical_phase_action,
     phase_quantization_exponent,
-    transversal_cnot_check,
     verify_korth_necessity,
 )
 from korth.gf2 import BitMat, BitVec, null_space, span_enumerate
@@ -317,13 +316,13 @@ class TestRepetitionLaw:
 
 class TestTransversalCnot:
     def test_css_family(self):
-        assert transversal_cnot_check(subdual_css(3))
+        assert is_css(subdual_css(3))
 
     def test_five_qubit(self):
-        assert not transversal_cnot_check(to_standard_form(five_qubit_code()))
+        assert not is_css(to_standard_form(five_qubit_code()))
 
     def test_trivial_code(self):
         sf = css_standard_form(
             BitMat.zero(0, 1), BitMat.zero(0, 1), BitVec.ones(1), BitVec.ones(1)
         )
-        assert transversal_cnot_check(sf)
+        assert is_css(sf)

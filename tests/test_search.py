@@ -8,6 +8,7 @@ from korth.ortho import is_k_orthogonal
 from korth.search import (
     SearchSpace,
     enumerate_candidates,
+    full_rank_count,
     minimality_search,
     subset_parity_table,
 )
@@ -151,3 +152,52 @@ class TestMinimalitySearch:
             minimality_search(
                 SearchSpace(k=1, m_range=(2,), n_max=2), prune="bogus"
             )
+
+
+def _brute_force_box(m: int, n: int, k: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Full-rank candidates and k-orthogonal witnesses, one matrix at a time."""
+    count = 0
+    witnesses = []
+    for mat in enumerate_candidates(m, n):
+        count += 1
+        if is_k_orthogonal(mat, k).holds:
+            witnesses.append(tuple(mat.column_ints()))
+    return count, witnesses
+
+
+class TestSinglePathAgainstBruteForce:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_counts_and_witnesses(self, k):
+        rep = minimality_search(SearchSpace(k=k, m_range=(2, 3, 4), n_max=15))
+        assert rep.complete
+        scanned = [b for b in rep.boxes if b.skipped is None]
+        assert scanned
+        for b in scanned:
+            assert b.mode == "slow"  # every m <= 4 box is small enough
+            candidates, witnesses = _brute_force_box(b.m, b.n, k)
+            assert b.candidates == candidates == full_rank_count(b.m, b.n)
+            assert b.hits == len(witnesses)
+            assert [w.columns for w in b.witnesses] == witnesses
+
+    def test_full_rank_count_small_boxes(self):
+        for m in range(1, 5):
+            for n in range(0, (1 << m) + 1):
+                assert full_rank_count(m, n) == sum(1 for _ in enumerate_candidates(m, n))
+
+    def test_subset_cap_stops_inside_a_fast_box(self):
+        # The (5, 5) box visits all C(31, 5) = 169,911 subsets; the cap then
+        # leaves 800,000 - 169,911 + 1 subsets for the (5, 6) box.
+        rep = minimality_search(
+            SearchSpace(k=2, m_range=(5,), n_max=6, budget_subsets=800_000)
+        )
+        box = next(b for b in rep.boxes if b.n == 6)
+        assert box.mode == "fast"
+        assert box.subsets == 630_090
+        assert not box.complete
+        assert not rep.complete
+
+    def test_negative_budgets_rejected(self):
+        with pytest.raises(RangeError):
+            SearchSpace(k=1, m_range=(2,), n_max=3, budget_subsets=-1)
+        with pytest.raises(RangeError):
+            SearchSpace(k=1, m_range=(2,), n_max=3, budget_seconds=-0.5)
