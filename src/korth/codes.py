@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InvalidCodeError, SignFixError
-from .gf2 import BitMat, BitVec, RowSpace, in_rowspan, null_space, rank, solve
+from .gf2 import BitMat, BitVec, RowSpace, null_space, rank, solve
 from .phases import DyadicPhaseVector
 
 __all__ = [
@@ -270,7 +270,8 @@ class StandardFormCode:
             raise InvalidCodeError("one phase per X-bearing row required")
         if rank(self.a_x) != m:
             raise InvalidCodeError("A_X is not full rank")
-        if rank(self.a_z) != self.a_z.nrows:
+        z_space = RowSpace(self.a_z)
+        if len(z_space.rows) != self.a_z.nrows:
             raise InvalidCodeError("A_Z rows are dependent")
         if m + self.a_z.nrows != n - 1:
             raise InvalidCodeError(
@@ -290,7 +291,7 @@ class StandardFormCode:
         for a in self.a_x.rows:
             if self.r.dot_parity(a):
                 raise InvalidCodeError("logical Z support anticommutes with A_X")
-        if in_rowspan(self.r, self.a_z):
+        if z_space.contains(self.r.bits):
             raise InvalidCodeError("logical Z support lies in the stabilizer")
         for row in self.b.rows:
             if self.s.dot_parity(row):

@@ -8,7 +8,7 @@ carry the violating string and residue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .codes import StandardFormCode, degeneracy_classes, is_css
 from .errors import CongruenceError, DegenerateCodeError, RangeError, UnsupportedCodeError
@@ -184,8 +184,7 @@ def find_transversal_phases(sf: StandardFormCode, k: int) -> PhaseSolutionSet:
     if k < 1:
         raise RangeError(f"denominator exponent must be >= 1, got {k}")
     n = sf.n
-    rows = [[(mask >> j) & 1 for j in range(n)] for mask in span_ints(sf.a_x.row_ints())]
-    gens = _kernel_mod_power_of_two(rows, n, k)
+    gens = _kernel_mod_power_of_two(span_ints(sf.a_x.row_ints()), n, k)
     generators = tuple(DyadicPhaseVector(k, vec) for vec, _ in gens)
     orders = tuple(order for _, order in gens)
     phases = tuple(
@@ -195,59 +194,99 @@ def find_transversal_phases(sf: StandardFormCode, k: int) -> PhaseSolutionSet:
 
 
 def _kernel_mod_power_of_two(
-    rows: list[list[int]], n: int, k: int
+    masks: Iterable[int], n: int, k: int
 ) -> list[tuple[tuple[int, ...], int]]:
-    """Generators (vector, additive order) of {p : A p = 0 mod 2**k}."""
+    """Generators (vector, additive order) of {p : A p = 0 mod 2**k}, where
+    row i of the 0/1 matrix A is the bit mask ``masks[i]`` (below 2**n).
+
+    Each row is one int of n lanes, each 2k + 1 bits wide, with entry j in
+    lane j; the column transform V is kept as one such int per column.
+    Lanes hold residues below q = 2**k.  A row operation x - f*y becomes
+    (x + f*(Q - y)) & MASK, where Q holds q in every lane and MASK keeps the
+    low k bits of each: a lane of x + f*(q - y) is at most
+    (q - 1) + (q - 1)*q < 2**(2k), and so is a lane times a unit below q,
+    so no lane ever carries into the next.
+
+    The pivot rule is unchanged from the list-of-lists diagonalisation the
+    tests keep as this solver's oracle: in row-major order, the first entry
+    of least 2-adic valuation among the rows and columns not yet pivoted.
+    That valuation is the least t with bit t set in some lane, and the
+    entry's column is the lowest lane of its row with bit t set.  After a
+    pivot's row operations its column is zero off the pivot, so its column
+    operations only clear the pivot row and update V.  The same pivots,
+    swaps and operations give the same generators in the same order.
+    """
     q = 1 << k
-    a = [[entry % q for entry in row] for row in rows]
-    nr = len(a)
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    qm = q - 1
+    width = 2 * k + 1
+    ones = ((1 << (n * width)) - 1) // ((1 << width) - 1)
+    mask, qpat = ones * qm, ones * q
+    bits = [ones << t for t in range(k)]
+    # Spread each mask's bits to the lane bases by joining its binary digits.
+    gap = "0" * (width - 1)
+    rows = [int(gap.join(bin(x)[2:]), 2) for x in masks]
+    live = [i for i, x in enumerate(rows) if x]  # unpivoted nonzero rows, in order
+    vcols = [1 << (j * width) for j in range(n)]
     piv_vals: list[int] = []
     r = 0
-    while r < min(nr, n):
-        best = None
-        for i in range(r, nr):
-            for j in range(r, n):
-                entry = a[i][j]
-                if entry:
-                    val = (entry & -entry).bit_length() - 1
-                    if best is None or val < best[0]:
-                        best = (val, i, j)
-                    if val == 0:
-                        break
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        val, bi, bj = best
-        a[r], a[bi] = a[bi], a[r]
+    while live and r < n:
+        seen = 0
+        for i in live:
+            seen |= rows[i]
+            if seen & bits[0]:
+                break  # valuation 0 is the least there is
+        val = next(t for t, bit in enumerate(bits) if seen & bit)
+        bi = next(i for i in live if rows[i] & bits[val])
+        hit = rows[bi] & bits[val]
+        bj = ((hit & -hit).bit_length() - 1) // width
+        rows[r], rows[bi] = rows[bi], rows[r]
+        if live[0] == r:
+            del live[0]
+        else:
+            live.remove(bi)  # row r was zero and now sits at bi
         if bj != r:
-            for row in a:
-                row[r], row[bj] = row[bj], row[r]
-            for row in v:
-                row[r], row[bj] = row[bj], row[r]
-        unit_inv = pow(a[r][r] >> val, -1, q)
-        a[r] = [(x * unit_inv) % q for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][r]:
-                factor = a[i][r] >> val
-                a[i] = [(x - factor * y) % q for x, y in zip(a[i], a[r])]
-        for j in range(r + 1, n):
-            if a[r][j]:
-                factor = a[r][j] >> val
-                for i in range(nr):
-                    a[i][j] = (a[i][j] - factor * a[i][r]) % q
-                for i in range(n):
-                    v[i][j] = (v[i][j] - factor * v[i][r]) % q
+            lo, hi = r * width, bj * width
+            for i in [r] + live:
+                x = rows[i]
+                d = ((x >> lo) ^ (x >> hi)) & qm
+                if d:
+                    rows[i] = x ^ (d << lo) ^ (d << hi)
+            vcols[r], vcols[bj] = vcols[bj], vcols[r]
+        shift = r * width
+        prow = rows[r]
+        prow = (prow * pow(((prow >> shift) & qm) >> val, -1, q)) & mask
+        neg = qpat - prow
+        for i in live:
+            x = rows[i]
+            entry = (x >> shift) & qm
+            if entry:
+                rows[i] = (x + (entry >> val) * neg) & mask
+        live = [i for i in live if rows[i]]
+        vneg = qpat - vcols[r]
+        rest = prow >> (shift + width)
+        j = r + 1
+        while rest:
+            entry = rest & qm
+            if entry:
+                vcols[j] = (vcols[j] + (entry >> val) * vneg) & mask
+            rest >>= width
+            j += 1
         piv_vals.append(val)
         r += 1
+
+    def lanes(col: int) -> tuple[int, ...]:
+        out = []
+        for _ in range(n):
+            out.append(col & qm)
+            col >>= width
+        return tuple(out)
+
     gens: list[tuple[tuple[int, ...], int]] = []
     for i, val in enumerate(piv_vals):
         if val > 0:
-            vec = tuple((v[t][i] << (k - val)) % q for t in range(n))
-            gens.append((vec, 1 << val))
+            gens.append((lanes((vcols[i] << (k - val)) & mask), 1 << val))
     for j in range(r, n):
-        gens.append((tuple(v[t][j] % q for t in range(n)), q))
+        gens.append((lanes(vcols[j]), q))
     return gens
 
 

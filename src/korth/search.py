@@ -26,7 +26,9 @@ box it stops in, marks that box incomplete and skips the later boxes.  The
 subsets of a box are split by leading column index into chunks; with
 ``workers > 1`` the chunks run in a process pool and merge
 deterministically, each chunk may visit up to the remaining cap, and a box
-where the cap is reached is marked incomplete.
+where the cap is reached is marked incomplete.  One pool serves the whole
+search: it starts when the first box is split and shuts down when the
+search returns.
 """
 
 from __future__ import annotations
@@ -263,27 +265,44 @@ def _scan_range(
     return visited, hits, complete
 
 
+class _Pool:
+    """The worker processes of one search, started when a box first needs them."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def map(self, fn, chunks: list) -> list:
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        return list(self._executor.map(fn, chunks))
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+
+
 def _scan_fast(
     values: list[int],
     table: list[int],
     n: int,
     budget: "_Budget",
+    pool: _Pool,
     base: tuple[int, ...] = (),
     base_acc: int = 0,
-    workers: int = 1,
 ) -> tuple[int, list[tuple[int, ...]], bool]:
     fps = [table[v] for v in values]
     leading = list(range(len(values) - n + 1))
     scan = partial(
         _scan_range, values, fps, n, base, base_acc, budget.deadline, budget.remaining()
     )
+    workers = pool.workers
     if n == 0 or workers <= 1 or len(leading) < 2:
         parts = [scan(leading)]
     else:
         # Round-robin the leading indices so chunk costs balance.
         chunks = [leading[w::workers] for w in range(min(workers, len(leading)))]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, chunks))
+        parts = pool.map(scan, chunks)
     visited = sum(part[0] for part in parts)
     hits = sorted(hit for part in parts for hit in part[1])
     complete = all(part[2] for part in parts)
@@ -297,7 +316,7 @@ def _scan_box(
     table: list[int],
     prune: str,
     budget: "_Budget",
-    workers: int,
+    pool: _Pool,
 ) -> BoxResult:
     if prune == "orbit":
         # Every full-rank candidate is row-space equivalent to one containing
@@ -316,7 +335,7 @@ def _scan_box(
         else:
             mode, candidates = "fast", None
     visited, raw_hits, complete = _scan_fast(
-        values, table, n - len(base), budget, base, base_acc, workers
+        values, table, n - len(base), budget, pool, base, base_acc
     )
     full_rank = 0
     witnesses = []
@@ -367,6 +386,8 @@ def minimality_search(
     """
     if prune not in ("none", "orbit"):
         raise RangeError(f"unknown prune mode {prune!r}")
+    if workers < 1:
+        raise RangeError(f"workers must be >= 1, got {workers}")
     k = space.k
     start = time.monotonic()
     budget = _Budget(space.budget_seconds, space.budget_subsets)
@@ -379,34 +400,38 @@ def minimality_search(
         )
     boxes: list[BoxResult] = []
     tables: dict[int, list[int]] = {}
-    for m in space.m_range:
-        for n in range(1, space.n_max + 1):
-            if m <= k:
-                boxes.append(BoxResult(
-                    m=m, n=n, skipped=f"m={m} <= k={k}: any distinct-nonzero-"
-                    "column matrix with so few check rows fails at level m",
-                    mode="skip",
-                ))
-                continue
-            if m > n:
-                boxes.append(BoxResult(
-                    m=m, n=n, skipped="m > n: full rank impossible", mode="skip",
-                ))
-                continue
-            if n > (1 << m) - 1:
-                boxes.append(BoxResult(
-                    m=m, n=n,
-                    skipped=f"n > 2**{m}-1: not enough distinct nonzero columns",
-                    mode="skip",
-                ))
-                continue
-            if budget.exhausted:
-                boxes.append(BoxResult(m=m, n=n, complete=False, mode="skip",
-                                       skipped="budget exhausted"))
-                continue
-            if m not in tables:
-                tables[m] = subset_parity_table(m, k)
-            boxes.append(_scan_box(m, n, k, tables[m], prune, budget, workers))
+    pool = _Pool(workers)
+    try:
+        for m in space.m_range:
+            for n in range(1, space.n_max + 1):
+                if m <= k:
+                    boxes.append(BoxResult(
+                        m=m, n=n, skipped=f"m={m} <= k={k}: any distinct-nonzero-"
+                        "column matrix with so few check rows fails at level m",
+                        mode="skip",
+                    ))
+                    continue
+                if m > n:
+                    boxes.append(BoxResult(
+                        m=m, n=n, skipped="m > n: full rank impossible", mode="skip",
+                    ))
+                    continue
+                if n > (1 << m) - 1:
+                    boxes.append(BoxResult(
+                        m=m, n=n,
+                        skipped=f"n > 2**{m}-1: not enough distinct nonzero columns",
+                        mode="skip",
+                    ))
+                    continue
+                if budget.exhausted:
+                    boxes.append(BoxResult(m=m, n=n, complete=False, mode="skip",
+                                           skipped="budget exhausted"))
+                    continue
+                if m not in tables:
+                    tables[m] = subset_parity_table(m, k)
+                boxes.append(_scan_box(m, n, k, tables[m], prune, budget, pool))
+    finally:
+        pool.close()
     return SearchReport(
         k=k,
         prune=prune,

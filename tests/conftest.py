@@ -165,8 +165,9 @@ def random_css_sf(rng: random.Random, n: int, m: int) -> StandardFormCode:
 
 def scrambled(code: StabilizerCode, rng: random.Random,
               sign_flips: bool = True, drop_logicals: bool = False,
-              s_mask: int = 0) -> StabilizerCode:
-    """Mix, reorder, sign-flip, and optionally S-conjugate a code's generators."""
+              s_mask: int = 0, permute_qubits: bool = False) -> StabilizerCode:
+    """Mix, reorder, sign-flip, and optionally S-conjugate a code's generators;
+    optionally relabel its qubits by a random permutation."""
     gens = list(code.generators)
     for _ in range(2 * len(gens)):
         i, j = rng.randrange(len(gens)), rng.randrange(len(gens))
@@ -184,6 +185,19 @@ def scrambled(code: StabilizerCode, rng: random.Random,
     rng.shuffle(gens)
     if drop_logicals:
         lx = lz = None
+    if permute_qubits:
+        perm = list(range(code.n))
+        rng.shuffle(perm)
+
+        def relabel(g):
+            if g is None:
+                return None
+            x = sum(((g.x >> i) & 1) << perm[i] for i in range(g.n))
+            z = sum(((g.z >> i) & 1) << perm[i] for i in range(g.n))
+            return PauliOp(g.n, x, z, g.i_exp)
+
+        gens = [relabel(g) for g in gens]
+        lx, lz = relabel(lx), relabel(lz)
     return StabilizerCode(code.n, tuple(gens), logical_x=lx, logical_z=lz)
 
 

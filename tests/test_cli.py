@@ -1,13 +1,15 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from korth.cli import main
-from korth.codes import code_from_json, is_css, to_standard_form
+from korth.codes import code_from_json, code_to_json, is_css, to_standard_form
 from korth.families import subdual_css
 from korth.gf2 import format_matrix_text, parse_matrix_text
 
-from conftest import spans_equal
+from conftest import scrambled, spans_equal
 
 
 def run(capsys, *argv):
@@ -210,6 +212,34 @@ class TestFindGates:
         assert data["count"] == 32
         assert all(len(g["p"]) == 7 for g in data["generators"])
 
+    # sha256 of the `find-gates --out` report, recorded with the list-of-lists
+    # solver (tests/test_gates.py::dense_kernel): a change to the generators,
+    # their order or the report layout breaks them.
+    GOLDEN = {
+        ("construct", 5, 1): "e1d93d5aea42cfc62432b6b750c469105a6f85afbc5b3ff64df8269312031503",
+        ("construct", 5, 3): "bf60d81affb20329372a239d188b2aa88080614a1a12e65e0fdde65a5556d656",
+        ("construct", 5, 4): "28bc85063a25b45b75fdc1f9516f34328a1f19db702beafcaf0fa36db745c59c",
+        ("construct", 6, 1): "8540e34e883f7e16210d2a688fb170a43f3520dbc8b63b4c4bddaef8bbbe5752",
+        ("construct", 6, 3): "626f1184b70671887f6e3a7e737e80792c96453e1c3487bc30eafb432e4038c0",
+        ("construct", 6, 5): "2d48d27aaa36a33a5366b0cd44dfc61ca3279239a6e20743d35a9898f5f1d539",
+        ("scrambled", 6, 3): "b7590b450e57ec3b3c9631dea3b9d8b87ceffa7641eb43857233251aa64d09e2",
+    }
+
+    @pytest.mark.parametrize("source,m,k", sorted(GOLDEN), ids=lambda v: str(v))
+    def test_golden_report_digest(self, source, m, k, tmp_path, capsys):
+        code = tmp_path / "code.json"
+        if source == "construct":
+            run(capsys, "construct", "--m", str(m), "--out", str(code))
+        else:
+            base = subdual_css(m).to_stabilizer_code()
+            code.write_text(code_to_json(scrambled(base, random.Random(m), permute_qubits=True)))
+        report = tmp_path / "report.json"
+        status, _, _ = run(capsys, "find-gates", "--code", str(code), "--k", str(k),
+                           "--out", str(report))
+        assert status == 0
+        digest = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert digest == self.GOLDEN[source, m, k]
+
 
 class TestReduceDegenerate:
     def test_aggregation(self, tmp_path, capsys):
@@ -265,8 +295,12 @@ class TestBadInput:
         ["distance", "--code", "{code}", "--strategy", "weight", "--weight-cap", "-3"],
         ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "3",
          "--budget-seconds", "-1"],
+        ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "3",
+         "--threads", "0"],
+        ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "3",
+         "--threads", "-1"],
     ], ids=["gate-without-p", "pauli-letter-q", "stabilizers-int", "restriction-bit-2",
-            "weight-cap-below-1", "negative-budget"])
+            "weight-cap-below-1", "negative-budget", "threads-0", "threads-negative"])
     def test_exit_two(self, files, argv, capsys):
         status, _, err = run(capsys, *(a.format(**files) for a in argv))
         assert status == 2

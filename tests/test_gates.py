@@ -6,6 +6,7 @@ import pytest
 from korth.codes import css_standard_form, is_css, to_standard_form
 from korth.errors import CongruenceError, DegenerateCodeError, RangeError, UnsupportedCodeError
 from korth.families import hamming_parity_check, subdual_css
+from korth import gates
 from korth.gates import (
     ControlledPhaseReport,
     GateDescriptor,
@@ -15,7 +16,7 @@ from korth.gates import (
     phase_quantization_exponent,
     verify_korth_necessity,
 )
-from korth.gf2 import BitMat, BitVec, null_space, span_enumerate
+from korth.gf2 import BitMat, BitVec, null_space, span_enumerate, span_ints
 from korth.phases import DyadicPhase, DyadicPhaseVector
 
 from conftest import (
@@ -23,6 +24,7 @@ from conftest import (
     apply_phases,
     five_qubit_code,
     random_css_sf,
+    scrambled,
     sparse_logical_zero,
     states_proportional,
 )
@@ -170,6 +172,36 @@ class TestFindTransversalPhases:
     def test_k_range(self):
         with pytest.raises(RangeError):
             find_transversal_phases(subdual_css(3), 0)
+
+
+def packed_matches_dense(masks: list[int], n: int, k: int) -> None:
+    rows = [[(mask >> j) & 1 for j in range(n)] for mask in masks]
+    assert gates._kernel_mod_power_of_two(masks, n, k) == dense_kernel(rows, n, k)
+
+
+class TestPackedSolverAgainstDense:
+    def test_random_systems(self, rng):
+        for trial in range(400):
+            k = rng.randint(1, 10)
+            n = rng.randint(1, 48)
+            if trial % 2:
+                m = rng.randint(1, 6)  # k >= m in about half of these
+                masks = list(span_ints([rng.getrandbits(n) for _ in range(m)]))
+            else:
+                masks = [rng.getrandbits(n) & rng.getrandbits(n)
+                         for _ in range(rng.randint(1, 48))]
+            packed_matches_dense(masks, n, k)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_subdual_family_and_scrambled_copies(self, m, rng):
+        canonical = subdual_css(m)
+        copy = to_standard_form(
+            scrambled(canonical.to_stabilizer_code(), rng, permute_qubits=True)
+        )
+        for sf in (canonical, copy):
+            masks = list(span_ints(sf.a_x.row_ints()))
+            for k in sorted({1, 2, 3, m - 1, m}):
+                packed_matches_dense(masks, sf.n, k)
 
 
 class TestKorthNecessity:
@@ -326,3 +358,65 @@ class TestTransversalCnot:
             BitMat.zero(0, 1), BitMat.zero(0, 1), BitVec.ones(1), BitVec.ones(1)
         )
         assert is_css(sf)
+
+
+def dense_kernel(
+    rows: list[list[int]], n: int, k: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """Generators (vector, additive order) of {p : A p = 0 mod 2**k}.
+
+    The list-of-lists diagonalisation, the oracle for the lane-packed
+    ``gates._kernel_mod_power_of_two``: that solver makes the same pivot
+    choices, so it must return exactly these generators.
+    """
+    q = 1 << k
+    a = [[entry % q for entry in row] for row in rows]
+    nr = len(a)
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    piv_vals: list[int] = []
+    r = 0
+    while r < min(nr, n):
+        best = None
+        for i in range(r, nr):
+            for j in range(r, n):
+                entry = a[i][j]
+                if entry:
+                    val = (entry & -entry).bit_length() - 1
+                    if best is None or val < best[0]:
+                        best = (val, i, j)
+                    if val == 0:
+                        break
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        val, bi, bj = best
+        a[r], a[bi] = a[bi], a[r]
+        if bj != r:
+            for row in a:
+                row[r], row[bj] = row[bj], row[r]
+            for row in v:
+                row[r], row[bj] = row[bj], row[r]
+        unit_inv = pow(a[r][r] >> val, -1, q)
+        a[r] = [(x * unit_inv) % q for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][r]:
+                factor = a[i][r] >> val
+                a[i] = [(x - factor * y) % q for x, y in zip(a[i], a[r])]
+        for j in range(r + 1, n):
+            if a[r][j]:
+                factor = a[r][j] >> val
+                for i in range(nr):
+                    a[i][j] = (a[i][j] - factor * a[i][r]) % q
+                for i in range(n):
+                    v[i][j] = (v[i][j] - factor * v[i][r]) % q
+        piv_vals.append(val)
+        r += 1
+    gens: list[tuple[tuple[int, ...], int]] = []
+    for i, val in enumerate(piv_vals):
+        if val > 0:
+            vec = tuple((v[t][i] << (k - val)) % q for t in range(n))
+            gens.append((vec, 1 << val))
+    for j in range(r, n):
+        gens.append((tuple(v[t][j] % q for t in range(n)), q))
+    return gens

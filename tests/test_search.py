@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from korth import search
 from korth.errors import RangeError
 from korth.gf2 import rank
 from korth.ortho import is_k_orthogonal
@@ -201,3 +202,28 @@ class TestSinglePathAgainstBruteForce:
             SearchSpace(k=1, m_range=(2,), n_max=3, budget_subsets=-1)
         with pytest.raises(RangeError):
             SearchSpace(k=1, m_range=(2,), n_max=3, budget_seconds=-0.5)
+
+
+class TestOnePoolPerSearch:
+    def test_multi_box_scan_starts_one_pool(self, monkeypatch):
+        started = []
+        real = search.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", counting)
+        space = SearchSpace(k=2, m_range=(3, 4), n_max=8)
+        par = minimality_search(space, workers=2).to_dict()
+        assert started == [2]
+        assert sum(1 for b in par["boxes"] if b["skipped"] is None) > 1
+        seq = minimality_search(space, workers=1).to_dict()
+        assert started == [2]
+        del par["elapsed_seconds"], seq["elapsed_seconds"]
+        assert par == seq
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(RangeError, match="workers"):
+            minimality_search(SearchSpace(k=1, m_range=(2,), n_max=3), workers=workers)
