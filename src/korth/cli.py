@@ -137,16 +137,19 @@ def _cmd_find_gates(args) -> int:
 def _cmd_verify_gate(args) -> int:
     sf = _load_standard_form(args.code)
     if args.gate:
-        spec = json.loads(_read_text(args.gate))
         try:
-            k = int(spec["k"])
-            controls = int(spec.get("controls", 0))
-            p = tuple(int(x) for x in spec["p"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise KorthError(
-                f"gate descriptor needs integer k, optional controls and a list p: {exc!r}"
-            ) from None
-        theta = DyadicPhaseVector(k, p)
+            spec = json.loads(_read_text(args.gate))
+        except ValueError as exc:  # bad JSON, or a number past int()'s digit limit
+            raise KorthError(str(exc)) from None
+        need = "gate descriptor needs integer k, optional controls and a list p"
+        try:
+            k, controls, p = spec["k"], spec.get("controls", 0), spec["p"]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise KorthError(f"{need}: {exc!r}") from None
+        # JSON floats and booleans would otherwise truncate to other values.
+        if not isinstance(p, list) or any(type(v) is not int for v in (k, controls, *p)):
+            raise KorthError(f"{need} of integers, got k={k!r}, controls={controls!r}")
+        theta = DyadicPhaseVector(k, tuple(p))
     else:
         if args.k is None or args.p is None:
             raise KorthError("verify-gate needs --gate FILE or both --k and --p")
@@ -357,7 +360,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         status = args.func(args)
-    except (KorthError, OSError, json.JSONDecodeError) as exc:
+    except (KorthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.verbose:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InvalidCodeError, SignFixError
-from .gf2 import BitMat, BitVec, RowSpace, null_space, rank, solve
+from .gf2 import BitMat, BitVec, RowSpace, _eliminate, null_space, rank, solve
 from .phases import DyadicPhaseVector
 
 __all__ = [
@@ -43,6 +43,10 @@ __all__ = [
 _SIGN_LABELS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _SIGN_VALUES = {"+": 0, "+i": 1, "-": 2, "-i": 3}
 _PHASE_COMPLEX = (1 + 0j, 1j, -1 + 0j, -1j)
+_NOT_PAULI = str.maketrans("", "", "IXYZ")  # deletes every valid letter
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
+_LETTERS = str.maketrans("0123", "IXZY")  # x + 2z per qubit
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,47 +69,33 @@ class PauliOp:
         """Parse a signed Pauli string such as "+XZZXI" or "-iYZ"."""
         if not isinstance(label, str):
             raise InvalidCodeError(f"Pauli label must be a string, got {label!r}")
-        sign = None
-        for prefix in ("+i", "-i", "+", "-"):
-            if label.startswith(prefix):
-                sign = prefix
-                break
+        sign = next((p for p in ("+i", "-i", "+", "-") if label.startswith(p)), None)
         if sign is None:
             raise InvalidCodeError(
                 f"Pauli label must start with one of +, -, +i, -i: {label!r}"
             )
         body = label[len(sign):]
-        x = z = 0
-        e = _SIGN_VALUES[sign]
-        for i, ch in enumerate(body):
-            if ch == "X":
-                x |= 1 << i
-            elif ch == "Z":
-                z |= 1 << i
-            elif ch == "Y":
-                x |= 1 << i
-                z |= 1 << i
-                e += 1
-            elif ch != "I":
-                raise InvalidCodeError(f"invalid Pauli letter {ch!r} in {label!r}")
-        return cls(len(body), x, z, e)
+        invalid = body.translate(_NOT_PAULI)
+        if invalid:
+            raise InvalidCodeError(f"invalid Pauli letter {invalid[0]!r} in {label!r}")
+        # Qubit i is character i, so the reversed body reads as binary.
+        digits = body[::-1]
+        x = int(digits.translate(_X_DIGITS) or "0", 2)
+        z = int(digits.translate(_Z_DIGITS) or "0", 2)
+        return cls(len(body), x, z, _SIGN_VALUES[sign] + body.count("Y"))
 
     def label(self) -> str:
         """Canonical signed string; inverse of :meth:`from_label`."""
-        letters = [
-            "IXZY"[((self.x >> i) & 1) + 2 * ((self.z >> i) & 1)]
-            for i in range(self.n)
-        ]
         n_y = (self.x & self.z).bit_count()
-        return _SIGN_LABELS[(self.i_exp - n_y) % 4] + "".join(letters)
-
-    @property
-    def xbits(self) -> BitVec:
-        return BitVec(self.n, self.x)
-
-    @property
-    def zbits(self) -> BitVec:
-        return BitVec(self.n, self.z)
+        sign = _SIGN_LABELS[(self.i_exp - n_y) % 4]
+        if not self.n:
+            return sign
+        # Read the binary digits as hex, so qubit i gets nibble i; nibble i
+        # of x + 2z is then x_i + 2*z_i, the index into "IXZY".
+        width = f"0{self.n}"
+        x = int(format(self.x, width + "b"), 16)
+        z = int(format(self.z, width + "b"), 16)
+        return sign + format(x + 2 * z, width + "x").translate(_LETTERS)[::-1]
 
     @property
     def phase(self) -> complex:
@@ -160,25 +150,38 @@ class StabilizerCode:
     logical_x: Optional[PauliOp] = None
     logical_z: Optional[PauliOp] = None
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[list[PauliOp], list[PauliOp]]:
+        """Check the code; return its X-bearing rows, reduced on their X
+        parts, and its pure-Z rows, reduced on Z: exact products that
+        generate the same group, from the one reduction standard form uses.
+        """
+        n = self.n
         for g in self.generators:
-            if g.n != self.n:
-                raise InvalidCodeError(f"generator on {g.n} qubits in an n={self.n} code")
+            if g.n != n:
+                raise InvalidCodeError(f"generator on {g.n} qubits in an n={n} code")
             if g.is_identity():
                 raise InvalidCodeError("identity (or phase-only) generator")
             if not g.squares_to_identity():
                 raise InvalidCodeError(f"generator {g.label()} does not square to +1")
-        for i, g in enumerate(self.generators):
-            for h in self.generators[i + 1:]:
-                if not g.commutes_with(h):
-                    raise InvalidCodeError(
-                        f"generators {g.label()} and {h.label()} anticommute"
-                    )
-        symp = BitMat.from_ints(
-            2 * self.n, [g.x | (g.z << self.n) for g in self.generators]
-        ) if self.generators else BitMat.zero(0, 2 * self.n)
-        if rank(symp) != len(self.generators):
+        x_rows, rest = _pauli_reduce(self.generators, n)
+        # Commutation holds on the span, so the reduced rows may stand in for
+        # the generators; pure-Z rows commute with each other.
+        reduced = x_rows + rest
+        if any(
+            ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) & 1
+            for i, a in enumerate(x_rows)
+            for b in reduced[i + 1:]
+        ):
+            gens = self.generators
+            g, h = next((g, h) for i, g in enumerate(gens) for h in gens[i + 1:]
+                        if not g.commutes_with(h))
+            raise InvalidCodeError(f"generators {g.label()} and {h.label()} anticommute")
+        # Commuting products of order-2 generators have order 2, so every
+        # pure-Z row is +-Z_z; its sign rides along as bit n.
+        z_bits, _ = _eliminate([g.z | (g.i_exp >> 1) << n for g in rest], n)
+        if len(x_rows) + len(z_bits) != len(self.generators):
             raise InvalidCodeError("generators are dependent")
+        z_rows = [PauliOp(n, 0, z, 2 * (z >> n)) for z in z_bits]  # PauliOp masks z
         for name, op in (("logical_x", self.logical_x), ("logical_z", self.logical_z)):
             if op is None:
                 continue
@@ -192,6 +195,7 @@ class StabilizerCode:
         if self.logical_x is not None and self.logical_z is not None:
             if self.logical_x.commutes_with(self.logical_z):
                 raise InvalidCodeError("logical X and logical Z must anticommute")
+        return x_rows, z_rows
 
 
 @dataclass(frozen=True)
@@ -284,21 +288,17 @@ class StandardFormCode:
             for j in range(i + 1, m):
                 if not gi.commutes_with(self.x_row_pauli(j)):
                     raise InvalidCodeError(f"X-bearing rows {i} and {j} anticommute")
-        for c in self.a_z.rows:
-            for a in self.a_x.rows:
-                if c.dot_parity(a):
-                    raise InvalidCodeError("a Z row anticommutes with an X-bearing row")
-        for a in self.a_x.rows:
-            if self.r.dot_parity(a):
-                raise InvalidCodeError("logical Z support anticommutes with A_X")
+        x_ints = self.a_x.row_ints()
+        if any((c & a).bit_count() & 1 for c in self.a_z.row_ints() for a in x_ints):
+            raise InvalidCodeError("a Z row anticommutes with an X-bearing row")
+        if any(self.r.dot_parity(a) for a in self.a_x.rows):
+            raise InvalidCodeError("logical Z support anticommutes with A_X")
         if z_space.contains(self.r.bits):
             raise InvalidCodeError("logical Z support lies in the stabilizer")
-        for row in self.b.rows:
-            if self.s.dot_parity(row):
-                raise InvalidCodeError("logical X support anticommutes with a B part")
-        for c in self.a_z.rows:
-            if self.s.dot_parity(c):
-                raise InvalidCodeError("logical X support anticommutes with A_Z")
+        if any(self.s.dot_parity(row) for row in self.b.rows):
+            raise InvalidCodeError("logical X support anticommutes with a B part")
+        if any(self.s.dot_parity(c) for c in self.a_z.rows):
+            raise InvalidCodeError("logical X support anticommutes with A_Z")
         if not self.r.dot_parity(self.s):
             raise InvalidCodeError("logical X and Z supports overlap evenly")
 
@@ -308,37 +308,36 @@ def is_css(sf: StandardFormCode) -> bool:
     return all(row.bits == 0 for row in sf.b.rows)
 
 
-def _pauli_reduce(
-    gens: Sequence[PauliOp], n: int, on_x: bool
-) -> tuple[list[PauliOp], int]:
-    """RREF on the X parts (``on_x``) or Z parts of Pauli rows.
-
-    Row operations are exact Pauli products, carried out on parallel lists
-    of the x, z and phase-exponent ints; returns the reordered rows and the
-    pivot count (the pivot rows come first).
+def _pauli_reduce(gens: Sequence[PauliOp], n: int) -> tuple[list[PauliOp], list[PauliOp]]:
+    """RREF on the X parts of Pauli rows, by exact Pauli products on lists of
+    the x, z and phase-exponent ints: the pivot rows, then the rest (no X
+    part).  Each pivot column is the lowest X bit left in unpivoted rows.
     """
     xs = [g.x for g in gens]
     zs = [g.z for g in gens]
     es = [g.i_exp for g in gens]
-    keys = xs if on_x else zs
     row_idx = 0
-    for col in range(n):
-        mask = 1 << col
-        pivot = next((i for i in range(row_idx, len(keys)) if keys[i] & mask), None)
-        if pivot is None:
-            continue
+    while True:
+        left = 0
+        for x in xs[row_idx:]:
+            left |= x
+        if not left:
+            break
+        mask = left & -left
+        pivot = next(i for i in range(row_idx, len(xs)) if xs[i] & mask)
         for field in (xs, zs, es):
             field[row_idx], field[pivot] = field[pivot], field[row_idx]
         px, pz, pe = xs[row_idx], zs[row_idx], es[row_idx]
-        for i in range(len(keys)):
-            if i != row_idx and keys[i] & mask:
+        for i in range(len(xs)):
+            if i != row_idx and xs[i] & mask:
                 # (i**e_i X_i Z_i)(i**pe X_p Z_p): moving Z_i past X_p
                 # contributes (-1)**|z_i & x_p|.
                 es[i] += pe + 2 * (zs[i] & px).bit_count()
                 xs[i] ^= px
                 zs[i] ^= pz
         row_idx += 1
-    return [PauliOp(n, x, z, e) for x, z, e in zip(xs, zs, es)], row_idx
+    rows = [PauliOp(n, x, z, e) for x, z, e in zip(xs, zs, es)]
+    return rows[:row_idx], rows[row_idx:]
 
 
 def _derive_r(a_x: BitMat, z_block: BitMat) -> BitVec:
@@ -420,7 +419,7 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     conjugated by the recorded local frame masks, which stay zero whenever
     the input signs are already consistent.
     """
-    code.validate()
+    x_rows, z_rows = code.validate()
     n = code.n
     if len(code.generators) != n - 1:
         k = n - len(code.generators)
@@ -428,10 +427,6 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
             f"expected one logical qubit ({n - 1} generators on {n} qubits), got {k}; "
             "promote the logical operators of the extra qubits to stabilizers first"
         )
-    reduced, m = _pauli_reduce(code.generators, n, on_x=True)
-    x_rows, z_raw = reduced[:m], reduced[m:]
-    assert all(g.x == 0 for g in z_raw)
-    z_rows, _ = _pauli_reduce(z_raw, n, on_x=False)
 
     # Reduce the Z parts of the X-bearing rows against the (reduced-echelon)
     # Z block; for a CSS group this empties B entirely.
@@ -641,10 +636,11 @@ def code_to_json_dict(code: StabilizerCode) -> dict:
 
 def code_from_json_dict(data: dict) -> StabilizerCode:
     try:
-        n = int(data["n"])
-        labels = data["stabilizers"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, labels = data["n"], data["stabilizers"]
+    except (KeyError, TypeError) as exc:
         raise InvalidCodeError(f"code descriptor needs integer n, stabilizers: {exc}") from None
+    if type(n) is not int or n < 0:  # JSON floats and booleans are not qubit counts
+        raise InvalidCodeError(f"code descriptor needs integer n >= 0, got {n!r}")
     if not isinstance(labels, list):
         raise InvalidCodeError(f"stabilizers must be a list of Pauli labels, got {labels!r}")
     gens = []
@@ -670,6 +666,6 @@ def code_to_json(code: StabilizerCode) -> str:
 def code_from_json(text: str) -> StabilizerCode:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or a number past int()'s digit limit
         raise InvalidCodeError(f"invalid JSON: {exc}") from None
     return code_from_json_dict(data)

@@ -330,9 +330,7 @@ def verify_korth_necessity(
                 residue=residue,
                 modulus=modulus,
             )
-    r_prime = BitVec.from_indices(
-        sf.n, [i for i, p in enumerate(theta.p) if p % 2]
-    )
+    r_prime = BitVec(sf.n, sum(theta.planes[:1]))  # bit plane 0: the odd exponents
     return is_k_orthogonal(sf.a_x, k, r_prime)
 
 
@@ -355,15 +353,10 @@ def controlled_phase_action(
     theta = gate.realized
     k = theta.k
     q_ctrl = gate.controls
-    r_induced = BitVec.from_indices(
-        sf.n, [i for i, p in enumerate(theta.p) if p % 2]
-    )
-    nonzero_vals = [p for p in theta.p if p]
-    if nonzero_vals:
-        min_val = min((p & -p).bit_length() - 1 for p in nonzero_vals)
-        non_clifford = k - min_val >= 3
-    else:
-        non_clifford = False
+    r_induced = BitVec(sf.n, sum(theta.planes[:1]))  # bit plane 0: the odd exponents
+    # The least 2-adic valuation among the exponents is the first nonzero plane.
+    min_val = next((b for b, plane in enumerate(theta.planes) if plane), k)
+    non_clifford = k - min_val >= 3
     passed = True
     wit_rows = wit_res = wit_mod = None
     for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << sf.n) - 1):

@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 
+_NOT_BITS = str.maketrans("", "", "01")  # deletes every valid character
+
+
 @dataclass(frozen=True, slots=True)
 class BitVec:
     """An immutable binary string of length ``n`` packed into an int."""
@@ -45,13 +48,11 @@ class BitVec:
 
     @classmethod
     def from_string(cls, text: str) -> "BitVec":
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise MatrixParseError(f"invalid bit character {ch!r}", 1, i + 1)
-        return cls(len(text), bits)
+        bad = text.translate(_NOT_BITS)
+        if bad:
+            col = text.index(bad[0]) + 1
+            raise MatrixParseError(f"invalid bit character {bad[0]!r}", 1, col)
+        return cls(len(text), int(text[::-1] or "0", 2))
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "BitVec":
@@ -82,7 +83,7 @@ class BitVec:
         return ((self.bits >> i) & 1 for i in range(self.n))
 
     def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
     def __repr__(self) -> str:
         return f"BitVec({str(self)!r})"
@@ -173,9 +174,6 @@ class BitMat:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def row(self, i: int) -> BitVec:
-        return self.rows[i]
-
     def row_ints(self) -> list[int]:
         return [r.bits for r in self.rows]
 
@@ -186,9 +184,6 @@ class BitMat:
         for i, r in enumerate(self.rows):
             bits |= ((r.bits >> j) & 1) << i
         return BitVec(self.nrows, bits)
-
-    def columns(self) -> list[BitVec]:
-        return [self.column(j) for j in range(self.ncols)]
 
     def column_ints(self) -> list[int]:
         """Columns packed as ints (bit i of entry j = row i, column j)."""
@@ -202,7 +197,7 @@ class BitMat:
         return out
 
     def transpose(self) -> "BitMat":
-        return BitMat(self.nrows, tuple(self.columns()))
+        return BitMat.from_ints(self.nrows, self.column_ints())
 
     def mul_vec(self, v: BitVec) -> BitVec:
         """Matrix-vector product over GF(2); entry i = parity of row_i . v."""
@@ -230,28 +225,59 @@ def and_product(vs: Sequence[BitVec]) -> BitVec:
     return BitVec(n, acc)
 
 
+_WINDOW = 6  # columns the sweep clears per pass over the rows
+
+
 def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon over GF(2); returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon over GF(2); returns (nonzero rows, pivot columns).
+
+    Only columns below ``ncols`` pivot; higher bits ride along.  Reduced input
+    (lowest set bits below ``ncols``, strictly rising, and alone in their
+    columns) is returned as is: the form is unique.  Otherwise the sweep
+    finds the pivots of ``_WINDOW`` columns at a time, then clears them from
+    every other row by one table lookup (the method of four Russians).
+    """
+    lows = [(row & -row).bit_length() - 1 for row in rows]
+    if all(-1 < a < b for a, b in zip(lows, lows[1:])) and (
+        not lows or -1 < lows[-1] < ncols
+    ):
+        low_bits = sum(1 << col for col in lows)
+        if all(row & low_bits == 1 << col for row, col in zip(rows, lows)):
+            return list(rows), lows
     work = list(rows)
     pivots: list[int] = []
-    row_idx = 0
-    for col in range(ncols):
-        mask = 1 << col
-        pivot = None
-        for i in range(row_idx, len(work)):
-            if work[i] & mask:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for i in range(len(work)):
-            if i != row_idx and work[i] & mask:
-                work[i] ^= work[row_idx]
-        pivots.append(col)
-        row_idx += 1
-        if row_idx == len(work):
+    for base in range(0, ncols, _WINDOW):
+        lo = len(pivots)  # rows lo.. of work are this window's pivot rows
+        if lo == len(work):
             break
+        for col in range(base, min(base + _WINDOW, ncols)):
+            mask, r = 1 << col, len(pivots)
+            for i in range(r, len(work)):
+                for j in range(lo, r):
+                    if work[i] >> pivots[j] & 1:
+                        work[i] ^= work[j]
+                if work[i] & mask:
+                    break
+            else:
+                continue
+            work[r], work[i] = work[i], work[r]
+            for j in range(lo, r):
+                if work[j] & mask:
+                    work[j] ^= work[r]
+            pivots.append(col)
+        if lo == len(pivots):
+            continue
+        if lo == 0 and len(pivots) == len(work):
+            break  # all rows pivot in this first window: nothing else to clear
+        # table[s] sums the window's pivot rows whose pivot bits s has set;
+        # repeating the table makes a non-pivot bit of s a don't-care.
+        table = [0]
+        for j in range(lo, len(pivots)):
+            table *= 1 << (pivots[j] - base + 1 - len(table).bit_length())
+            table += [v ^ work[j] for v in table]
+        block, top = work[lo:len(pivots)], len(table) - 1
+        work = [w ^ table[w >> base & top] for w in work]
+        work[lo:len(pivots)] = block
     return work[: len(pivots)], pivots
 
 
@@ -389,13 +415,11 @@ def parse_matrix_text(text: str) -> BitMat:
             raise MatrixParseError(
                 f"row has {len(line)} characters, expected {ncols}", lineno
             )
-        bits = 0
-        for j, ch in enumerate(line):
-            if ch == "1":
-                bits |= 1 << j
-            elif ch != "0":
-                raise MatrixParseError(f"invalid character {ch!r}", lineno, j + 1)
-        rows.append(bits)
+        bad = line.translate(_NOT_BITS)
+        if bad:
+            col = line.index(bad[0]) + 1
+            raise MatrixParseError(f"invalid character {bad[0]!r}", lineno, col)
+        rows.append(int(line[::-1] or "0", 2))
     for extra in range(nrows + 2, len(lines) + 1):
         if lines[extra - 1].strip():
             raise MatrixParseError("unexpected content after matrix rows", extra)

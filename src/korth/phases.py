@@ -5,12 +5,15 @@ No floating point is used anywhere; every angle comparison is a congruence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+import operator
+from dataclasses import dataclass, field
 
 from .errors import DimensionError, RangeError
 
 __all__ = ["DyadicPhase", "DyadicPhaseVector"]
+
+# _DIGITS[b] maps a byte to the ASCII digit of its bit b.
+_DIGITS = tuple(bytes(48 + ((v >> b) & 1) for v in range(256)) for b in range(8))
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,16 +54,30 @@ class DyadicPhase:
 
 @dataclass(frozen=True, slots=True)
 class DyadicPhaseVector:
-    """Per-qubit phase exponents: qubit i receives P(p[i]*pi/2**(k-1))."""
+    """Per-qubit phase exponents: qubit i receives P(p[i]*pi/2**(k-1)).
+
+    ``planes[b]`` packs bit b of every exponent (bit i = qubit i), so a
+    masked sum is at most k popcounts instead of a loop over the mask.
+    """
 
     k: int
     p: tuple[int, ...]
+    planes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise RangeError(f"denominator exponent must be >= 1, got {self.k}")
         q = 1 << self.k
-        object.__setattr__(self, "p", tuple(x % q for x in self.p))
+        p = tuple(operator.index(x) % q for x in self.p)  # exact ints only
+        object.__setattr__(self, "p", p)
+        planes = []
+        width = max(p, default=0).bit_length()
+        for base in range(0, width, 8):
+            # One byte per qubit, last qubit first, so bit i lands at bit i.
+            chunk = bytes((x >> base) & 255 for x in reversed(p))
+            for b in range(min(8, width - base)):
+                planes.append(int(chunk.translate(_DIGITS[b]), 2))
+        object.__setattr__(self, "planes", tuple(planes))
 
     @classmethod
     def all_ones(cls, n: int, k: int) -> "DyadicPhaseVector":
@@ -69,10 +86,6 @@ class DyadicPhaseVector:
     @classmethod
     def zeros(cls, n: int, k: int) -> "DyadicPhaseVector":
         return cls(k, (0,) * n)
-
-    @classmethod
-    def from_list(cls, k: int, values: Iterable[int]) -> "DyadicPhaseVector":
-        return cls(k, tuple(values))
 
     @property
     def n(self) -> int:
@@ -90,10 +103,5 @@ class DyadicPhaseVector:
             raise DimensionError(f"phase vector length {len(self.p)} != {n} qubits")
 
     def masked_sum(self, bits: int) -> int:
-        """Sum of p[i] over the set bits of ``bits`` (plain integer sum)."""
-        total = 0
-        while bits:
-            low = bits & -bits
-            total += self.p[low.bit_length() - 1]
-            bits ^= low
-        return total
+        """Sum of p[i] over the set bits i < n of ``bits`` (plain integer sum)."""
+        return sum((bits & plane).bit_count() << b for b, plane in enumerate(self.planes))

@@ -76,6 +76,8 @@ class SearchSpace:
             raise RangeError(f"orthogonality level must be >= 1, got {self.k}")
         if self.n_max < 1:
             raise RangeError(f"n_max must be >= 1, got {self.n_max}")
+        if not self.m_range or min(self.m_range) < 1:
+            raise RangeError(f"m_range must hold row counts >= 1, got {self.m_range}")
         for name in ("budget_seconds", "budget_subsets"):
             value = getattr(self, name)
             if value is not None and value < 0:

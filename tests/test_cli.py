@@ -241,6 +241,74 @@ class TestFindGates:
         assert digest == self.GOLDEN[source, m, k]
 
 
+class TestCertificateGoldens:
+    """sha256 of the ``standard-form`` and ``verify-gate --out`` reports,
+    recorded before validation and standard form shared one reduction: a
+    change to the reduction, the signs or the report layout breaks them."""
+
+    GOLDEN = {
+        ("construct", 5, "standard-form"):
+            "1561e61388affbcb71180af472b08e1892db9d51ba494b5a3a37b7881abcc348",
+        ("construct", 5, "pass"):
+            "a6e2b024dc5fcfec89100d36ee7a1a4021f00f402ea5e1633db71937507d9a37",
+        ("construct", 5, "late-fail"):
+            "9f2cb1aeddfd4d58ed54211ac483c19f821a77afabe12a445e07fa0df44f7b28",
+        ("construct", 5, "controlled"):
+            "8a84f5511da7fc74017a59bafe613b198876f749b68e36b6bb11ab239419ba8d",
+        ("construct", 6, "standard-form"):
+            "a8d6ac69553f9c3ec7816438d589460600e8b378c7871232087c1dc1805c1596",
+        ("construct", 6, "pass"):
+            "36fd55302718c26ecec98817dd34e7429ef53b9f1abee0919e72f643c28cf664",
+        ("construct", 6, "late-fail"):
+            "cb031b0e91c94617cd3fc6d3b6b22ebd8265863c8d7068f22c53c25632e5bf49",
+        ("construct", 6, "controlled"):
+            "d969971711af771b24a06c0f50653d1f53ea34ebc57c1ab2fe6cd6c53cfe80d2",
+        ("scrambled", 6, "standard-form"):
+            "0b57ef4215929e760c1f14c40f29b37c849c12e37208be6448b37eadb5bd9803",
+        ("scrambled", 6, "pass"):
+            "36fd55302718c26ecec98817dd34e7429ef53b9f1abee0919e72f643c28cf664",
+        ("scrambled", 6, "late-fail"):
+            "33ed5e71deabe82cc9828aa531872876aa0b30be6a9797693ae846bb893ba417",
+        ("scrambled", 6, "controlled"):
+            "d969971711af771b24a06c0f50653d1f53ea34ebc57c1ab2fe6cd6c53cfe80d2",
+    }
+
+    @staticmethod
+    def late_fail_gate(code, k: int) -> dict:
+        """All-ones plus 2**(k-1) on the two qubits whose columns are 3 and
+        3 + 2**(m-1): the span walk first fails at element 2**(m-1)."""
+        sf = to_standard_form(code_from_json(code.read_text()))
+        cols = sf.a_x.column_ints()
+        p = [1] * sf.n
+        for col in (3, 3 | 1 << (sf.m - 1)):
+            p[cols.index(col)] += 1 << (k - 1)
+        return {"k": k, "controls": 0, "p": p}
+
+    @pytest.mark.parametrize("source,m,command", sorted(GOLDEN), ids=lambda v: str(v))
+    def test_report_digest(self, source, m, command, tmp_path, capsys):
+        code = tmp_path / "code.json"
+        if source == "construct":
+            run(capsys, "construct", "--m", str(m), "--out", str(code))
+        else:
+            base = subdual_css(m).to_stabilizer_code()
+            code.write_text(code_to_json(scrambled(base, random.Random(m), permute_qubits=True)))
+        k = str(m - 1)
+        argv = {
+            "standard-form": ["standard-form", "--code", str(code)],
+            "pass": ["verify-gate", "--code", str(code), "--k", k, "--p", "all-ones"],
+            "late-fail": ["verify-gate", "--code", str(code), "--gate", str(tmp_path / "gate.json")],
+            "controlled": ["verify-gate", "--code", str(code), "--k", "3", "--p", "all-ones",
+                           "--controls", "1"],
+        }[command]
+        if command == "late-fail":
+            (tmp_path / "gate.json").write_text(json.dumps(self.late_fail_gate(code, m - 1)))
+        report = tmp_path / "report.json"
+        status, _, _ = run(capsys, *argv, "--out", str(report))
+        assert status == (1 if command == "late-fail" else 0)
+        digest = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert digest == self.GOLDEN[source, m, command]
+
+
 class TestReduceDegenerate:
     def test_aggregation(self, tmp_path, capsys):
         # a degenerate four-qubit code: two pairs of repeated columns
@@ -278,13 +346,27 @@ class TestBadInput:
         code, ax = tmp_path / "code.json", tmp_path / "ax.txt"
         run(capsys, "construct", "--m", "3", "--out", str(code), "--ax", str(ax))
         files = {"code": code, "ax": ax}
+        descriptor = json.loads(code.read_text())
         for name, content in (
             ("gate_without_p", {"k": 2, "controls": 0}),
             ("letter_q", {"n": 3, "stabilizers": ["+QZI", "+ZZI"]}),
             ("stabilizers_int", {"n": 3, "stabilizers": 5}),
+            # JSON numbers that int() would truncate to a different input
+            ("n_float", {**descriptor, "n": 7.9}),
+            ("n_bool", {**descriptor, "n": True}),
+            ("gate_floats", {"k": 3.7, "p": [1.9] * 7}),
+            ("gate_k_bool", {"k": True, "p": [1] * 7}),
+            ("gate_controls_bool", {"k": 3, "controls": True, "p": [1] * 7}),
+            ("gate_p_entry_float", {"k": 3, "controls": 0, "p": [1] * 6 + [2.0]}),
+            ("gate_p_string", {"k": 3, "controls": 0, "p": "1111111"}),
         ):
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(json.dumps(content))
+        # a JSON number longer than int() parses by default
+        files["gate_huge_number"] = tmp_path / "gate_huge_number.json"
+        files["gate_huge_number"].write_text('{"k": 3, "p": [' + "9" * 5000 + "]}")
+        files["n_huge"] = tmp_path / "n_huge.json"
+        files["n_huge"].write_text('{"n": ' + "9" * 5000 + ', "stabilizers": []}')
         return {name: str(path) for name, path in files.items()}
 
     @pytest.mark.parametrize("argv", [
@@ -299,8 +381,22 @@ class TestBadInput:
          "--threads", "0"],
         ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "3",
          "--threads", "-1"],
+        ["standard-form", "--code", "{n_float}"],
+        ["standard-form", "--code", "{n_bool}"],
+        ["verify-gate", "--code", "{code}", "--gate", "{gate_floats}"],
+        ["verify-gate", "--code", "{code}", "--gate", "{gate_k_bool}"],
+        ["verify-gate", "--code", "{code}", "--gate", "{gate_controls_bool}"],
+        ["verify-gate", "--code", "{code}", "--gate", "{gate_p_entry_float}"],
+        ["verify-gate", "--code", "{code}", "--gate", "{gate_p_string}"],
+        ["search-min", "--k", "1", "--m-min", "5", "--m-max", "3", "--n-max", "3"],
+        ["search-min", "--k", "1", "--m-min", "0", "--m-max", "2", "--n-max", "3"],
+        ["verify-gate", "--code", "{code}", "--gate", "{gate_huge_number}"],
+        ["standard-form", "--code", "{n_huge}"],
     ], ids=["gate-without-p", "pauli-letter-q", "stabilizers-int", "restriction-bit-2",
-            "weight-cap-below-1", "negative-budget", "threads-0", "threads-negative"])
+            "weight-cap-below-1", "negative-budget", "threads-0", "threads-negative",
+            "n-float", "n-bool", "gate-floats", "gate-k-bool", "gate-controls-bool",
+            "gate-p-entry-float", "gate-p-string", "m-range-empty", "m-min-0",
+            "gate-huge-number", "n-huge"])
     def test_exit_two(self, files, argv, capsys):
         status, _, err = run(capsys, *(a.format(**files) for a in argv))
         assert status == 2

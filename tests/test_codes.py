@@ -24,6 +24,7 @@ from korth.phases import DyadicPhaseVector
 from conftest import (
     apply_pauli,
     five_qubit_code,
+    random_css_sf,
     groups_equal,
     pauli_group_member,
     scrambled,
@@ -383,3 +384,186 @@ class TestGroupMembershipHelper:
         gens = [PauliOp.from_label("+ZZ")]
         assert pauli_group_member(PauliOp.from_label("+ZZ"), gens)
         assert not pauli_group_member(PauliOp.from_label("-ZZ"), gens)
+
+
+def reference_validate(code: StabilizerCode) -> None:
+    """The validation as first written: every generator pair checked with
+    ``commutes_with``, then the rank of the full symplectic matrix."""
+    for g in code.generators:
+        if g.n != code.n:
+            raise InvalidCodeError(f"generator on {g.n} qubits in an n={code.n} code")
+        if g.is_identity():
+            raise InvalidCodeError("identity (or phase-only) generator")
+        if not g.squares_to_identity():
+            raise InvalidCodeError(f"generator {g.label()} does not square to +1")
+    for i, g in enumerate(code.generators):
+        for h in code.generators[i + 1:]:
+            if not g.commutes_with(h):
+                raise InvalidCodeError(f"generators {g.label()} and {h.label()} anticommute")
+    symp = BitMat.from_ints(2 * code.n, [g.x | (g.z << code.n) for g in code.generators])
+    if rank(symp) != len(code.generators):
+        raise InvalidCodeError("generators are dependent")
+    for name, op in (("logical_x", code.logical_x), ("logical_z", code.logical_z)):
+        if op is None:
+            continue
+        if op.n != code.n:
+            raise InvalidCodeError(f"{name} acts on {op.n} qubits, code has {code.n}")
+        if op.is_identity() or not op.squares_to_identity():
+            raise InvalidCodeError(f"{name} is not a valid order-2 Pauli")
+        for g in code.generators:
+            if not op.commutes_with(g):
+                raise InvalidCodeError(f"{name} anticommutes with stabilizer {g.label()}")
+    if code.logical_x is not None and code.logical_z is not None:
+        if code.logical_x.commutes_with(code.logical_z):
+            raise InvalidCodeError("logical X and logical Z must anticommute")
+
+
+def outcome(check, code):
+    try:
+        check(code)
+    except InvalidCodeError as exc:
+        return str(exc)
+    return None
+
+
+def hermitian(n: int, x: int, z: int, sign: int) -> PauliOp:
+    """The order-2 Pauli with these parts and sign bit."""
+    return PauliOp(n, x, z, (x & z).bit_count() + 2 * sign)
+
+
+def random_valid_code(rng: random.Random) -> StabilizerCode:
+    """A one-qubit code with mixed, signed and (half the time) Y-bearing rows."""
+    if rng.random() < 0.2:
+        base = five_qubit_code()
+    else:
+        n = rng.randint(3, 14)
+        base = random_css_sf(rng, n, rng.randint(1, n - 2)).to_stabilizer_code()
+    s_mask = rng.getrandbits(base.n) if rng.random() < 0.5 else 0
+    return scrambled(base, rng, sign_flips=True, s_mask=s_mask,
+                     drop_logicals=rng.random() < 0.3, permute_qubits=True)
+
+
+def with_anticommuting_pair(code: StabilizerCode, rng: random.Random) -> StabilizerCode:
+    """Flip one X or Z bit of one generator, keeping it order 2."""
+    gens = list(code.generators)
+    j, q = rng.randrange(len(gens)), rng.randrange(code.n)
+    g = gens[j]
+    x, z = (g.x ^ (1 << q), g.z) if rng.random() < 0.5 else (g.x, g.z ^ (1 << q))
+    if x or z:
+        gens[j] = hermitian(code.n, x, z, rng.randint(0, 1))
+    return StabilizerCode(code.n, tuple(gens), code.logical_x, code.logical_z)
+
+
+def with_dependent_generator(code: StabilizerCode, rng: random.Random) -> StabilizerCode:
+    """Replace one generator by a product of others (or append one)."""
+    gens = list(code.generators)
+    i, j = rng.sample(range(len(gens)), 2)
+    product = gens[i] * gens[j]
+    if rng.random() < 0.5:
+        gens.append(product)
+    else:
+        gens[rng.choice([k for k in range(len(gens)) if k not in (i, j)] or [i])] = product
+    rng.shuffle(gens)
+    return StabilizerCode(code.n, tuple(gens), code.logical_x, code.logical_z)
+
+
+class TestFoldedValidationAgainstPairwiseScan:
+    """``validate`` checks commutation on its one reduction and reads the
+    rank from it; the pairwise scan and the symplectic rank stay here as the
+    reference, message for message."""
+
+    def check(self, code):
+        expected = outcome(reference_validate, code)
+        assert outcome(StabilizerCode.validate, code) == expected
+        return expected
+
+    def test_valid_codes(self):
+        rng = random.Random(61)
+        for _ in range(150):
+            code = random_valid_code(rng)
+            assert self.check(code) is None
+            x_rows, z_rows = code.validate()
+            assert all(g.x for g in x_rows) and all(g.x == 0 for g in z_rows)
+            assert groups_equal(x_rows + z_rows, list(code.generators))
+
+    def test_one_anticommuting_pair(self):
+        rng = random.Random(62)
+        seen = set()
+        for _ in range(150):
+            message = self.check(with_anticommuting_pair(random_valid_code(rng), rng))
+            seen.add(message.split()[-1] if message else None)
+        assert "anticommute" in seen
+
+    def test_dependent_generator(self):
+        rng = random.Random(63)
+        for _ in range(150):
+            code = random_valid_code(rng)
+            if len(code.generators) < 3:
+                continue
+            assert self.check(with_dependent_generator(code, rng)) == (
+                "generators are dependent"
+            )
+
+    def test_both_faults_report_the_anticommuting_pair(self):
+        rng = random.Random(64)
+        hits = 0
+        for _ in range(150):
+            code = random_valid_code(rng)
+            if len(code.generators) < 3:
+                continue
+            code = with_anticommuting_pair(with_dependent_generator(code, rng), rng)
+            message = self.check(code)
+            hits += bool(message and message.endswith("anticommute"))
+        assert hits > 50
+
+    def test_random_generator_sets(self):
+        # Arbitrary order-2 rows: mostly anticommuting, some dependent,
+        # some with -I in the group.
+        rng = random.Random(65)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            gens = [
+                hermitian(n, rng.getrandbits(n) & rng.getrandbits(n),
+                          rng.getrandbits(n) & rng.getrandbits(n), rng.randint(0, 1))
+                for _ in range(rng.randint(0, n + 1))
+            ]
+            self.check(StabilizerCode(n, tuple(g for g in gens if not g.is_identity())))
+
+    def test_signed_pure_z_dependency(self):
+        code = StabilizerCode(3, (PauliOp.from_label("+ZZI"), PauliOp.from_label("-ZZI")))
+        assert self.check(code) == "generators are dependent"
+
+    def test_empty_generator_list(self):
+        code = StabilizerCode(4, ())
+        assert self.check(code) is None
+        assert code.validate() == ([], [])
+
+
+class TestLabelStrings:
+    def test_round_trip_and_per_letter_reference(self):
+        rng = random.Random(66)
+        for n in range(71):
+            for _ in range(5):
+                x, z = (rng.getrandbits(n), rng.getrandbits(n)) if n else (0, 0)
+                op = PauliOp(n, x, z, rng.randrange(4))
+                letters = "".join(
+                    "IXZY"[((x >> i) & 1) + 2 * ((z >> i) & 1)] for i in range(n)
+                )
+                sign = ("+", "+i", "-", "-i")[(op.i_exp - (x & z).bit_count()) % 4]
+                assert op.label() == sign + letters
+                assert PauliOp.from_label(op.label()) == op
+
+    @pytest.mark.parametrize("label,letter", [
+        ("+XQZ", "Q"), ("-ZxX", "x"), ("+iXZé", "é"), ("+XX Z", " "), ("+Q?", "Q"),
+    ])
+    def test_first_invalid_letter_named(self, label, letter):
+        with pytest.raises(InvalidCodeError) as exc:
+            PauliOp.from_label(label)
+        assert str(exc.value) == f"invalid Pauli letter {letter!r} in {label!r}"
+
+
+class TestJsonIntegers:
+    @pytest.mark.parametrize("n", [7.9, 7.0, True, "7", None, -1])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(InvalidCodeError, match="integer n"):
+            code_from_json(json.dumps({"n": n, "stabilizers": []}))

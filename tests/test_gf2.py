@@ -8,6 +8,7 @@ from korth.families import hamming_parity_check, minimal_korth_matrix
 from korth.gf2 import (
     BitMat,
     BitVec,
+    _eliminate,
     and_product,
     covered_columns_count,
     format_matrix_text,
@@ -267,3 +268,85 @@ class TestBitVecBasics:
         assert (v[0], v[1]) == (0, 1)
         with pytest.raises(IndexError):
             _ = v[2]
+
+
+def gauss_jordan(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
+    """Plain column-by-column Gauss-Jordan sweep: the reference for the
+    windowed elimination and its reduced-input shortcut."""
+    work, pivots = list(rows), []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(len(work)):
+            if i != r and (work[i] >> col) & 1:
+                work[i] ^= work[r]
+        pivots.append(col)
+    return work[: len(pivots)], pivots
+
+
+class TestEliminateAgainstGaussJordan:
+    def test_random_rows(self):
+        rng = random.Random(41)
+        for _ in range(3000):
+            nrows, ncols = rng.randint(0, 16), rng.randint(0, 30)
+            width = ncols + rng.randint(0, 2)  # bits at and above ncols ride along
+            density = rng.choice((0.1, 0.5, 0.9))
+            rows = [
+                sum(1 << j for j in range(width) if rng.random() < density)
+                for _ in range(nrows)
+            ]
+            assert _eliminate(rows, ncols) == gauss_jordan(rows, ncols)
+
+    def test_reduced_input_returned_unchanged(self):
+        rng = random.Random(42)
+        for _ in range(1000):
+            ncols = rng.randint(1, 40)
+            rows = [rng.getrandbits(ncols + 1) for _ in range(rng.randint(0, 12))]
+            reduced, pivots = gauss_jordan(rows, ncols)
+            assert _eliminate(reduced, ncols) == (reduced, pivots)
+
+    def test_nearly_reduced_input_is_swept(self):
+        # Reduced rows, then one row swap or one extra bit at another pivot:
+        # the shortcut must decline and the sweep give the reference result.
+        rng = random.Random(43)
+        for _ in range(1000):
+            ncols = rng.randint(2, 40)
+            rows = [rng.getrandbits(ncols) for _ in range(rng.randint(2, 12))]
+            reduced, pivots = gauss_jordan(rows, ncols)
+            if len(reduced) < 2:
+                continue
+            i, j = rng.sample(range(len(reduced)), 2)
+            bent = list(reduced)
+            if rng.random() < 0.5:
+                bent[i], bent[j] = bent[j], bent[i]
+            else:
+                bent[i] |= 1 << pivots[j]
+            assert _eliminate(bent, ncols) == gauss_jordan(bent, ncols)
+
+    def test_large_block_with_identity_on_the_right(self):
+        # The sub-dual Z block (J | d | I) at m=8: dense low columns, then a
+        # long identity, the shape every constructed code presents.
+        from korth.families import subdual_css
+
+        a_z = subdual_css(8).a_z
+        rows = a_z.row_ints()
+        assert _eliminate(rows, a_z.ncols) == gauss_jordan(rows, a_z.ncols)
+
+
+class TestBitStrings:
+    def test_str_matches_per_bit_reference(self):
+        rng = random.Random(44)
+        for n in range(71):
+            for _ in range(5):
+                v = BitVec(n, rng.getrandbits(n) if n else 0)
+                assert str(v) == "".join("1" if (v.bits >> i) & 1 else "0" for i in range(n))
+                assert BitVec.from_string(str(v)) == v
+
+    @pytest.mark.parametrize("text,col", [("0120", 3), ("x", 1), ("01 1", 3), ("0é", 2)])
+    def test_bad_character_named_with_its_column(self, text, col):
+        with pytest.raises(MatrixParseError) as exc:
+            BitVec.from_string(text)
+        assert str(exc.value) == f"invalid bit character {text[col - 1]!r} (line 1, column {col})"

@@ -203,6 +203,11 @@ class TestSinglePathAgainstBruteForce:
         with pytest.raises(RangeError):
             SearchSpace(k=1, m_range=(2,), n_max=3, budget_seconds=-0.5)
 
+    @pytest.mark.parametrize("m_range", [(), (0,), (0, 1, 2), (-1, 3)])
+    def test_empty_or_nonpositive_row_counts_rejected(self, m_range):
+        with pytest.raises(RangeError, match="m_range"):
+            SearchSpace(k=1, m_range=m_range, n_max=3)
+
 
 class TestOnePoolPerSearch:
     def test_multi_box_scan_starts_one_pool(self, monkeypatch):
