@@ -19,6 +19,8 @@ from .gf2 import BitMat, BitVec, RowSpace, null_space, rank, span_ints
 
 __all__ = ["DistanceReport", "ThreeColumnCheck", "css_distances", "z_distance_floor"]
 
+# Null spaces of at most this dimension are enumerated under "auto".
+_COSET_DIM_LIMIT = 16
 _COSET_HARD_LIMIT = 26
 
 
@@ -93,12 +95,11 @@ def _one_side(
     check: BitMat,
     stabilizers: RowSpace,
     strategy: str,
-    coset_dim_limit: int,
     weight_cap: int | None,
 ) -> tuple[int, Optional[BitVec], str, bool]:
     dim = check.ncols - rank(check)
     if strategy == "auto":
-        strategy = "coset" if dim <= coset_dim_limit else "weight"
+        strategy = "coset" if dim <= _COSET_DIM_LIMIT else "weight"
     if strategy == "coset":
         if dim > _COSET_HARD_LIMIT:
             raise RangeError(
@@ -124,14 +125,13 @@ def css_distances(
     a_x: BitMat,
     a_z: BitMat,
     strategy: str = "auto",
-    coset_dim_limit: int = 16,
     weight_cap: int | None = None,
 ) -> DistanceReport:
     """Exact minimum-weight Z-type and X-type logicals of a CSS pair.
 
     Each side auto-selects coset enumeration when its null-space dimension
-    is at most ``coset_dim_limit``, else the weight-increasing search, which
-    ``weight_cap`` (at least 1) may stop early.
+    is at most ``_COSET_DIM_LIMIT`` (16), else the weight-increasing search,
+    which ``weight_cap`` (at least 1) may stop early.
     """
     if weight_cap is not None and weight_cap < 1:
         raise RangeError(f"weight cap must be >= 1, got {weight_cap}")
@@ -143,10 +143,10 @@ def css_distances(
                 raise InvalidCodeError("A_Z is not orthogonal to A_X; not a CSS pair")
     z_stabilizers, x_stabilizers = RowSpace(a_z), RowSpace(a_x)
     d_z, wit_z, method_z, exact_z = _one_side(
-        a_x, z_stabilizers, strategy, coset_dim_limit, weight_cap
+        a_x, z_stabilizers, strategy, weight_cap
     )
     d_x, wit_x, method_x, exact_x = _one_side(
-        a_z, x_stabilizers, strategy, coset_dim_limit, weight_cap
+        a_z, x_stabilizers, strategy, weight_cap
     )
     for wit, check, stabilizers in ((wit_z, a_x, z_stabilizers), (wit_x, a_z, x_stabilizers)):
         if wit is None:

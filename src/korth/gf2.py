@@ -156,11 +156,7 @@ class BitMat:
     @classmethod
     def from_columns(cls, nrows: int, cols: Sequence[int]) -> "BitMat":
         """Matrix whose column j is ``cols[j]`` packed as an int (bit i = row i)."""
-        rows = [
-            sum(((col >> i) & 1) << j for j, col in enumerate(cols))
-            for i in range(nrows)
-        ]
-        return cls.from_ints(len(cols), rows)
+        return cls.from_ints(nrows, cols).transpose()
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "BitMat":

@@ -26,24 +26,28 @@ box it stops in, marks that box incomplete and skips the later boxes.  The
 subsets of a box are split by leading column index into chunks; with
 ``workers > 1`` the chunks run in a process pool and merge
 deterministically, each chunk may visit up to the remaining cap, and a box
-where the cap is reached is marked incomplete.  One pool serves the whole
-search: it starts when the first box is split and shuts down when the
-search returns.
+where the cap is reached is marked incomplete.  One
+:class:`~concurrent.futures.ProcessPoolExecutor` serves the whole search:
+it is imported and opened only when ``workers > 1``, starts its processes
+when the first box is split and shuts down when the search returns.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import RangeError
 from .gf2 import BitMat, rank
-from .ortho import is_k_orthogonal
+from .ortho import is_k_orthogonal, row_products
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 __all__ = [
     "SearchSpace",
@@ -80,7 +84,7 @@ class SearchSpace:
             raise RangeError(f"m_range must hold row counts >= 1, got {self.m_range}")
         for name in ("budget_seconds", "budget_subsets"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:  # rejects NaN too
                 raise RangeError(f"{name} must be nonnegative, got {value}")
 
 
@@ -166,15 +170,12 @@ def subset_parity_table(m: int, k: int) -> list[int]:
     T is contained in the support of v; a column multiset is k-orthogonal
     iff its fingerprints XOR to zero.
     """
-    subs = [T for t in range(1, k + 1) for T in combinations(range(m), t)]
-    table = []
-    for v in range(1 << m):
-        fp = 0
-        for bit, T in enumerate(subs):
-            if all((v >> i) & 1 for i in T):
-                fp |= 1 << bit
-        table.append(fp)
-    return table
+    # Row i of the matrix whose column v is v holds the values with bit i set,
+    # so the AND walk over its rows yields, per subset T, the values whose
+    # support contains T; transposing gives each value's fingerprint.
+    rows = BitMat.from_columns(m, range(1 << m)).row_ints()
+    products = [acc for _, acc in row_products(rows, k, (1 << (1 << m)) - 1)]
+    return BitMat.from_ints(1 << m, products).column_ints()
 
 
 def full_rank_count(m: int, n: int) -> int:
@@ -204,143 +205,86 @@ def enumerate_candidates(m: int, n: int) -> Iterator[BitMat]:
 
 
 def _scan_range(
-    values: list[int],
-    fps: list[int],
-    n: int,
-    base: tuple[int, ...],
-    base_acc: int,
-    deadline: Optional[float],
-    limit: Optional[int],
-    chunk_indices: list[int],
+    values: list[int], fps: list[int], n: int, base: tuple[int, ...], base_acc: int,
+    deadline: Optional[float], limit: Optional[int], leading: range,
 ) -> tuple[int, list[tuple[int, ...]], bool]:
-    """Scan the subsets whose first free column index is in ``chunk_indices``.
+    """Scan the n-subsets of ``values`` whose first index is in ``leading``.
 
     Every subset extends ``base`` (already-fixed columns).  At most
     ``limit`` subsets are visited.  Returns the visited count, the
     fingerprint hits, and whether the range completed within the deadline
     and the limit.
     """
+    if n == 0:
+        return 1, [base] if base_acc == 0 else [], True
+    # Fingerprints hold their column's own bits, so they are distinct and
+    # the last column closing a hit is one lookup.
+    index_of = {fp: i for i, fp in enumerate(fps)}
     length = len(values)
     hits: list[tuple[int, ...]] = []
     visited = 0
     chosen: list[int] = list(base)
 
-    def leaves(indices, acc: int) -> bool:
-        """Visit the subsets completed by each last column in ``indices``."""
+    def rec(indices: range, depth: int, acc: int) -> bool:
         nonlocal visited
-        if limit is not None and len(indices) > limit - visited:
-            indices = indices[: limit - visited]
-        visited += len(indices)
-        for i in indices:
-            if acc == fps[i]:
-                hits.append(tuple(chosen) + (values[i],))
-        if limit is not None and visited >= limit:
-            return False
-        return deadline is None or time.monotonic() <= deadline
-
-    def rec(start: int, depth: int, acc: int) -> bool:
         if depth == n - 1:
-            return leaves(range(start, length), acc)
-        for i in range(start, length - (n - depth) + 1):
+            if limit is not None and len(indices) > limit - visited:
+                indices = indices[: limit - visited]
+            visited += len(indices)
+            if (last := index_of.get(acc, -1)) in indices:
+                hits.append(tuple(chosen) + (values[last],))
+            if limit is not None and visited >= limit:
+                return False
+            return deadline is None or time.monotonic() <= deadline
+        for i in indices:
             chosen.append(values[i])
-            ok = rec(i + 1, depth + 1, acc ^ fps[i])
+            ok = rec(range(i + 1, length - n + depth + 2), depth + 1, acc ^ fps[i])
             chosen.pop()
             if not ok:
                 return False
         return True
 
-    if n == 0:
-        if base_acc == 0:
-            hits.append(tuple(base))
-        return 1, hits, True
-    if n == 1:
-        complete = leaves(chunk_indices, base_acc)
-        return visited, hits, complete
-    complete = True
-    for i0 in chunk_indices:
-        chosen.append(values[i0])
-        ok = rec(i0 + 1, 1, base_acc ^ fps[i0])
-        chosen.pop()
-        if not ok:
-            complete = False
-            break
+    complete = rec(leading, 0, base_acc)
     return visited, hits, complete
 
 
-class _Pool:
-    """The worker processes of one search, started when a box first needs them."""
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    def map(self, fn, chunks: list) -> list:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        return list(self._executor.map(fn, chunks))
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-
-
-def _scan_fast(
-    values: list[int],
-    table: list[int],
-    n: int,
-    budget: "_Budget",
-    pool: _Pool,
-    base: tuple[int, ...] = (),
-    base_acc: int = 0,
-) -> tuple[int, list[tuple[int, ...]], bool]:
-    fps = [table[v] for v in values]
-    leading = list(range(len(values) - n + 1))
-    scan = partial(
-        _scan_range, values, fps, n, base, base_acc, budget.deadline, budget.remaining()
-    )
-    workers = pool.workers
-    if n == 0 or workers <= 1 or len(leading) < 2:
-        parts = [scan(leading)]
-    else:
-        # Round-robin the leading indices so chunk costs balance.
-        chunks = [leading[w::workers] for w in range(min(workers, len(leading)))]
-        parts = pool.map(scan, chunks)
-    visited = sum(part[0] for part in parts)
-    hits = sorted(hit for part in parts for hit in part[1])
-    complete = all(part[2] for part in parts)
-    return visited, hits, budget.charge(visited) and complete
-
-
 def _scan_box(
-    m: int,
-    n: int,
-    k: int,
-    table: list[int],
-    prune: str,
-    budget: "_Budget",
-    pool: _Pool,
+    m: int, n: int, k: int, table: list[int], prune: str, budget: "_Budget",
+    workers: int, pool: Optional[Executor],
 ) -> BoxResult:
     if prune == "orbit":
         # Every full-rank candidate is row-space equivalent to one containing
         # the identity columns, and k-orthogonality only sees the row space.
         base = tuple(1 << i for i in range(m))
-        base_acc = 0
-        for v in base:
-            base_acc ^= table[v]
         values = [v for v in range(1, 1 << m) if v not in base]
         mode, candidates = "fast-orbit", None
     else:
-        base, base_acc = (), 0
+        base = ()
         values = list(range(1, 1 << m))
         if math.comb(len(values), n) <= _EXACT_COUNT_LIMIT:
             mode, candidates = "slow", full_rank_count(m, n)
         else:
             mode, candidates = "fast", None
-    visited, raw_hits, complete = _scan_fast(
-        values, table, n - len(base), budget, pool, base, base_acc
+    base_acc = 0
+    for v in base:
+        base_acc ^= table[v]
+    free = n - len(base)
+    leading = range(len(values) - free + 1)
+    scan = partial(
+        _scan_range, values, [table[v] for v in values], free, base, base_acc,
+        budget.deadline, budget.remaining(),
     )
+    if pool is None or free == 0 or len(leading) < 2:
+        parts = [scan(leading)]
+    else:
+        # Round-robin the leading indices so chunk costs balance.
+        chunks = [leading[w::workers] for w in range(min(workers, len(leading)))]
+        parts = list(pool.map(scan, chunks))
+    visited = sum(part[0] for part in parts)
+    complete = budget.charge(visited) and all(part[2] for part in parts)
     full_rank = 0
     witnesses = []
+    raw_hits = sorted(hit for part in parts for hit in part[1])
     for cols in raw_hits:
         cols = tuple(sorted(cols))
         mat = BitMat.from_columns(m, cols)
@@ -353,6 +297,18 @@ def _scan_box(
         hits=full_rank if mode == "slow" else len(raw_hits),
         witnesses=tuple(witnesses), complete=complete, mode=mode,
     )
+
+
+def _skip_reason(m: int, n: int, k: int) -> Optional[str]:
+    """Why the (m, n) box holds no candidate, or None when it must be scanned."""
+    if m <= k:
+        return (f"m={m} <= k={k}: any distinct-nonzero-column matrix with so few "
+                "check rows fails at level m")
+    if m > n:
+        return "m > n: full rank impossible"
+    if n > (1 << m) - 1:
+        return f"n > 2**{m}-1: not enough distinct nonzero columns"
+    return None
 
 
 class _Budget:
@@ -402,42 +358,25 @@ def minimality_search(
         )
     boxes: list[BoxResult] = []
     tables: dict[int, list[int]] = {}
-    pool = _Pool(workers)
-    try:
+    if workers > 1:
+        # Imported here: a sequential search needs no process machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_scope = ProcessPoolExecutor(max_workers=workers)
+    else:
+        pool_scope = nullcontext()
+    with pool_scope as pool:
         for m in space.m_range:
             for n in range(1, space.n_max + 1):
-                if m <= k:
-                    boxes.append(BoxResult(
-                        m=m, n=n, skipped=f"m={m} <= k={k}: any distinct-nonzero-"
-                        "column matrix with so few check rows fails at level m",
-                        mode="skip",
-                    ))
-                    continue
-                if m > n:
-                    boxes.append(BoxResult(
-                        m=m, n=n, skipped="m > n: full rank impossible", mode="skip",
-                    ))
-                    continue
-                if n > (1 << m) - 1:
-                    boxes.append(BoxResult(
-                        m=m, n=n,
-                        skipped=f"n > 2**{m}-1: not enough distinct nonzero columns",
-                        mode="skip",
-                    ))
-                    continue
-                if budget.exhausted:
+                reason = _skip_reason(m, n, k)
+                if reason is not None:
+                    boxes.append(BoxResult(m=m, n=n, skipped=reason, mode="skip"))
+                elif budget.exhausted:
                     boxes.append(BoxResult(m=m, n=n, complete=False, mode="skip",
                                            skipped="budget exhausted"))
-                    continue
-                if m not in tables:
-                    tables[m] = subset_parity_table(m, k)
-                boxes.append(_scan_box(m, n, k, tables[m], prune, budget, pool))
-    finally:
-        pool.close()
-    return SearchReport(
-        k=k,
-        prune=prune,
-        boxes=tuple(boxes),
-        elapsed_seconds=time.monotonic() - start,
-        notes=tuple(notes),
-    )
+                else:
+                    if m not in tables:
+                        tables[m] = subset_parity_table(m, k)
+                    boxes.append(_scan_box(m, n, k, tables[m], prune, budget, workers, pool))
+    return SearchReport(k=k, prune=prune, boxes=tuple(boxes),
+                        elapsed_seconds=time.monotonic() - start, notes=tuple(notes))

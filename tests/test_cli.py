@@ -189,6 +189,38 @@ class TestSearchMin:
         db.pop("elapsed_seconds")
         assert da == db
 
+    # sha256 of the `search-min --out` report without its `elapsed_seconds`
+    # line: the four scans of the benchmark search workload at their tiny
+    # sizes, and one scan split over two worker processes.
+    GOLDEN = {
+        ("3", "4", "4", "14", "orbit", "1"):
+            "7c92b5d55a264bbc9e2865348dcb36f6eafd6ced9d29e75557377f74b267d91c",
+        ("2", "3", "4", "6", "none", "1"):
+            "d17cd1126398c49fc6a919e0e56be748998412d4aa2d9e662f5ce70e89cf0457",
+        ("2", "3", "4", "8", "none", "1"):
+            "451c72aca83467eb0734c27a783877b5bc6fb6a74f4b182e7f31e4a3cfc3b488",
+        ("2", "3", "4", "8", "orbit", "1"):
+            "5de92ba2bdcdf6a5c2deb7ec1700e11ce09a8c1b703e0387ca80e991dea30502",
+        ("2", "3", "4", "8", "none", "2"):
+            "451c72aca83467eb0734c27a783877b5bc6fb6a74f4b182e7f31e4a3cfc3b488",
+    }
+
+    @pytest.mark.parametrize("k,m_min,m_max,n_max,prune,threads", sorted(GOLDEN),
+                             ids=lambda v: str(v))
+    def test_golden_report_digest(self, k, m_min, m_max, n_max, prune, threads,
+                                  tmp_path, capsys):
+        report = tmp_path / "report.json"
+        status, _, _ = run(
+            capsys, "search-min", "--k", k, "--m-min", m_min, "--m-max", m_max,
+            "--n-max", n_max, "--prune", prune, "--threads", threads, "--out", str(report),
+        )
+        assert status == (1 if n_max == "8" else 0)  # n = 8 reaches the k=2 floor
+        lines = report.read_bytes().splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith(b'  "elapsed_seconds": ')]
+        assert len(kept) == len(lines) - 1
+        digest = hashlib.sha256(b"".join(kept)).hexdigest()
+        assert digest == self.GOLDEN[k, m_min, m_max, n_max, prune, threads]
+
 
 class TestStandardFormCommand:
     def test_report(self, tmp_path, capsys):
@@ -377,6 +409,8 @@ class TestBadInput:
         ["distance", "--code", "{code}", "--strategy", "weight", "--weight-cap", "-3"],
         ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "3",
          "--budget-seconds", "-1"],
+        ["search-min", "--k", "2", "--m-min", "3", "--m-max", "4", "--n-max", "6",
+         "--budget-seconds", "nan"],
         ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "3",
          "--threads", "0"],
         ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "3",
@@ -393,10 +427,10 @@ class TestBadInput:
         ["verify-gate", "--code", "{code}", "--gate", "{gate_huge_number}"],
         ["standard-form", "--code", "{n_huge}"],
     ], ids=["gate-without-p", "pauli-letter-q", "stabilizers-int", "restriction-bit-2",
-            "weight-cap-below-1", "negative-budget", "threads-0", "threads-negative",
-            "n-float", "n-bool", "gate-floats", "gate-k-bool", "gate-controls-bool",
-            "gate-p-entry-float", "gate-p-string", "m-range-empty", "m-min-0",
-            "gate-huge-number", "n-huge"])
+            "weight-cap-below-1", "negative-budget", "budget-nan", "threads-0",
+            "threads-negative", "n-float", "n-bool", "gate-floats", "gate-k-bool",
+            "gate-controls-bool", "gate-p-entry-float", "gate-p-string", "m-range-empty",
+            "m-min-0", "gate-huge-number", "n-huge"])
     def test_exit_two(self, files, argv, capsys):
         status, _, err = run(capsys, *(a.format(**files) for a in argv))
         assert status == 2

@@ -1,8 +1,10 @@
+import concurrent.futures
+import hashlib
+import json
 import math
 
 import pytest
 
-from korth import search
 from korth.errors import RangeError
 from korth.gf2 import rank
 from korth.ortho import is_k_orthogonal
@@ -197,11 +199,29 @@ class TestSinglePathAgainstBruteForce:
         assert not box.complete
         assert not rep.complete
 
+    # sha256 of the sorted-key JSON of the report dict without
+    # `elapsed_seconds`: the cap cuts a slow box and a fast box.
+    CAPPED_GOLDEN = {
+        ((3, 4, 5), 50): "4a0e842c5ef103f1828e863ff595dd4eac2e815c6a110a3f48ad946e9fab1877",
+        ((5,), 800_000): "c9ab9bc4bcd857a74615dc66c25e474cdd7493df8b3a763b31e45b1ff321f7a1",
+    }
+
+    @pytest.mark.parametrize("m_range,cap", sorted(CAPPED_GOLDEN), ids=lambda v: str(v))
+    def test_capped_report_digest(self, m_range, cap):
+        report = minimality_search(
+            SearchSpace(k=2, m_range=m_range, n_max=6, budget_subsets=cap)
+        ).to_dict()
+        del report["elapsed_seconds"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == self.CAPPED_GOLDEN[m_range, cap]
+
     def test_negative_budgets_rejected(self):
         with pytest.raises(RangeError):
             SearchSpace(k=1, m_range=(2,), n_max=3, budget_subsets=-1)
         with pytest.raises(RangeError):
             SearchSpace(k=1, m_range=(2,), n_max=3, budget_seconds=-0.5)
+        with pytest.raises(RangeError):
+            SearchSpace(k=1, m_range=(2,), n_max=3, budget_seconds=float("nan"))
 
     @pytest.mark.parametrize("m_range", [(), (0,), (0, 1, 2), (-1, 3)])
     def test_empty_or_nonpositive_row_counts_rejected(self, m_range):
@@ -212,13 +232,13 @@ class TestSinglePathAgainstBruteForce:
 class TestOnePoolPerSearch:
     def test_multi_box_scan_starts_one_pool(self, monkeypatch):
         started = []
-        real = search.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def counting(*args, **kwargs):
             started.append(kwargs.get("max_workers"))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         space = SearchSpace(k=2, m_range=(3, 4), n_max=8)
         par = minimality_search(space, workers=2).to_dict()
         assert started == [2]
