@@ -15,7 +15,6 @@ from .codes import (
     StandardFormCode,
     code_from_json,
     code_to_json,
-    commutes,
     css_standard_form,
     degeneracy_classes,
     is_css,
@@ -78,7 +77,6 @@ from .search import (
     SearchReport,
     SearchSpace,
     SearchWitness,
-    enumerate_candidates,
     minimality_search,
 )
 

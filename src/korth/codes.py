@@ -27,7 +27,6 @@ __all__ = [
     "DegeneracyClass",
     "DegeneracyPartition",
     "ReducedView",
-    "commutes",
     "to_standard_form",
     "is_css",
     "logical_zero_support",
@@ -136,11 +135,6 @@ class PauliOp:
         return PauliOp(self.n, self.x, self.z ^ hits, self.i_exp + hits.bit_count())
 
 
-def commutes(p: PauliOp, q: PauliOp) -> bool:
-    """Symplectic commutation test for two Pauli operators."""
-    return p.commutes_with(q)
-
-
 @dataclass(frozen=True, slots=True)
 class StabilizerCode:
     """A stabilizer code given by generators, with optional logicals."""
@@ -231,14 +225,6 @@ class StandardFormCode:
         for name in ("local_x_mask", "local_s_mask", "local_z_mask"):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, zero)
-
-    def frame_conjugate(self, op: PauliOp) -> PauliOp:
-        """Map an input-frame Pauli into this code's frame."""
-        return (
-            op.conjugated_by_x(self.local_x_mask.bits)
-            .conjugated_by_s(self.local_s_mask.bits)
-            .conjugated_by_z(self.local_z_mask.bits)
-        )
 
     @property
     def n(self) -> int:
@@ -593,23 +579,16 @@ def css_standard_form(
 
     The blocks must be independent and mutually orthogonal and must leave
     exactly one logical qubit; omitted logical supports are derived from the
-    null spaces.
+    null spaces.  Widths and orthogonality are checked here, before the
+    logicals are derived; :meth:`StandardFormCode.validate` checks the rest.
     """
     n = a_x.ncols
     if a_z.ncols != n:
         raise DimensionError("check blocks have different widths")
-    if rank(a_x) != a_x.nrows:
-        raise InvalidCodeError("A_X rows are dependent")
-    if rank(a_z) != a_z.nrows:
-        raise InvalidCodeError("A_Z rows are dependent")
     for c in a_z.rows:
         for a in a_x.rows:
             if c.dot_parity(a):
                 raise InvalidCodeError("A_Z is not orthogonal to A_X")
-    if a_x.nrows + a_z.nrows != n - 1:
-        raise InvalidCodeError(
-            f"{a_x.nrows} + {a_z.nrows} checks on {n} qubits does not leave one logical qubit"
-        )
     if r is None:
         r = _derive_r(a_x, a_z)
     if s is None:

@@ -69,11 +69,9 @@ def _min_logical_coset(
 
 def _min_logical_weight_search(
     check: BitMat, stabilizers: RowSpace, cap: int
-) -> tuple[int, BitVec] | None | tuple[None, None]:
-    """Search supports of increasing weight; the first hit is the minimum.
-
-    Returns (weight, witness), None when no logical exists at all, or
-    (None, None) when the cap was exhausted without a hit.
+) -> tuple[int, BitVec] | None:
+    """Search supports of increasing weight up to ``cap``; the first hit is
+    the minimum.  None when no support of weight at most ``cap`` is a logical.
     """
     n = check.ncols
     cols = check.column_ints()
@@ -86,9 +84,7 @@ def _min_logical_weight_search(
                 bits |= 1 << j
             if syndrome == 0 and not stabilizers.contains(bits):
                 return w, BitVec(n, bits)
-    if cap >= n:
-        return None
-    return None, None
+    return None
 
 
 def _one_side(
@@ -107,18 +103,16 @@ def _one_side(
                 f"the 2**{_COSET_HARD_LIMIT} ceiling; use the weight strategy"
             )
         found = _min_logical_coset(check, stabilizers)
-        if found is None:
-            raise InvalidCodeError("no logical operator of this type exists")
-        return found[0], found[1], "coset", True
-    if strategy != "weight":
+    elif strategy == "weight":
+        cap = check.ncols if weight_cap is None else weight_cap
+        found = _min_logical_weight_search(check, stabilizers, cap)
+        if found is None and cap < check.ncols:
+            return cap + 1, None, "weight", False
+    else:
         raise RangeError(f"unknown strategy {strategy!r}")
-    cap = check.ncols if weight_cap is None else weight_cap
-    found = _min_logical_weight_search(check, stabilizers, cap)
     if found is None:
         raise InvalidCodeError("no logical operator of this type exists")
-    if found == (None, None):
-        return cap + 1, None, "weight", False
-    return found[0], found[1], "weight", True
+    return found[0], found[1], strategy, True
 
 
 def css_distances(

@@ -7,6 +7,7 @@ carry the violating string and residue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -86,24 +87,7 @@ class PhaseSolutionSet:
     phases: tuple[DyadicPhase, ...]
 
     def count(self) -> int:
-        total = 1
-        for o in self.orders:
-            total *= o
-        return total
-
-    def enumerate_all(self) -> list[tuple[int, ...]]:
-        """Materialize every solution vector; only sensible for tiny sets."""
-        q = 1 << self.k
-        out = [(0,) * self.n]
-        for gen, order in zip(self.generators, self.orders):
-            new = []
-            for base in out:
-                for t in range(order):
-                    new.append(
-                        tuple((b + t * g) % q for b, g in zip(base, gen.p))
-                    )
-            out = new
-        return out
+        return math.prod(self.orders)
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,6 +274,22 @@ def _kernel_mod_power_of_two(
     return gens
 
 
+def _graded_violation(
+    sf: StandardFormCode, theta: DyadicPhaseVector, controls: int
+) -> Optional[tuple[tuple[int, ...], int, int, int]]:
+    """The first t-fold product of check rows, in (t, lexicographic) order,
+    whose phase exponents do not sum to zero modulo 2**(k - max(controls, t-1)),
+    as (rows, product mask, residue, modulus); None when every one does.
+    """
+    k = theta.k
+    for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << sf.n) - 1):
+        modulus = 1 << (k - max(controls, len(subset) - 1))
+        residue = theta.masked_sum(acc) % modulus
+        if residue:
+            return subset, acc, residue, modulus
+    return None
+
+
 def verify_korth_necessity(
     sf: StandardFormCode, theta: DyadicPhaseVector
 ) -> OrthogonalityReport:
@@ -319,17 +319,16 @@ def verify_korth_necessity(
             residue=raw_numerator,
             modulus=q,
         )
-    for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << sf.n) - 1):
-        modulus = 1 << (k - len(subset) + 1)
-        residue = theta.masked_sum(acc) % modulus
-        if residue:
-            raise CongruenceError(
-                f"graded congruence broke: rows {subset} product sums to "
-                f"{residue} mod {modulus}",
-                witness=BitVec(sf.n, acc),
-                residue=residue,
-                modulus=modulus,
-            )
+    violation = _graded_violation(sf, theta, 0)
+    if violation is not None:
+        subset, acc, residue, modulus = violation
+        raise CongruenceError(
+            f"graded congruence broke: rows {subset} product sums to "
+            f"{residue} mod {modulus}",
+            witness=BitVec(sf.n, acc),
+            residue=residue,
+            modulus=modulus,
+        )
     r_prime = BitVec(sf.n, sum(theta.planes[:1]))  # bit plane 0: the odd exponents
     return is_k_orthogonal(sf.a_x, k, r_prime)
 
@@ -357,15 +356,9 @@ def controlled_phase_action(
     # The least 2-adic valuation among the exponents is the first nonzero plane.
     min_val = next((b for b, plane in enumerate(theta.planes) if plane), k)
     non_clifford = k - min_val >= 3
-    passed = True
-    wit_rows = wit_res = wit_mod = None
-    for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << sf.n) - 1):
-        modulus = 1 << (k - max(q_ctrl, len(subset) - 1))
-        residue = theta.masked_sum(acc) % modulus
-        if residue:
-            passed = False
-            wit_rows, wit_res, wit_mod = subset, residue, modulus
-            break
+    violation = _graded_violation(sf, theta, q_ctrl)
+    passed = violation is None
+    wit_rows, _, wit_res, wit_mod = violation or (None,) * 4
     size_bound_ok = None
     if passed and non_clifford:
         size_bound_ok = r_induced.weight >= (1 << (k + 1)) - 1

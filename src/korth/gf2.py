@@ -146,10 +146,6 @@ class BitMat:
         return cls(rows[0].n, tuple(rows))
 
     @classmethod
-    def from_strings(cls, rows: Sequence[str]) -> "BitMat":
-        return cls.from_rows([BitVec.from_string(r) for r in rows])
-
-    @classmethod
     def from_ints(cls, ncols: int, rows: Iterable[int]) -> "BitMat":
         return cls(ncols, tuple(BitVec(ncols, r) for r in rows))
 
@@ -194,15 +190,6 @@ class BitMat:
 
     def transpose(self) -> "BitMat":
         return BitMat.from_ints(self.nrows, self.column_ints())
-
-    def mul_vec(self, v: BitVec) -> BitVec:
-        """Matrix-vector product over GF(2); entry i = parity of row_i . v."""
-        if v.n != self.ncols:
-            raise DimensionError(f"vector length {v.n} != column count {self.ncols}")
-        bits = 0
-        for i, r in enumerate(self.rows):
-            bits |= ((r.bits & v.bits).bit_count() & 1) << i
-        return BitVec(self.nrows, bits)
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rows)

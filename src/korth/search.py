@@ -39,8 +39,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import RangeError
 from .gf2 import BitMat, rank
@@ -56,7 +55,6 @@ __all__ = [
     "SearchReport",
     "subset_parity_table",
     "full_rank_count",
-    "enumerate_candidates",
     "minimality_search",
 ]
 
@@ -82,6 +80,9 @@ class SearchSpace:
             raise RangeError(f"n_max must be >= 1, got {self.n_max}")
         if not self.m_range or min(self.m_range) < 1:
             raise RangeError(f"m_range must hold row counts >= 1, got {self.m_range}")
+        top = max(self.m_range)  # no box holds more distinct nonzero columns
+        if self.n_max.bit_length() > top:  # n_max > 2**top - 1, without the power
+            raise RangeError(f"n_max must be <= 2**{top}-1, got {self.n_max}")
         for name in ("budget_seconds", "budget_subsets"):
             value = getattr(self, name)
             if value is not None and not value >= 0:  # rejects NaN too
@@ -191,17 +192,6 @@ def full_rank_count(m: int, n: int) -> int:
         total += -term if j % 2 else term
         gaussian = gaussian * ((1 << (m - j)) - 1) // ((1 << (j + 1)) - 1)
     return total
-
-
-def enumerate_candidates(m: int, n: int) -> Iterator[BitMat]:
-    """All full-rank m x n matrices with n distinct nonzero columns, as
-    ascending combinations of the column values 1..2**m-1."""
-    if m > n:
-        return
-    for cols in combinations(range(1, 1 << m), n):
-        mat = BitMat.from_columns(m, cols)
-        if rank(mat) == m:
-            yield mat
 
 
 def _scan_range(

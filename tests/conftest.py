@@ -1,22 +1,93 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths: ranks and
-null spaces are recomputed with numpy elimination, and code states are
-simulated as sparse amplitude maps so stabilizer and gate claims can be
-checked against actual quantum states.
+null spaces are recomputed with numpy elimination or a plain sweep, the
+minimality scan is checked against brute-force candidate enumeration, and
+code states are simulated as sparse amplitude maps so stabilizer and gate
+claims can be checked against actual quantum states.
 """
 
 from __future__ import annotations
 
 import cmath
 import random
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import pytest
 
 from korth.codes import PauliOp, StabilizerCode, StandardFormCode, css_standard_form
+from korth.gates import PhaseSolutionSet
 from korth.gf2 import BitMat, BitVec, null_space
 from korth.phases import DyadicPhaseVector
+
+# ---------------------------------------------------------------------------
+# small helpers the library itself does not need
+
+
+def bitmat(rows: Sequence[str]) -> BitMat:
+    """A matrix from its row strings, position 0 leftmost."""
+    return BitMat.from_rows([BitVec.from_string(r) for r in rows])
+
+
+def mul_vec(M: BitMat, v: BitVec) -> BitVec:
+    """Matrix-vector product over GF(2); entry i = parity of row_i . v."""
+    assert v.n == M.ncols
+    bits = 0
+    for i, r in enumerate(M.rows):
+        bits |= ((r.bits & v.bits).bit_count() & 1) << i
+    return BitVec(M.nrows, bits)
+
+
+def frame_conjugate(sf: StandardFormCode, op: PauliOp) -> PauliOp:
+    """Map an input-frame Pauli into the frame of ``sf``: conjugation by the
+    recorded X, S-rotation and Z masks, in that order."""
+    return (
+        op.conjugated_by_x(sf.local_x_mask.bits)
+        .conjugated_by_s(sf.local_s_mask.bits)
+        .conjugated_by_z(sf.local_z_mask.bits)
+    )
+
+
+def all_solutions(sol: PhaseSolutionSet) -> list[tuple[int, ...]]:
+    """Every vector sum(t_j * generators[j]) mod 2**k, 0 <= t_j < orders[j];
+    only sensible for tiny sets."""
+    q = 1 << sol.k
+    out = [(0,) * sol.n]
+    for gen, order in zip(sol.generators, sol.orders):
+        out = [
+            tuple((b + t * g) % q for b, g in zip(base, gen.p))
+            for base in out
+            for t in range(order)
+        ]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# brute-force minimality oracle
+
+
+def sweep_rank(vectors: Iterable[int]) -> int:
+    """GF(2) rank of packed vectors by a plain sweep: each vector is reduced
+    by the basis vector sharing its top bit until it is kept or vanishes."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
+
+
+def enumerate_candidates(m: int, n: int) -> Iterator[BitMat]:
+    """All full-rank m x n matrices with n distinct nonzero columns, as
+    ascending combinations of the column values 1..2**m-1."""
+    for cols in combinations(range(1, 1 << m), n):
+        if sweep_rank(cols) == m:
+            yield BitMat.from_columns(m, cols)
 
 # ---------------------------------------------------------------------------
 # numpy GF(2) oracles

@@ -424,13 +424,14 @@ class TestBadInput:
         ["verify-gate", "--code", "{code}", "--gate", "{gate_p_string}"],
         ["search-min", "--k", "1", "--m-min", "5", "--m-max", "3", "--n-max", "3"],
         ["search-min", "--k", "1", "--m-min", "0", "--m-max", "2", "--n-max", "3"],
+        ["search-min", "--k", "2", "--m-min", "3", "--m-max", "3", "--n-max", "8"],
         ["verify-gate", "--code", "{code}", "--gate", "{gate_huge_number}"],
         ["standard-form", "--code", "{n_huge}"],
     ], ids=["gate-without-p", "pauli-letter-q", "stabilizers-int", "restriction-bit-2",
             "weight-cap-below-1", "negative-budget", "budget-nan", "threads-0",
             "threads-negative", "n-float", "n-bool", "gate-floats", "gate-k-bool",
             "gate-controls-bool", "gate-p-entry-float", "gate-p-string", "m-range-empty",
-            "m-min-0", "gate-huge-number", "n-huge"])
+            "m-min-0", "n-max-above-columns", "gate-huge-number", "n-huge"])
     def test_exit_two(self, files, argv, capsys):
         status, _, err = run(capsys, *(a.format(**files) for a in argv))
         assert status == 2

@@ -7,7 +7,7 @@ from korth.errors import InvalidCodeError, RangeError
 from korth.families import hamming_parity_check, minimal_korth_matrix, subdual_css
 from korth.gf2 import BitMat, BitVec, null_space, span_enumerate
 
-from conftest import np_matrix, oracle_in_span
+from conftest import bitmat, np_matrix, oracle_in_span
 
 
 def brute_min_logical(check: BitMat, other: BitMat) -> int:
@@ -108,7 +108,7 @@ class TestCssDistances:
         # a 28-dimensional null space exceeds the explicit coset ceiling
         empty = BitMat.zero(0, 28)
         with pytest.raises(RangeError, match="ceiling"):
-            css_distances(BitMat.from_strings(["1" * 28]), empty, strategy="coset")
+            css_distances(bitmat(["1" * 28]), empty, strategy="coset")
 
     def test_dual_weight_accounting(self):
         # every Z-check null-space member weighs 0 or at least 2**(m-1) - 1
@@ -146,10 +146,10 @@ class TestZDistanceFloor:
             assert out.triple == (0, 1, m)
 
     def test_duplicate_columns(self):
-        assert not z_distance_floor(BitMat.from_strings(["110", "110"])).distance_at_least_3
+        assert not z_distance_floor(bitmat(["110", "110"])).distance_at_least_3
 
     def test_zero_column(self):
-        assert not z_distance_floor(BitMat.from_strings(["10", "10"])).distance_at_least_3
+        assert not z_distance_floor(bitmat(["10", "10"])).distance_at_least_3
 
     def test_minimal_two_row_matrix(self):
         out = z_distance_floor(minimal_korth_matrix(1))

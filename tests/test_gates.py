@@ -20,7 +20,9 @@ from korth.gf2 import BitMat, BitVec, null_space, span_enumerate, span_ints
 from korth.phases import DyadicPhase, DyadicPhaseVector
 
 from conftest import (
+    all_solutions,
     apply_pauli,
+    bitmat,
     apply_phases,
     five_qubit_code,
     random_css_sf,
@@ -103,7 +105,7 @@ class TestLogicalPhaseAction:
         sol = find_transversal_phases(sf, 1)
         kernel = {v.bits for v in span_enumerate(null_space(sf.a_x))}
         got = {
-            sum(b << i for i, b in enumerate(vec)) for vec in sol.enumerate_all()
+            sum(b << i for i, b in enumerate(vec)) for vec in all_solutions(sol)
         }
         assert got == kernel
 
@@ -120,8 +122,8 @@ class TestPhaseQuantization:
         assert phase_quantization_exponent(sf) == 0
 
     def test_degenerate_rejected(self):
-        a_x = BitMat.from_strings(["1100", "0011"])
-        sf = css_standard_form(a_x, BitMat.from_strings(["1111"]))
+        a_x = bitmat(["1100", "0011"])
+        sf = css_standard_form(a_x, bitmat(["1111"]))
         with pytest.raises(DegenerateCodeError, match="nondegenerate_reduction"):
             phase_quantization_exponent(sf)
 
@@ -165,7 +167,7 @@ class TestFindTransversalPhases:
         # twice any solution modulo 2**(k-1) solves modulo 2**k
         sf = subdual_css(3)
         sol = find_transversal_phases(sf, 2)
-        for vec in sol.enumerate_all():
+        for vec in all_solutions(sol):
             doubled = DyadicPhaseVector(3, tuple(2 * x for x in vec))
             assert logical_phase_action(sf, doubled).ok
 

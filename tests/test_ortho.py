@@ -8,7 +8,7 @@ from korth.families import hamming_parity_check
 from korth.gf2 import BitMat, BitVec, and_product, in_rowspan, rank, span_enumerate
 from korth.ortho import is_k_orthogonal, isolate_column, max_orthogonality
 
-from conftest import random_full_rank
+from conftest import bitmat, random_full_rank
 
 
 def brute_k_orthogonal(a_x: BitMat, k: int, r: BitVec | None = None) -> bool:
@@ -36,21 +36,21 @@ class TestIsKOrthogonal:
         assert prod.weight == 1
 
     def test_odd_row_fails_level1(self):
-        M = BitMat.from_strings(["110", "011", "111"])
+        M = bitmat(["110", "011", "111"])
         rep = is_k_orthogonal(M, 1)
         assert not rep.holds
         assert rep.witness.t == 1
         assert rep.witness.rows == (2,)
 
     def test_witness_is_first_lexicographic(self):
-        M = BitMat.from_strings(["111", "110", "011"])
+        M = bitmat(["111", "110", "011"])
         rep = is_k_orthogonal(M, 2)
         assert rep.witness.t == 1
         assert rep.witness.rows == (0,)
 
     def test_restriction_vector(self):
         # odd total weights but even weights on the restricted support
-        M = BitMat.from_strings(["111", "110"])
+        M = bitmat(["111", "110"])
         assert not is_k_orthogonal(M, 2).holds
         assert is_k_orthogonal(M, 2, BitVec.from_string("110")).holds
 
@@ -129,10 +129,10 @@ class TestMaxOrthogonality:
         assert max_orthogonality(H) == 4
 
     def test_single_even_row_capped_at_row_count(self):
-        assert max_orthogonality(BitMat.from_strings(["11"])) == 1
+        assert max_orthogonality(bitmat(["11"])) == 1
 
     def test_odd_row_gives_zero(self):
-        assert max_orthogonality(BitMat.from_strings(["111"])) == 0
+        assert max_orthogonality(bitmat(["111"])) == 0
 
     def test_bound_for_distinct_columns(self, rng):
         # with distinct nonzero columns and full rank the level stays below m
@@ -146,6 +146,29 @@ class TestMaxOrthogonality:
             if rank(M) != m:
                 continue
             assert max_orthogonality(M) < m
+
+    def test_matches_level_by_level_checks(self, rng):
+        # Hamming matrices first fail at t = m; random rows, and full column
+        # sets with some columns dropped, fail first at every level.
+        first_odd = set()
+        for case in range(300):
+            m = rng.randint(0, 5) if case % 2 else rng.randint(1, 5)
+            if case % 2:
+                n = rng.randint(1, 10)
+                M = BitMat.from_ints(n, [rng.getrandbits(n) & rng.getrandbits(n)
+                                         for _ in range(m)])
+            else:
+                cols = [c for c in range(1, 1 << m) if rng.random() < 0.9]
+                M = BitMat.from_columns(m, cols + [0] * rng.randint(0, 1))
+            expected = 0
+            for k in range(1, m + 1):
+                if not is_k_orthogonal(M, k).holds:
+                    break
+                expected = k
+            assert max_orthogonality(M) == expected
+            if expected < m:
+                first_odd.add(expected + 1)
+        assert first_odd >= {1, 2, 3, 4}
 
 
 class TestIsolateColumn:
@@ -174,7 +197,7 @@ class TestIsolateColumn:
                 assert prod == BitVec.from_indices(H.ncols, [q])
 
     def test_zero_column_rejected(self):
-        M = BitMat.from_strings(["10", "10"])
+        M = bitmat(["10", "10"])
         with pytest.raises(NoSyndromeError):
             isolate_column(M, 1)
 

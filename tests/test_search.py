@@ -8,13 +8,9 @@ import pytest
 from korth.errors import RangeError
 from korth.gf2 import rank
 from korth.ortho import is_k_orthogonal
-from korth.search import (
-    SearchSpace,
-    enumerate_candidates,
-    full_rank_count,
-    minimality_search,
-    subset_parity_table,
-)
+from korth.search import SearchSpace, full_rank_count, minimality_search, subset_parity_table
+
+from conftest import enumerate_candidates
 
 
 class TestEnumerateCandidates:
@@ -227,6 +223,12 @@ class TestSinglePathAgainstBruteForce:
     def test_empty_or_nonpositive_row_counts_rejected(self, m_range):
         with pytest.raises(RangeError, match="m_range"):
             SearchSpace(k=1, m_range=m_range, n_max=3)
+
+    def test_n_max_beyond_the_largest_box_rejected(self):
+        # Past 2**m - 1 columns every box is a skip, one per n up to n_max.
+        SearchSpace(k=2, m_range=(4, 3), n_max=15)
+        with pytest.raises(RangeError, match="n_max"):
+            SearchSpace(k=2, m_range=(4, 3), n_max=16)
 
 
 class TestOnePoolPerSearch:
