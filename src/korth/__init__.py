@@ -32,7 +32,6 @@ from .errors import (
     MatrixParseError,
     NoSyndromeError,
     RangeError,
-    SignFixError,
     UnsupportedCodeError,
 )
 from .families import (

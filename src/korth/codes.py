@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DimensionError, InvalidCodeError, SignFixError
+from .errors import DimensionError, InvalidCodeError
 from .gf2 import BitMat, BitVec, RowSpace, _eliminate, null_space, rank, solve
 from .phases import DyadicPhaseVector
 
@@ -326,30 +326,14 @@ def _pauli_reduce(gens: Sequence[PauliOp], n: int) -> tuple[list[PauliOp], list[
     return rows[:row_idx], rows[row_idx:]
 
 
-def _derive_r(a_x: BitMat, z_block: BitMat) -> BitVec:
-    stabilizers = RowSpace(z_block)
-    for v in null_space(a_x).rows:
-        res = stabilizers.residue(v.bits)
+def _derive_r(checks: RowSpace, stabilizers: RowSpace, n: int) -> BitVec:
+    """The first null-space member of ``checks`` outside ``stabilizers``,
+    reduced against them; the reduced rows skip a second sweep."""
+    for v in null_space(BitMat.from_ints(n, checks.rows)).row_ints():
+        res = stabilizers.residue(v)
         if res:
-            return BitVec(v.n, res)
+            return BitVec(n, res)
     raise InvalidCodeError("no pure-Z logical operator exists; not a one-qubit code")
-
-
-def _purified_logical_z(declared: PauliOp, x_rows: list[PauliOp], n: int) -> BitVec | None:
-    if declared.x == 0:
-        return BitVec(n, declared.z)
-    # Clear the X content by multiplying with X-bearing stabilizers, which
-    # stays within the declared logical's coset.
-    a_x_t = BitMat.from_ints(n, [g.x for g in x_rows]).transpose()
-    lam = solve(a_x_t, BitVec(n, declared.x))
-    if lam is None:
-        return None
-    acc = declared
-    for i in range(len(x_rows)):
-        if lam[i]:
-            acc = acc * x_rows[i]
-    assert acc.x == 0
-    return BitVec(n, acc.z)
 
 
 def _solve_pure_x_support(
@@ -414,42 +398,37 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
             "promote the logical operators of the extra qubits to stabilizers first"
         )
 
-    # Reduce the Z parts of the X-bearing rows against the (reduced-echelon)
-    # Z block; for a CSS group this empties B entirely.
+    # validate reduced the pure-Z rows with each sign at bit n.  Reducing the
+    # Z parts of the X-bearing rows against them multiplies those rows in,
+    # signs included; for a CSS group this empties B entirely.
+    signed_z = RowSpace(BitMat.from_ints(n + 1, [g.z | (g.i_exp >> 1) << n for g in z_rows]))
     for idx, g in enumerate(x_rows):
-        for zr in z_rows:
-            pivot = (zr.z & -zr.z).bit_length() - 1
-            if (g.z >> pivot) & 1:
-                g = g * zr
-        x_rows[idx] = g
+        z = signed_z.residue(g.z)
+        x_rows[idx] = PauliOp(n, g.x, z, g.i_exp + 2 * (z >> n))  # PauliOp masks z
 
-    # Normalize the pure-Z signs with a single X-type conjugation.
-    x_mask = 0
-    bad = [j for j, g in enumerate(z_rows) if g.i_exp != 0]
-    if bad:
-        z_mat = BitMat.from_ints(n, [g.z for g in z_rows])
-        target = BitVec.from_indices(len(z_rows), bad)
-        y = solve(z_mat, target)
-        if y is None:
-            pattern = "".join("-" if g.i_exp else "+" for g in z_rows)
-            raise SignFixError(
-                f"no X-type operator fixes the Z-row sign pattern {pattern}; "
-                "the generators do not describe a stabilizer code"
-            )
-        x_mask = y.bits
-        x_rows = [g.conjugated_by_x(x_mask) for g in x_rows]
-        z_rows = [g.conjugated_by_x(x_mask) for g in z_rows]
+    # Normalize the pure-Z signs with a single X-type conjugation: X on the
+    # pivot of a reduced row meets no other row.
+    x_mask = sum(1 << p for row, p in zip(signed_z.rows, signed_z.pivots) if row >> n)
+    x_rows = [g.conjugated_by_x(x_mask) for g in x_rows]
+    z_rows = [g.conjugated_by_x(x_mask) for g in z_rows]
     assert all(g.i_exp == 0 for g in z_rows)
 
     a_x = BitMat.from_ints(n, [g.x for g in x_rows])
     z_block = BitMat.from_ints(n, [g.z for g in z_rows])
 
-    # Logical Z support.
+    # Logical Z support: clear a declared logical's X content with the
+    # X-bearing rows (reduced on X, so each pivot is hit only by its own
+    # row), which stays within its coset; else derive one.
     r = None
     if code.logical_z is not None:
-        r = _purified_logical_z(code.logical_z, x_rows, n)
+        lz = code.logical_z
+        for g in x_rows:
+            if lz.x & g.x & -g.x:
+                lz = lz * g
+        if not lz.x:
+            r = BitVec(n, lz.z)
     if r is None:
-        r = _derive_r(a_x, z_block)
+        r = _derive_r(RowSpace(a_x), RowSpace(z_block), n)
 
     # Logical X support, preferring a declared pure-X operator.
     s = None
@@ -466,14 +445,10 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
         s, s_mask = _logical_x_fallback(x_rows, z_block, r, n)
         x_rows = [g.conjugated_by_s(s_mask) for g in x_rows]
 
-    # Normalize the X-bearing signs to + (or +i where the row squares demand).
-    z_mask = 0
-    bad_x = [i for i, g in enumerate(x_rows) if g.i_exp >= 2]
-    if bad_x:
-        w = solve(a_x, BitVec.from_indices(len(x_rows), bad_x))
-        assert w is not None  # a_x is full rank
-        z_mask = w.bits
-        x_rows = [g.conjugated_by_z(z_mask) for g in x_rows]
+    # Normalize the X-bearing signs to + (or +i where the row squares demand)
+    # by Z on the X pivot of each row that needs a flip.
+    z_mask = sum(g.x & -g.x for g in x_rows if g.i_exp >= 2)
+    x_rows = [g.conjugated_by_z(z_mask) for g in x_rows]
 
     sf = StandardFormCode(
         a_x=a_x,
@@ -589,10 +564,10 @@ def css_standard_form(
         for a in a_x.rows:
             if c.dot_parity(a):
                 raise InvalidCodeError("A_Z is not orthogonal to A_X")
-    if r is None:
-        r = _derive_r(a_x, a_z)
-    if s is None:
-        s = _derive_r(a_z, a_x)
+    if r is None or s is None:
+        x_space, z_space = RowSpace(a_x), RowSpace(a_z)
+        r = _derive_r(x_space, z_space, n) if r is None else r
+        s = _derive_r(z_space, x_space, n) if s is None else s
     sf = StandardFormCode(
         a_x=a_x, b=BitMat.zero(a_x.nrows, n), a_z=a_z, r=r, s=s
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidCodeError, RangeError
-from .gf2 import BitMat, BitVec, RowSpace, null_space, rank, span_ints
+from .gf2 import BitMat, BitVec, RowSpace, null_space, span_ints
 
 __all__ = ["DistanceReport", "ThreeColumnCheck", "css_distances", "z_distance_floor"]
 
@@ -52,19 +52,20 @@ class ThreeColumnCheck:
 
 
 def _min_logical_coset(
-    check: BitMat, stabilizers: RowSpace
+    checks: RowSpace, stabilizers: RowSpace, n: int
 ) -> tuple[int, BitVec] | None:
-    """Scan the whole null space of ``check``, skipping stabilizer members."""
+    """Scan the whole null space of ``checks``, skipping stabilizer members;
+    the reduced rows skip a second sweep."""
     best_w = None
     best = None
-    for acc in span_ints(null_space(check).row_ints()):
+    for acc in span_ints(null_space(BitMat.from_ints(n, checks.rows)).row_ints()):
         w = acc.bit_count()
         if (best_w is None or w < best_w) and not stabilizers.contains(acc):
             best_w = w
             best = acc
     if best_w is None:
         return None
-    return best_w, BitVec(check.ncols, best)
+    return best_w, BitVec(n, best)
 
 
 def _min_logical_weight_search(
@@ -72,6 +73,7 @@ def _min_logical_weight_search(
 ) -> tuple[int, BitVec] | None:
     """Search supports of increasing weight up to ``cap``; the first hit is
     the minimum.  None when no support of weight at most ``cap`` is a logical.
+    ``check`` may be any basis of the checks: only its null space matters.
     """
     n = check.ncols
     cols = check.column_ints()
@@ -88,12 +90,9 @@ def _min_logical_weight_search(
 
 
 def _one_side(
-    check: BitMat,
-    stabilizers: RowSpace,
-    strategy: str,
-    weight_cap: int | None,
+    checks: RowSpace, stabilizers: RowSpace, n: int, strategy: str, weight_cap: int | None
 ) -> tuple[int, Optional[BitVec], str, bool]:
-    dim = check.ncols - rank(check)
+    dim = n - len(checks.rows)
     if strategy == "auto":
         strategy = "coset" if dim <= _COSET_DIM_LIMIT else "weight"
     if strategy == "coset":
@@ -102,11 +101,11 @@ def _one_side(
                 f"coset enumeration over a {dim}-dimensional null space exceeds "
                 f"the 2**{_COSET_HARD_LIMIT} ceiling; use the weight strategy"
             )
-        found = _min_logical_coset(check, stabilizers)
+        found = _min_logical_coset(checks, stabilizers, n)
     elif strategy == "weight":
-        cap = check.ncols if weight_cap is None else weight_cap
-        found = _min_logical_weight_search(check, stabilizers, cap)
-        if found is None and cap < check.ncols:
+        cap = n if weight_cap is None else weight_cap
+        found = _min_logical_weight_search(BitMat.from_ints(n, checks.rows), stabilizers, cap)
+        if found is None and cap < n:
             return cap + 1, None, "weight", False
     else:
         raise RangeError(f"unknown strategy {strategy!r}")
@@ -135,14 +134,11 @@ def css_distances(
         for a in a_x.rows:
             if c.dot_parity(a):
                 raise InvalidCodeError("A_Z is not orthogonal to A_X; not a CSS pair")
-    z_stabilizers, x_stabilizers = RowSpace(a_z), RowSpace(a_x)
-    d_z, wit_z, method_z, exact_z = _one_side(
-        a_x, z_stabilizers, strategy, weight_cap
-    )
-    d_x, wit_x, method_x, exact_x = _one_side(
-        a_z, x_stabilizers, strategy, weight_cap
-    )
-    for wit, check, stabilizers in ((wit_z, a_x, z_stabilizers), (wit_x, a_z, x_stabilizers)):
+    # One reduction per block gives its rank, null space and membership.
+    x_space, z_space, n = RowSpace(a_x), RowSpace(a_z), a_x.ncols
+    d_z, wit_z, method_z, exact_z = _one_side(x_space, z_space, n, strategy, weight_cap)
+    d_x, wit_x, method_x, exact_x = _one_side(z_space, x_space, n, strategy, weight_cap)
+    for wit, check, stabilizers in ((wit_z, a_x, z_space), (wit_x, a_z, x_space)):
         if wit is None:
             continue
         if any(wit.dot_parity(row) for row in check.rows):

@@ -27,10 +27,6 @@ class InvalidCodeError(KorthError, ValueError):
     """Input does not describe a valid stabilizer code."""
 
 
-class SignFixError(InvalidCodeError):
-    """No conjugation exists that normalizes the stabilizer signs."""
-
-
 class DegenerateCodeError(KorthError, ValueError):
     """Operation requires distinct check columns; reduce degeneracy first."""
 

@@ -28,13 +28,15 @@ subsets of a box are split by leading column index into chunks; with
 deterministically, each chunk may visit up to the remaining cap, and a box
 where the cap is reached is marked incomplete.  One
 :class:`~concurrent.futures.ProcessPoolExecutor` serves the whole search:
-it is imported and opened only when ``workers > 1``, starts its processes
+it is imported and opened only when ``workers > 1``, holds at most one
+process per CPU (the chunks still follow ``workers``), starts its processes
 when the first box is split and shuts down when the search returns.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -352,7 +354,7 @@ def minimality_search(
         # Imported here: a sequential search needs no process machinery.
         from concurrent.futures import ProcessPoolExecutor
 
-        pool_scope = ProcessPoolExecutor(max_workers=workers)
+        pool_scope = ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
     else:
         pool_scope = nullcontext()
     with pool_scope as pool:

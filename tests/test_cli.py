@@ -274,9 +274,12 @@ class TestFindGates:
 
 
 class TestCertificateGoldens:
-    """sha256 of the ``standard-form`` and ``verify-gate --out`` reports,
-    recorded before validation and standard form shared one reduction: a
-    change to the reduction, the signs or the report layout breaks them."""
+    """sha256 of the ``standard-form``, ``verify-gate --out`` and ``distance
+    --out`` reports, recorded before validation and standard form shared one
+    reduction (the ``distance`` and ``bare`` cases before standard form and
+    distances reused each block's reduction): a change to the reduction, the
+    signs or the report layout breaks them.  ``bare`` is the scrambled code
+    without its logicals, so standard form derives both."""
 
     GOLDEN = {
         ("construct", 5, "standard-form"):
@@ -303,6 +306,16 @@ class TestCertificateGoldens:
             "33ed5e71deabe82cc9828aa531872876aa0b30be6a9797693ae846bb893ba417",
         ("scrambled", 6, "controlled"):
             "d969971711af771b24a06c0f50653d1f53ea34ebc57c1ab2fe6cd6c53cfe80d2",
+        ("construct", 5, "distance"):
+            "65559e0de98870c648229e32945ec40ca6d0f6924f9422d7bf9a11b20c3e7de8",
+        ("construct", 6, "distance"):
+            "b5bb0c901c80dca7f26088526bba5ed5ecc134ad25b6d2bc5421f3efd52e062f",
+        ("construct", 6, "distance-blocks"):
+            "b5bb0c901c80dca7f26088526bba5ed5ecc134ad25b6d2bc5421f3efd52e062f",
+        ("scrambled", 6, "distance"):
+            "88ba02479b6e669f491a81eaccb998a29d2c0bf0fc87203c4f019f7717311d9f",
+        ("bare", 6, "standard-form"):
+            "b97c437626985a4c451ad082361e875102a7a52d497b21b5adebda1109ec2ac9",
     }
 
     @staticmethod
@@ -323,15 +336,22 @@ class TestCertificateGoldens:
             run(capsys, "construct", "--m", str(m), "--out", str(code))
         else:
             base = subdual_css(m).to_stabilizer_code()
-            code.write_text(code_to_json(scrambled(base, random.Random(m), permute_qubits=True)))
+            code.write_text(code_to_json(scrambled(
+                base, random.Random(m), permute_qubits=True, drop_logicals=source == "bare",
+            )))
         k = str(m - 1)
+        ax, az = tmp_path / "ax.txt", tmp_path / "az.txt"
         argv = {
             "standard-form": ["standard-form", "--code", str(code)],
             "pass": ["verify-gate", "--code", str(code), "--k", k, "--p", "all-ones"],
             "late-fail": ["verify-gate", "--code", str(code), "--gate", str(tmp_path / "gate.json")],
             "controlled": ["verify-gate", "--code", str(code), "--k", "3", "--p", "all-ones",
                            "--controls", "1"],
+            "distance": ["distance", "--code", str(code)],
+            "distance-blocks": ["distance", "--ax", str(ax), "--az", str(az)],
         }[command]
+        if command == "distance-blocks":
+            run(capsys, "construct", "--m", str(m), "--ax", str(ax), "--az", str(az))
         if command == "late-fail":
             (tmp_path / "gate.json").write_text(json.dumps(self.late_fail_gate(code, m - 1)))
         report = tmp_path / "report.json"

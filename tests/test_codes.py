@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -233,6 +234,30 @@ class TestStandardForm:
             # and of Z_r with eigenvalue +1, while X_s maps it to |1_L>
             z_r = PauliOp(sf.n, 0, sf.r.bits, 0)
             assert states_proportional(apply_pauli(state, z_r), state) == pytest.approx(1)
+
+
+class TestStandardFormDigest:
+    """sha256 over every field of 200 seeded standard forms, recorded before
+    standard form read its signs and logicals off the one reduction: the frame
+    masks show in no report, so this is what pins them."""
+
+    def test_scrambled_codes(self):
+        rng = random.Random(71)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            code = random_valid_code(rng)
+            if code.logical_z is not None and rng.random() < 0.5:
+                # same logical coset, but with X content to purify away
+                x_gens = [g for g in code.generators if g.x]
+                mixed = code.logical_z * rng.choice(x_gens)
+                code = StabilizerCode(code.n, code.generators, code.logical_x, mixed)
+            sf = to_standard_form(code)
+            fields = [sf.a_x, sf.b, sf.a_z, sf.r, sf.s, sf.x_phases,
+                      sf.local_x_mask, sf.local_s_mask, sf.local_z_mask]
+            digest.update("|".join(map(str, fields)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "00eaf4851d6533929c4411272b635a5014c60ff1a4d1a84ac4d64401baf62b85"
+        )
 
 
 class TestLogicalZeroSupport:

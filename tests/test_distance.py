@@ -1,7 +1,11 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
+from korth import gf2
+from korth.codes import css_standard_form
 from korth.distance import css_distances, z_distance_floor
 from korth.errors import InvalidCodeError, RangeError
 from korth.families import hamming_parity_check, minimal_korth_matrix, subdual_css
@@ -134,6 +138,55 @@ class TestCssDistances:
                 else:
                     without_them = True
             assert with_them and without_them
+
+
+def row_mixed(M: BitMat, rng: random.Random) -> BitMat:
+    """The same row space from sums of rows, shuffled: never reduced already."""
+    rows = M.row_ints()
+    for _ in range(2 * len(rows)):
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[i] ^= rows[j]
+    rng.shuffle(rows)
+    return BitMat.from_ints(M.ncols, rows)
+
+
+class TestOneSweepPerBlock:
+    """Each block is eliminated once and its reduction reused: rank, null
+    space and stabilizer membership all read the one ``RowSpace``.  A sweep
+    is an ``_eliminate`` call whose output differs from its input, so the
+    reduced rows passing through its shortcut do not count."""
+
+    @pytest.fixture
+    def sweeps(self, blocks, monkeypatch):
+        counts = Counter()
+        real = gf2._eliminate
+
+        def counting(rows, ncols):
+            out = real(rows, ncols)
+            if out[0] != list(rows):
+                counts[tuple(rows)] += 1
+            return out
+
+        monkeypatch.setattr(gf2, "_eliminate", counting)
+        return counts
+
+    @pytest.fixture
+    def blocks(self):
+        sf = subdual_css(6)
+        rng = random.Random(6)
+        return row_mixed(sf.a_x, rng), row_mixed(sf.a_z, rng)
+
+    def test_distances_sweep_each_block_once(self, blocks, sweeps):
+        a_x, a_z = blocks
+        rep = css_distances(a_x, a_z)
+        assert (rep.d_z, rep.d_x, rep.method_z, rep.method_x) == (3, 31, "weight", "coset")
+        assert sweeps == Counter({tuple(a_x.row_ints()): 1, tuple(a_z.row_ints()): 1})
+
+    def test_standard_form_sweeps_each_block_at_most_twice(self, blocks, sweeps):
+        a_x, a_z = blocks
+        css_standard_form(a_x, a_z)
+        assert set(sweeps) == {tuple(a_x.row_ints()), tuple(a_z.row_ints())}
+        assert max(sweeps.values()) <= 2
 
 
 class TestZDistanceFloor:

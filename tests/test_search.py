@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import os
 
 import pytest
 
@@ -243,12 +244,37 @@ class TestOnePoolPerSearch:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         space = SearchSpace(k=2, m_range=(3, 4), n_max=8)
         par = minimality_search(space, workers=2).to_dict()
-        assert started == [2]
+        assert started == [min(2, os.cpu_count() or 1)]
         assert sum(1 for b in par["boxes"] if b["skipped"] is None) > 1
         seq = minimality_search(space, workers=1).to_dict()
-        assert started == [2]
+        assert started == [min(2, os.cpu_count() or 1)]
         del par["elapsed_seconds"], seq["elapsed_seconds"]
         assert par == seq
+
+    def test_pool_size_capped_at_cpu_count(self, monkeypatch):
+        # An in-process stand-in: no real pool is ever started at this count.
+        started = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        space = SearchSpace(k=2, m_range=(3, 4), n_max=8)
+        wide = minimality_search(space, workers=10_000).to_dict()
+        assert len(started) == 1 and started[0] <= (os.cpu_count() or 1)
+        seq = minimality_search(space, workers=1).to_dict()
+        del wide["elapsed_seconds"], seq["elapsed_seconds"]
+        assert wide == seq
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
