@@ -77,15 +77,24 @@ def _min_logical_weight_search(
     """
     n = check.ncols
     cols = check.column_ints()
+    # The last column of a support is one lookup: the columns equal to the
+    # prefix's syndrome, ascending, so supports still come in lexicographic
+    # order and the first logical found is the same.
+    columns_of: dict[int, list[int]] = {}
+    for j, c in enumerate(cols):
+        columns_of.setdefault(c, []).append(j)
     for w in range(1, min(cap, n) + 1):
-        for support in itertools.combinations(range(n), w):
+        for prefix in itertools.combinations(range(n - 1), w - 1):
             syndrome = 0
             bits = 0
-            for j in support:
+            for j in prefix:
                 syndrome ^= cols[j]
                 bits |= 1 << j
-            if syndrome == 0 and not stabilizers.contains(bits):
-                return w, BitVec(n, bits)
+            after = prefix[-1] if prefix else -1
+            for j in columns_of.get(syndrome, ()):
+                support = bits | 1 << j
+                if j > after and not stabilizers.contains(support):
+                    return w, BitVec(n, support)
     return None
 
 

@@ -5,9 +5,14 @@ values (distinct nonzero columns for free) that have full row rank.  Every
 box is scanned one way: a depth-first walk over the subsets folds a
 per-column parity table, with one bit per row subset T with |T| <= k, set
 when T lies inside the column's support, so a subset is k-orthogonal
-exactly when its column entries XOR to zero.  Each such hit is checked for
-full rank and re-verified with :func:`is_k_orthogonal` before it is
-reported as a witness.
+exactly when its column entries XOR to zero.  The walk stops s columns
+short of a full subset: one lookup in a table of every XOR of s
+fingerprints closes the whole block of subsets extending the prefix, and
+the deadline is checked once per block.  s is three, or the number of free
+columns if fewer, lowered while the table would pass ``_TAIL_ENTRY_LIMIT``
+entries (so three at m <= 5, two at m = 6, one from m = 7); each table is
+built once per row count and search.  Each hit is checked for full rank and
+re-verified with :func:`is_k_orthogonal` before it is reported as a witness.
 
 Per box, ``subsets`` counts the subsets visited, and ``mode`` says what
 ``candidates`` and ``hits`` mean:
@@ -22,7 +27,8 @@ Per box, ``subsets`` counts the subsets visited, and ``mode`` says what
 
 A subset cap stops the walk at the subset that takes the running total past
 the cap: a sequential scan visits ``cap - used_before + 1`` subsets of the
-box it stops in, marks that box incomplete and skips the later boxes.  The
+box it stops in (in the block the cap falls in, column by column), marks
+that box incomplete and skips the later boxes.  The
 subsets of a box are split by leading column index into chunks; with
 ``workers > 1`` the chunks run in a process pool and merge
 deterministically, each chunk may visit up to the remaining cap, and a box
@@ -41,6 +47,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import TYPE_CHECKING, Optional
 
 from .errors import RangeError
@@ -62,6 +69,14 @@ __all__ = [
 
 # Boxes with at most this many subsets report an exact candidate count.
 _EXACT_COUNT_LIMIT = 200_000
+# Entries a tail table may hold: C(31, 3) = 4,495 keeps three tail columns at
+# m=5, where m=8 would need C(255, 3) = 2,731,135.
+_TAIL_ENTRY_LIMIT = 5_000
+
+# Per tail XOR, its index tuples packed one per int, or a list of them.
+_TailTable = dict[int, "int | list[int]"]
+# What every box at one row count chooses from; see _box_columns.
+_Columns = tuple[tuple[int, ...], int, list[int], list[int], dict[int, _TailTable]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,38 +211,89 @@ def full_rank_count(m: int, n: int) -> int:
     return total
 
 
+def _tail_size(length: int, free: int) -> int:
+    """Columns one lookup closes: up to three of the ``free`` ones, fewer while
+    their table of C(length, s) entries would pass ``_TAIL_ENTRY_LIMIT``."""
+    s = min(free, 3)
+    while s > 1 and math.comb(length, s) > _TAIL_ENTRY_LIMIT:
+        s -= 1
+    return s
+
+
+def _tail_table(fps: list[int], s: int) -> _TailTable:
+    """Map each XOR of ``s`` fingerprints to the index tuples producing it, in
+    lexicographic order.  A tuple is packed into one int, one field of
+    ``len(fps).bit_length()`` bits per index with the first index highest; a
+    list is kept only where tuples share an XOR."""
+    width = len(fps).bit_length()
+    table: _TailTable = {}
+    for tail in combinations(range(len(fps)), s):
+        acc = packed = 0
+        for i in tail:
+            acc ^= fps[i]
+            packed = packed << width | i
+        found = table.get(acc)
+        if found is None:
+            table[acc] = packed
+        elif isinstance(found, int):
+            table[acc] = [found, packed]
+        else:
+            found.append(packed)
+    return table
+
+
 def _scan_range(
-    values: list[int], fps: list[int], n: int, base: tuple[int, ...], base_acc: int,
+    values: list[int], fps: list[int], tails: dict[int, _TailTable], n: int,
+    base: tuple[int, ...], base_acc: int,
     deadline: Optional[float], limit: Optional[int], leading: range,
 ) -> tuple[int, list[tuple[int, ...]], bool]:
     """Scan the n-subsets of ``values`` whose first index is in ``leading``.
 
-    Every subset extends ``base`` (already-fixed columns).  At most
-    ``limit`` subsets are visited.  Returns the visited count, the
+    Every subset extends ``base`` (already-fixed columns).  ``tails`` maps a
+    tail size s to its :func:`_tail_table`: s = 1 and at most one larger s.
+    Once s columns are left to choose, one lookup closes the block of every
+    subset extending the prefix, and the deadline is checked once per
+    block.  Where the limit falls inside a block of s > 1 columns, the walk
+    goes on column by column, and the last column is cut at the limit.  At
+    most ``limit`` subsets are visited.  Returns the visited count, the
     fingerprint hits, and whether the range completed within the deadline
     and the limit.
     """
     if n == 0:
         return 1, [base] if base_acc == 0 else [], True
-    # Fingerprints hold their column's own bits, so they are distinct and
-    # the last column closing a hit is one lookup.
-    index_of = {fp: i for i, fp in enumerate(fps)}
     length = len(values)
+    width = length.bit_length()
+    mask = (1 << width) - 1
     hits: list[tuple[int, ...]] = []
     visited = 0
     chosen: list[int] = list(base)
 
     def rec(indices: range, depth: int, acc: int) -> bool:
         nonlocal visited
-        if depth == n - 1:
-            if limit is not None and len(indices) > limit - visited:
+        size = n - depth
+        table = tails.get(size)
+        if table is not None:
+            if size == 1 and limit is not None:
                 indices = indices[: limit - visited]
-            visited += len(indices)
-            if (last := index_of.get(acc, -1)) in indices:
-                hits.append(tuple(chosen) + (values[last],))
-            if limit is not None and visited >= limit:
-                return False
-            return deadline is None or time.monotonic() <= deadline
+            if indices.step == 1:
+                # Hockey stick: C(length-1-i, size-1) summed over the range.
+                block = (math.comb(length - indices.start, size)
+                         - math.comb(length - indices.stop, size))
+            else:
+                block = sum(math.comb(length - 1 - i, size - 1) for i in indices)
+            if limit is None or block <= limit - visited:
+                visited += block
+                found = table.get(acc)
+                if found is not None:
+                    shift = width * (size - 1)
+                    for packed in [found] if isinstance(found, int) else found:
+                        if packed >> shift in indices:
+                            hits.append(tuple(chosen) + tuple(
+                                values[packed >> (width * j) & mask]
+                                for j in range(size - 1, -1, -1)))
+                if limit is not None and visited >= limit:
+                    return False
+                return deadline is None or time.monotonic() <= deadline
         for i in indices:
             chosen.append(values[i])
             ok = rec(range(i + 1, length - n + depth + 2), depth + 1, acc ^ fps[i])
@@ -240,30 +306,40 @@ def _scan_range(
     return visited, hits, complete
 
 
-def _scan_box(
-    m: int, n: int, k: int, table: list[int], prune: str, budget: "_Budget",
-    workers: int, pool: Optional[Executor],
-) -> BoxResult:
-    if prune == "orbit":
-        # Every full-rank candidate is row-space equivalent to one containing
-        # the identity columns, and k-orthogonality only sees the row space.
-        base = tuple(1 << i for i in range(m))
-        values = [v for v in range(1, 1 << m) if v not in base]
-        mode, candidates = "fast-orbit", None
-    else:
-        base = ()
-        values = list(range(1, 1 << m))
-        if math.comb(len(values), n) <= _EXACT_COUNT_LIMIT:
-            mode, candidates = "slow", full_rank_count(m, n)
-        else:
-            mode, candidates = "fast", None
+def _box_columns(m: int, k: int, prune: str) -> _Columns:
+    """What every box at ``m`` chooses from: the fixed columns and their
+    fingerprint XOR, the other values and their fingerprints, and a cache
+    for the tail tables by size."""
+    table = subset_parity_table(m, k)
+    # Under "orbit", every full-rank candidate is row-space equivalent to one
+    # containing the identity columns, and k-orthogonality only sees the row
+    # space.
+    base = tuple(1 << i for i in range(m)) if prune == "orbit" else ()
     base_acc = 0
     for v in base:
         base_acc ^= table[v]
+    values = [v for v in range(1, 1 << m) if v not in base]
+    return base, base_acc, values, [table[v] for v in values], {}
+
+
+def _scan_box(
+    m: int, n: int, k: int, columns: _Columns, prune: str, budget: "_Budget",
+    workers: int, pool: Optional[Executor],
+) -> BoxResult:
+    base, base_acc, values, fps, tails = columns
+    if prune == "orbit":
+        mode, candidates = "fast-orbit", None
+    elif math.comb(len(values), n) <= _EXACT_COUNT_LIMIT:
+        mode, candidates = "slow", full_rank_count(m, n)
+    else:
+        mode, candidates = "fast", None
     free = n - len(base)
+    sizes = {1, _tail_size(len(values), free)} if free else set()
+    for s in sizes - tails.keys():
+        tails[s] = _tail_table(fps, s)
     leading = range(len(values) - free + 1)
     scan = partial(
-        _scan_range, values, [table[v] for v in values], free, base, base_acc,
+        _scan_range, values, fps, {s: tails[s] for s in sizes}, free, base, base_acc,
         budget.deadline, budget.remaining(),
     )
     if pool is None or free == 0 or len(leading) < 2:
@@ -349,7 +425,7 @@ def minimality_search(
             "witnesses at or beyond it are expected, not refutations"
         )
     boxes: list[BoxResult] = []
-    tables: dict[int, list[int]] = {}
+    columns: dict[int, _Columns] = {}  # built once per row count
     if workers > 1:
         # Imported here: a sequential search needs no process machinery.
         from concurrent.futures import ProcessPoolExecutor
@@ -367,8 +443,8 @@ def minimality_search(
                     boxes.append(BoxResult(m=m, n=n, complete=False, mode="skip",
                                            skipped="budget exhausted"))
                 else:
-                    if m not in tables:
-                        tables[m] = subset_parity_table(m, k)
-                    boxes.append(_scan_box(m, n, k, tables[m], prune, budget, workers, pool))
+                    if m not in columns:
+                        columns[m] = _box_columns(m, k, prune)
+                    boxes.append(_scan_box(m, n, k, columns[m], prune, budget, workers, pool))
     return SearchReport(k=k, prune=prune, boxes=tuple(boxes),
                         elapsed_seconds=time.monotonic() - start, notes=tuple(notes))

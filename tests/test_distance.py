@@ -6,7 +6,7 @@ import pytest
 
 from korth import gf2
 from korth.codes import css_standard_form
-from korth.distance import css_distances, z_distance_floor
+from korth.distance import _min_logical_weight_search, css_distances, z_distance_floor
 from korth.errors import InvalidCodeError, RangeError
 from korth.families import hamming_parity_check, minimal_korth_matrix, subdual_css
 from korth.gf2 import BitMat, BitVec, null_space, span_enumerate
@@ -187,6 +187,69 @@ class TestOneSweepPerBlock:
         css_standard_form(a_x, a_z)
         assert set(sweeps) == {tuple(a_x.row_ints()), tuple(a_z.row_ints())}
         assert max(sweeps.values()) <= 2
+
+
+def every_support_weight_search(check: BitMat, stabilizers: gf2.RowSpace, cap: int):
+    """Oracle: try every support of each weight up to ``cap`` in
+    lexicographic order; the first null vector outside the stabilizers."""
+    n = check.ncols
+    cols = check.column_ints()
+    for w in range(1, min(cap, n) + 1):
+        for support in itertools.combinations(range(n), w):
+            syndrome = 0
+            bits = 0
+            for j in support:
+                syndrome ^= cols[j]
+                bits |= 1 << j
+            if syndrome == 0 and not stabilizers.contains(bits):
+                return w, BitVec(n, bits)
+    return None
+
+
+class TestWeightSearchAgainstEverySupport:
+    """The last column of each support is one lookup; the witness must be the
+    lexicographically first one the full support walk finds."""
+
+    def test_random_checks(self):
+        rng = random.Random(8)
+        outcomes = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            nrows = rng.randint(1, 5)
+            # Few distinct column values, so zero and repeated columns are common.
+            palette = [0] + [rng.randrange(1, 1 << nrows) for _ in range(rng.randint(1, 4))]
+            cols = [rng.choice(palette) for _ in range(n)]
+            check = BitMat.from_ints(
+                n, [sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(nrows)])
+            # Sums of random rows or of null vectors, so some stabilizers hide
+            # null supports the search must pass over.
+            if rng.random() < 0.5:
+                basis = null_space(check).row_ints()
+            else:
+                basis = [rng.getrandbits(n) for _ in range(4)]
+            rows = []
+            for _ in range(rng.randint(0, 4)):
+                acc = 0
+                for r in basis:
+                    acc ^= r if rng.random() < 0.5 else 0
+                rows.append(acc)
+            stabilizers = gf2.RowSpace(BitMat.from_ints(n, rows))
+            cap = rng.randint(1, n + 1)
+            got = _min_logical_weight_search(check, stabilizers, cap)
+            assert got == every_support_weight_search(check, stabilizers, cap)
+            unguarded = every_support_weight_search(check, gf2.RowSpace(BitMat.zero(0, n)), cap)
+            outcomes["none" if got is None else "found"] += 1
+            outcomes["hidden"] += got != unguarded
+        assert min(outcomes["none"], outcomes["found"], outcomes["hidden"]) > 0
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_family_blocks(self, m):
+        sf = subdual_css(m)
+        for check, other in ((sf.a_x, sf.a_z), (sf.a_z, sf.a_x)):
+            stabilizers = gf2.RowSpace(other)
+            cap = 3 if check is sf.a_x else 4
+            got = _min_logical_weight_search(check, stabilizers, cap)
+            assert got == every_support_weight_search(check, stabilizers, cap)
 
 
 class TestZDistanceFloor:

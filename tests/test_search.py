@@ -3,15 +3,20 @@ import hashlib
 import json
 import math
 import os
+import time
+import tracemalloc
+import types
+from itertools import combinations, islice
 
 import pytest
 
+from korth import search
 from korth.errors import RangeError
-from korth.gf2 import rank
+from korth.gf2 import BitMat, rank
 from korth.ortho import is_k_orthogonal
 from korth.search import SearchSpace, full_rank_count, minimality_search, subset_parity_table
 
-from conftest import enumerate_candidates
+from conftest import enumerate_candidates, sweep_rank
 
 
 class TestEnumerateCandidates:
@@ -165,19 +170,82 @@ def _brute_force_box(m: int, n: int, k: int) -> tuple[int, list[tuple[int, ...]]
     return count, witnesses
 
 
+def _scan_order_prefix(m: int, n: int, k: int, prune: str, visit: int):
+    """The k-orthogonal subsets and full-rank witnesses among the first
+    ``visit`` subsets of a box in scan order (ascending combinations of the
+    values left after the fixed columns), one matrix at a time."""
+    base = tuple(1 << i for i in range(m)) if prune == "orbit" else ()
+    values = [v for v in range(1, 1 << m) if v not in base]
+    hits, witnesses = 0, []
+    for free in islice(combinations(values, n - len(base)), visit):
+        cols = tuple(sorted(base + free))
+        if is_k_orthogonal(BitMat.from_columns(m, cols), k).holds:
+            hits += 1
+            if sweep_rank(cols) == m:
+                witnesses.append(cols)
+    return hits, witnesses
+
+
 class TestSinglePathAgainstBruteForce:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_counts_and_witnesses(self, k):
-        rep = minimality_search(SearchSpace(k=k, m_range=(2, 3, 4), n_max=15))
-        assert rep.complete
-        scanned = [b for b in rep.boxes if b.skipped is None]
-        assert scanned
-        for b in scanned:
-            assert b.mode == "slow"  # every m <= 4 box is small enough
-            candidates, witnesses = _brute_force_box(b.m, b.n, k)
-            assert b.candidates == candidates == full_rank_count(b.m, b.n)
-            assert b.hits == len(witnesses)
+        # k=1 tails share XORs.  Boxes with at most three free columns close
+        # in one lookup at depth 0, over a stepped leading range under
+        # workers=2.
+        space = SearchSpace(k=k, m_range=(2, 3, 4), n_max=15)
+        brute = {}
+        for prune in ("none", "orbit"):
+            reports = [minimality_search(space, prune=prune, workers=w) for w in (1, 2)]
+            assert reports[0].boxes == reports[1].boxes
+            scanned = [b for b in reports[0].boxes if b.skipped is None]
+            assert scanned
+            for b in scanned:
+                if (b.m, b.n) not in brute:
+                    brute[b.m, b.n] = _brute_force_box(b.m, b.n, k)
+                candidates, witnesses = brute[b.m, b.n]
+                if prune == "orbit":
+                    base = {1 << i for i in range(b.m)}
+                    witnesses = [w for w in witnesses if base <= set(w)]
+                    assert b.mode == "fast-orbit"
+                    assert b.subsets == math.comb((1 << b.m) - 1 - b.m, b.n - b.m)
+                else:
+                    assert b.mode == "slow"  # every m <= 4 box is small enough
+                    assert b.candidates == candidates == full_rank_count(b.m, b.n)
+                assert b.complete
+                assert b.hits == len(witnesses)
+                assert [w.columns for w in b.witnesses] == witnesses
+
+    @pytest.mark.parametrize("k,m,n_max,prune,cap", [
+        # The first three-column block of the (4, 4) box holds C(14, 3) = 364
+        # subsets: caps one short of it, on it, and one past it.
+        (1, 4, 5, "none", 362),
+        (1, 4, 5, "none", 363),
+        (1, 4, 5, "none", 364),
+        (2, 4, 8, "none", 4_000),
+        (1, 4, 9, "orbit", 150),
+        (3, 4, 10, "orbit", 400),
+        # At m=6, C(63, 3) and C(57, 3) pass the table bound: two-column tails.
+        (1, 6, 6, "none", 20_000),
+        (1, 6, 9, "orbit", None),
+    ])
+    def test_scan_order_and_caps_match_one_matrix_at_a_time(self, k, m, n_max, prune, cap):
+        rep = minimality_search(
+            SearchSpace(k=k, m_range=(m,), n_max=n_max, budget_subsets=cap), prune=prune)
+        used = 0
+        for b in rep.boxes[m - 1:]:
+            if cap is not None and used > cap:
+                assert b.skipped == "budget exhausted" and not b.complete
+                continue
+            total = math.comb((1 << m) - 1 - (m if prune == "orbit" else 0),
+                              b.n - (m if prune == "orbit" else 0))
+            visit = total if cap is None else min(total, cap - used + 1)
+            used += visit
+            hits, witnesses = _scan_order_prefix(m, b.n, k, prune, visit)
+            assert b.subsets == visit
+            assert b.hits == (len(witnesses) if b.mode == "slow" else hits)
             assert [w.columns for w in b.witnesses] == witnesses
+            assert b.complete == (cap is None or used <= cap)
+        assert rep.complete == (cap is None or used <= cap)
 
     def test_full_rank_count_small_boxes(self):
         for m in range(1, 5):
@@ -230,6 +298,47 @@ class TestSinglePathAgainstBruteForce:
         SearchSpace(k=2, m_range=(4, 3), n_max=15)
         with pytest.raises(RangeError, match="n_max"):
             SearchSpace(k=2, m_range=(4, 3), n_max=16)
+
+
+class TestTailLookup:
+    """One table lookup closes the last columns of each subset block."""
+
+    def test_deadline_checked_once_per_block(self, monkeypatch):
+        calls = 0
+
+        def counting():
+            nonlocal calls
+            calls += 1
+            return time.monotonic()
+
+        monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=counting))
+        rep = minimality_search(
+            SearchSpace(k=3, m_range=(5,), n_max=12, budget_seconds=1e9), prune="orbit")
+        assert rep.complete
+        # Closing only the last column by lookup checked the clock 245,517 times.
+        assert calls <= 245_517 // 10
+
+    def test_m8_capped_scan_builds_no_table_above_the_bound(self, monkeypatch):
+        entries = []
+        real = search._tail_table
+
+        def recording(fps, s):
+            table = real(fps, s)
+            entries.append(sum(1 if isinstance(v, int) else len(v) for v in table.values()))
+            return table
+
+        monkeypatch.setattr(search, "_tail_table", recording)
+        tracemalloc.start()
+        try:
+            rep = minimality_search(
+                SearchSpace(k=3, m_range=(8,), n_max=12, budget_subsets=1_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.boxes[7].subsets == 1_001 and not rep.complete
+        # C(255, 2) = 32,385 and C(255, 3) = 2,731,135 pass the bound: one column.
+        assert entries == [255]
+        assert peak < 2_000_000
 
 
 class TestOnePoolPerSearch:
