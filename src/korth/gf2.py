@@ -179,14 +179,7 @@ class BitMat:
 
     def column_ints(self) -> list[int]:
         """Columns packed as ints (bit i of entry j = row i, column j)."""
-        out = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            bits = r.bits
-            while bits:
-                low = bits & -bits
-                out[low.bit_length() - 1] |= 1 << i
-                bits ^= low
-        return out
+        return _columns(self.row_ints(), self.ncols)
 
     def transpose(self) -> "BitMat":
         return BitMat.from_ints(self.nrows, self.column_ints())
@@ -208,7 +201,57 @@ def and_product(vs: Sequence[BitVec]) -> BitVec:
     return BitVec(n, acc)
 
 
+def _columns(rows: Sequence[int], width: int) -> list[int]:
+    """The first ``width`` columns of packed rows, packed as ints (bit i = row i)."""
+    out = [0] * width
+    for i, bits in enumerate(rows):
+        bit = 1 << i
+        while bits:
+            low = bits & -bits
+            out[low.bit_length() - 1] |= bit
+            bits ^= low
+    return out
+
+
 _WINDOW = 6  # columns the sweep clears per pass over the rows
+_COLUMN_MIN_ROWS = 24  # fewest rows the column path takes
+_COLUMN_MAX_BITS = 16  # most set bits per column, on average, it takes
+_COLUMN_STEPS = 32  # reduction steps it may spend per column, running total
+
+
+def _eliminate_by_columns(rows: list[int], ncols: int) -> tuple[list[int], list[int]] | None:
+    """The column path of :func:`_eliminate`, or None where the sweep must run."""
+    if len(rows) < _COLUMN_MIN_ROWS or (
+        sum(row.bit_count() for row in rows) > _COLUMN_MAX_BITS * ncols
+    ):
+        return None
+    basis = {}  # lowest row bit -> (reduced column, its pivot combination)
+    pivots: list[int] = []
+    images = []  # per column, the pivots it sums to (none for a pivot)
+    budget = 0
+    for col, v in enumerate(_columns(rows, max(ncols, max(rows).bit_length()))):
+        budget += _COLUMN_STEPS
+        t = 0
+        while v:
+            low = v & -v
+            hit = basis.get(low)
+            if hit is None:
+                break
+            v ^= hit[0]
+            t ^= hit[1]
+            budget -= 1
+        if budget < 0:
+            return None
+        if not v:
+            images.append(t)
+        elif col < ncols:
+            basis[low] = (v, t | 1 << len(pivots))
+            pivots.append(col)
+            images.append(0)
+        else:
+            return None  # a ride-along column outside the pivot span
+    reduced = _columns(images, len(pivots))
+    return [row | 1 << col for row, col in zip(reduced, pivots)], pivots
 
 
 def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
@@ -216,9 +259,23 @@ def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
 
     Only columns below ``ncols`` pivot; higher bits ride along.  Reduced input
     (lowest set bits below ``ncols``, strictly rising, and alone in their
-    columns) is returned as is: the form is unique.  Otherwise the sweep
-    finds the pivots of ``_WINDOW`` columns at a time, then clears them from
-    every other row by one table lookup (the method of four Russians).
+    columns) is returned as is: the form is unique.
+
+    Tall sparse blocks (at least ``_COLUMN_MIN_ROWS`` rows, at most
+    ``_COLUMN_MAX_BITS`` set bits per column on average) try the column path
+    first: each column, packed over the rows, is reduced against the pivot
+    columns before it, keyed by lowest row bit.  One that stays nonzero is the
+    next pivot; one that vanishes is the sum of some pivot columns, and in
+    the reduced form it has a 1 in exactly those pivots' rows.  That part is
+    the unique reduced form.  A ride-along column in the pivot span has the
+    same image under every row transform that reduces the block, so it is
+    read off the same way; one outside the span (possible only with dependent
+    rows), or a run past ``_COLUMN_STEPS`` reduction steps per column, hands
+    the block to the sweep.
+
+    The sweep finds the pivots of ``_WINDOW`` columns at a time, then clears
+    them from every other row by one table lookup (the method of four
+    Russians).
     """
     lows = [(row & -row).bit_length() - 1 for row in rows]
     if all(-1 < a < b for a, b in zip(lows, lows[1:])) and (
@@ -227,6 +284,9 @@ def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
         low_bits = sum(1 << col for col in lows)
         if all(row & low_bits == 1 << col for row, col in zip(rows, lows)):
             return list(rows), lows
+    done = _eliminate_by_columns(rows, ncols)
+    if done is not None:
+        return done
     work = list(rows)
     pivots: list[int] = []
     for base in range(0, ncols, _WINDOW):

@@ -11,8 +11,9 @@ fingerprints closes the whole block of subsets extending the prefix, and
 the deadline is checked once per block.  s is three, or the number of free
 columns if fewer, lowered while the table would pass ``_TAIL_ENTRY_LIMIT``
 entries (so three at m <= 5, two at m = 6, one from m = 7); each table is
-built once per row count and search.  Each hit is checked for full rank and
-re-verified with :func:`is_k_orthogonal` before it is reported as a witness.
+built once per row count and search.  Each hit is ranked from its packed
+column values; only a full-rank hit becomes a matrix, re-verified with
+:func:`is_k_orthogonal` before it is reported as a witness.
 
 Per box, ``subsets`` counts the subsets visited, and ``mode`` says what
 ``candidates`` and ``hits`` mean:
@@ -51,7 +52,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Optional
 
 from .errors import RangeError
-from .gf2 import BitMat, rank
+from .gf2 import BitMat, _eliminate
 from .ortho import is_k_orthogonal, row_products
 
 if TYPE_CHECKING:
@@ -355,10 +356,9 @@ def _scan_box(
     raw_hits = sorted(hit for part in parts for hit in part[1])
     for cols in raw_hits:
         cols = tuple(sorted(cols))
-        mat = BitMat.from_columns(m, cols)
-        if rank(mat) == m:
+        if len(_eliminate(list(cols), m)[1]) == m:  # the rank of the transpose
             full_rank += 1
-            if is_k_orthogonal(mat, k).holds:
+            if is_k_orthogonal(BitMat.from_columns(m, cols), k).holds:
                 witnesses.append(SearchWitness(m, n, cols))
     return BoxResult(
         m=m, n=n, subsets=visited, candidates=candidates,

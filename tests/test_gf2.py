@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from korth import gf2
 from korth.errors import DimensionError, MatrixParseError, RangeError
 from korth.families import hamming_parity_check, minimal_korth_matrix
 from korth.gf2 import (
@@ -20,7 +22,7 @@ from korth.gf2 import (
     span_enumerate,
 )
 
-from conftest import bitmat, mul_vec, np_matrix, oracle_rank
+from conftest import bitmat, mul_vec, np_matrix, oracle_rank, sweep_rank
 
 
 def bv(s: str) -> BitVec:
@@ -334,6 +336,146 @@ class TestEliminateAgainstGaussJordan:
         a_z = subdual_css(8).a_z
         rows = a_z.row_ints()
         assert _eliminate(rows, a_z.ncols) == gauss_jordan(rows, a_z.ncols)
+
+
+def random_rows(rng: random.Random, nrows: int, width: int, density: float) -> list[int]:
+    return [
+        sum(1 << j for j in range(width) if rng.random() < density) for _ in range(nrows)
+    ]
+
+
+def column_route(rows: list[int], ncols: int) -> str:
+    """Which way a block must go, read off its shape and ranks alone: the
+    guard turns it away, a ride-along column leaves the pivot span, or the
+    column path may take it (where it may still run out of budget)."""
+    if len(rows) < gf2._COLUMN_MIN_ROWS or (
+        sum(r.bit_count() for r in rows) > gf2._COLUMN_MAX_BITS * ncols
+    ):
+        return "guard"
+    low = (1 << ncols) - 1
+    if sweep_rank(rows) > sweep_rank(r & low for r in rows):
+        return "outside-span"
+    return "eligible"
+
+
+@pytest.fixture
+def outcomes(monkeypatch):
+    """Counts the column path's calls by outcome: done or fallback."""
+    counts = Counter()
+    real = gf2._eliminate_by_columns
+
+    def counting(rows, ncols):
+        out = real(rows, ncols)
+        counts["fallback" if out is None else "done"] += 1
+        return out
+
+    monkeypatch.setattr(gf2, "_eliminate_by_columns", counting)
+    return counts
+
+
+class TestColumnPathAgainstGaussJordan:
+    """The column path of ``_eliminate``, on blocks tall enough to reach it."""
+
+    def check(self, rows: list[int], ncols: int) -> None:
+        assert _eliminate(rows, ncols) == gauss_jordan(rows, ncols)
+
+    def test_random_tall_blocks(self, outcomes):
+        # Sparse blocks finish column-wise; wide ones near the density bound
+        # run out of budget; the densest fail the guard.  All must match.
+        rng = random.Random(45)
+        routes = Counter()
+        for case in range(500):
+            if case % 10:
+                nrows, ncols = rng.randint(24, 80), rng.randint(1, 120)
+                density = rng.choice((0.02, 0.05, 0.1, 0.2, 0.3))
+            else:  # larger and just inside the density bound
+                nrows, ncols = rng.randint(64, 160), rng.randint(300, 400)
+                density = 14 / nrows
+            width = ncols + rng.randint(0, 2)  # bits at and above ncols ride along
+            rows = random_rows(rng, nrows, width, density)
+            before = outcomes["done"]
+            self.check(rows, ncols)
+            route = column_route(rows, ncols)
+            if route == "eligible":
+                route = "done" if outcomes["done"] > before else "budget"
+            routes[route] += 1
+        assert min(routes[r] for r in ("done", "budget", "guard", "outside-span")) >= 10
+
+    def test_zero_duplicated_and_summed_rows(self):
+        rng = random.Random(46)
+        for _ in range(300):
+            ncols = rng.randint(30, 100)
+            rows = random_rows(rng, rng.randint(24, 60), ncols + rng.randint(0, 2), 0.05)
+            extra = [0] * rng.randint(0, 5)
+            extra += [rng.choice(rows) for _ in range(rng.randint(0, 5))]
+            extra += [rng.choice(rows) ^ rng.choice(rows) for _ in range(rng.randint(0, 5))]
+            rows += extra
+            rng.shuffle(rows)
+            self.check(rows, ncols)
+
+    def test_ride_along_outside_the_pivot_span_falls_back(self, outcomes):
+        # Two equal rows that differ only in a ride-along bit: no combination
+        # of pivot columns can tell them apart, so the sweep decides.
+        rng = random.Random(47)
+        ncols = 60
+        rows = random_rows(rng, 40, ncols, 0.05)
+        rows.append(rows[3] | 1 << ncols)
+        assert column_route(rows, ncols) == "outside-span"
+        self.check(rows, ncols)
+        assert outcomes == Counter(fallback=1)
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
+    def test_subdual_z_blocks(self, m):
+        from korth.families import subdual_css
+
+        a_z = subdual_css(m).a_z
+        n = a_z.ncols
+        self.check(a_z.row_ints(), n)
+        rng = random.Random(m)
+        for _ in range(2):
+            rows = a_z.row_ints()
+            for _ in range(2 * len(rows)):
+                i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+                if i != j:
+                    rows[i] ^= rows[j]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rows = [
+                sum((r >> q & 1) << perm[q] for q in range(n)) | rng.randint(0, 1) << n
+                for r in rows
+            ]
+            rng.shuffle(rows)
+            self.check(rows, n)
+
+
+class TestColumnPathGuard:
+    """Which blocks the column path takes and which it hands to the sweep."""
+
+    def test_subdual_block_finishes_column_wise(self, outcomes):
+        from korth.families import subdual_css
+
+        a_z = subdual_css(8).a_z  # validating the code eliminates a_z once
+        outcomes.clear()
+        _eliminate(a_z.row_ints(), a_z.ncols)
+        assert outcomes == Counter(done=1)
+
+    def test_dense_block_falls_back(self, outcomes):
+        rows = random_rows(random.Random(48), 60, 64, 0.5)
+        assert _eliminate(rows, 64) == gauss_jordan(rows, 64)
+        assert outcomes == Counter(fallback=1)
+
+    def test_short_block_falls_back(self, outcomes):
+        rows = random_rows(random.Random(49), gf2._COLUMN_MIN_ROWS - 1, 200, 0.01)
+        assert _eliminate(rows, 200) == gauss_jordan(rows, 200)
+        assert outcomes == Counter(fallback=1)
+
+    def test_budget_runs_out_on_a_random_block(self, outcomes):
+        # 12 bits per column passes the density guard, but reducing 300
+        # random columns against 150 pivots takes far more than the budget.
+        rows = random_rows(random.Random(50), 150, 300, 0.08)
+        assert column_route(rows, 300) == "eligible"
+        assert _eliminate(rows, 300) == gauss_jordan(rows, 300)
+        assert outcomes == Counter(fallback=1)
 
 
 class TestBitStrings:
