@@ -41,7 +41,7 @@ def _read_text(path: str) -> str:
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = codes.json_text(payload)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:

@@ -24,6 +24,8 @@ __all__ = [
     "minimal_korth_matrix",
 ]
 
+_C = 0b11  # the fixed weight-2 column c
+
 
 @dataclass(frozen=True, slots=True)
 class SubdualParts:
@@ -45,23 +47,33 @@ class SubdualParts:
 
 def _column_value(col: int, m: int) -> int:
     """Column read top-to-bottom as a binary numeral (row 0 most significant)."""
-    return sum(((col >> i) & 1) << (m - 1 - i) for i in range(m))
+    return int(f"{col:0{m}b}"[::-1], 2)
+
+
+def _subdual_columns(m: int) -> tuple[list[int], list[int], list[int]]:
+    """V's columns, d's bits and J's rows, as ints, for :func:`subdual_parts`."""
+    if m < 2:
+        raise RangeError(f"need at least 2 check rows, got m={m}")
+    v_cols = sorted(
+        (col for col in range(1, 1 << m) if col.bit_count() >= 2 and col != _C),
+        key=lambda col: (-col.bit_count(), _column_value(col, m)),
+    )
+    d = [1 ^ (col.bit_count() & 1) for col in v_cols]
+    j_rows = [col ^ (_C if dj else 0) for col, dj in zip(v_cols, d)]
+    return v_cols, d, j_rows
+
+
+def _hamming_columns(m: int, v_cols: list[int]) -> list[int]:
+    """The columns (identity | c | V) of :func:`hamming_parity_check`."""
+    return [1 << i for i in range(m)] + [_C] + v_cols
 
 
 def subdual_parts(m: int) -> SubdualParts:
     """The (c, V, d, J) blocks used by :func:`subdual_css`."""
-    if m < 2:
-        raise RangeError(f"need at least 2 check rows, got m={m}")
-    c = 0b11
-    v_cols = sorted(
-        (col for col in range(1, 1 << m) if col.bit_count() >= 2 and col != c),
-        key=lambda col: (-col.bit_count(), _column_value(col, m)),
-    )
-    d = [1 ^ (col.bit_count() & 1) for col in v_cols]
-    j_rows = [col ^ (c if dj else 0) for col, dj in zip(v_cols, d)]
+    v_cols, d, j_rows = _subdual_columns(m)
     return SubdualParts(
         m=m,
-        c=BitVec(m, c),
+        c=BitVec(m, _C),
         v=BitMat.from_columns(m, v_cols),
         d=BitVec.from_indices(len(v_cols), [j for j, dj in enumerate(d) if dj]),
         j_block=BitMat.from_ints(m, j_rows),
@@ -75,13 +87,7 @@ def hamming_parity_check(m: int) -> BitMat:
     weight then ascending column numeral; every row has weight 2**(m-1) and
     the matrix is (m-1)-orthogonal.
     """
-    if m < 2:
-        raise RangeError(f"need at least 2 check rows, got m={m}")
-    parts = subdual_parts(m)
-    cols = [1 << i for i in range(m)]
-    cols.append(parts.c.bits)
-    cols.extend(parts.v.column_ints())
-    return BitMat.from_columns(m, cols)
+    return BitMat.from_columns(m, _hamming_columns(m, _subdual_columns(m)[0]))
 
 
 def subdual_css(m: int) -> StandardFormCode:
@@ -98,17 +104,13 @@ def subdual_css(m: int) -> StandardFormCode:
             f"{2 ** m - 2 - m} Z-check rows, so single-qubit X errors would "
             "go undetected; the construction needs m >= 3"
         )
-    parts = subdual_parts(m)
+    v_cols, d, j_rows = _subdual_columns(m)
     n = (1 << m) - 1
-    n_z = n - m - 1
-    a_x = hamming_parity_check(m)
-    j_rows = parts.j_block.row_ints()  # one per Z-check row
-    a_z_rows = [
-        j_rows[t] | (((parts.d.bits >> t) & 1) << m) | (1 << (m + 1 + t))
-        for t in range(n_z)
+    a_z_rows = [  # one per Z-check row: (J | d | I)
+        j | dt << m | 1 << (m + 1 + t) for t, (j, dt) in enumerate(zip(j_rows, d))
     ]
     sf = StandardFormCode(
-        a_x=a_x,
+        a_x=BitMat.from_columns(m, _hamming_columns(m, v_cols)),
         b=BitMat.zero(m, n),
         a_z=BitMat.from_ints(n, a_z_rows),
         r=BitVec.ones(n),

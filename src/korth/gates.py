@@ -8,6 +8,7 @@ carry the violating string and residue.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -184,12 +185,16 @@ def _kernel_mod_power_of_two(
     row i of the 0/1 matrix A is the bit mask ``masks[i]`` (below 2**n).
 
     Each row is one int of n lanes, each 2k + 1 bits wide, with entry j in
-    lane j; the column transform V is kept as one such int per column.
+    lane j; the column transform V is kept as one packed int per column.
     Lanes hold residues below q = 2**k.  A row operation x - f*y becomes
     (x + f*(Q - y)) & MASK, where Q holds q in every lane and MASK keeps the
     low k bits of each: a lane of x + f*(q - y) is at most
     (q - 1) + (q - 1)*q < 2**(2k), and so is a lane times a unit below q,
-    so no lane ever carries into the next.
+    so no lane ever carries into the next.  V's lanes hold the same residues
+    but are 8, 16, 32 or 64 bits wide, the least of those with room for
+    2k + 1 bits (whole bytes of room past k = 31): elimination never reads
+    them, and each generator then comes off its column with one
+    ``int.to_bytes`` and one ``memoryview.cast``.
 
     The pivot rule is unchanged from the list-of-lists diagonalisation the
     tests keep as this solver's oracle: in row-major order, the first entry
@@ -210,7 +215,10 @@ def _kernel_mod_power_of_two(
     gap = "0" * (width - 1)
     rows = [int(gap.join(bin(x)[2:]), 2) for x in masks]
     live = [i for i, x in enumerate(rows) if x]  # unpivoted nonzero rows, in order
-    vcols = [1 << (j * width) for j in range(n)]
+    size = next((b for b in (1, 2, 4, 8) if 8 * b > 2 * k), (2 * k + 8) // 8)  # V lane bytes
+    vones = ((1 << (8 * n * size)) - 1) // ((1 << (8 * size)) - 1)
+    vmask, vqpat = vones * qm, vones * q
+    vcols = [1 << (8 * j * size) for j in range(n)]
     piv_vals: list[int] = []
     r = 0
     while live and r < n:
@@ -246,32 +254,32 @@ def _kernel_mod_power_of_two(
             if entry:
                 rows[i] = (x + (entry >> val) * neg) & mask
         live = [i for i in live if rows[i]]
-        vneg = qpat - vcols[r]
+        vneg = vqpat - vcols[r]
         rest = prow >> (shift + width)
         j = r + 1
         while rest:
             entry = rest & qm
             if entry:
-                vcols[j] = (vcols[j] + (entry >> val) * vneg) & mask
+                vcols[j] = (vcols[j] + (entry >> val) * vneg) & vmask
             rest >>= width
             j += 1
         piv_vals.append(val)
         r += 1
-
-    def lanes(col: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(n):
-            out.append(col & qm)
-            col >>= width
-        return tuple(out)
-
-    gens: list[tuple[tuple[int, ...], int]] = []
-    for i, val in enumerate(piv_vals):
-        if val > 0:
-            gens.append((lanes((vcols[i] << (k - val)) & mask), 1 << val))
-    for j in range(r, n):
-        gens.append((lanes(vcols[j]), q))
+    gens = [(_lanes((vcols[i] << (k - val)) & vmask, n, size), 1 << val)
+            for i, val in enumerate(piv_vals) if val > 0]
+    gens += [(_lanes(vcols[j], n, size), q) for j in range(r, n)]
     return gens
+
+
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by lane bytes
+
+
+def _lanes(col: int, n: int, size: int) -> tuple[int, ...]:
+    """The n lanes of ``size`` bytes each packed in ``col``, lowest first."""
+    raw = col.to_bytes(n * size, "little")
+    if size in _LANE_FORMATS and sys.byteorder == "little":
+        return tuple(memoryview(raw).cast(_LANE_FORMATS[size]))
+    return tuple(int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
 
 
 def _graded_violation(

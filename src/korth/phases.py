@@ -68,13 +68,18 @@ class DyadicPhaseVector:
         if self.k < 1:
             raise RangeError(f"denominator exponent must be >= 1, got {self.k}")
         q = 1 << self.k
-        p = tuple(operator.index(x) % q for x in self.p)  # exact ints only
+        p = tuple(map(operator.index, self.p))  # exact ints only
+        top = max(p, default=0)
+        if top >= q or min(p, default=0) < 0:
+            p = tuple(x % q for x in p)
+            top = max(p, default=0)
         object.__setattr__(self, "p", p)
         planes = []
-        width = max(p, default=0).bit_length()
+        width = top.bit_length()
         for base in range(0, width, 8):
             # One byte per qubit, last qubit first, so bit i lands at bit i.
-            chunk = bytes((x >> base) & 255 for x in reversed(p))
+            chunk = bytes(reversed(p)) if width <= 8 else bytes(
+                (x >> base) & 255 for x in reversed(p))
             for b in range(min(8, width - base)):
                 planes.append(int(chunk.translate(_DIGITS[b]), 2))
         object.__setattr__(self, "planes", tuple(planes))

@@ -245,9 +245,12 @@ class TestFindGates:
         assert all(len(g["p"]) == 7 for g in data["generators"])
 
     # sha256 of the `find-gates --out` report, recorded with the list-of-lists
-    # solver (tests/test_gates.py::dense_kernel): a change to the generators,
-    # their order or the report layout breaks them.
+    # solver (tests/test_gates.py::dense_kernel), and the m = 7 and 8 cases
+    # with the packed solver and json.dumps before the report writer: a
+    # change to the generators, their order or the report layout breaks them.
     GOLDEN = {
+        ("construct", 7, 3): "56a43b99b85e1f7ce213d531634895f56b1163753b8414c064c5c76b44e52869",
+        ("construct", 8, 7): "57bd6b777fe7adf6691a95d76a3f4bd57f8b29828a49f69dd73a36789bcef01c",
         ("construct", 5, 1): "e1d93d5aea42cfc62432b6b750c469105a6f85afbc5b3ff64df8269312031503",
         ("construct", 5, 3): "bf60d81affb20329372a239d188b2aa88080614a1a12e65e0fdde65a5556d656",
         ("construct", 5, 4): "28bc85063a25b45b75fdc1f9516f34328a1f19db702beafcaf0fa36db745c59c",

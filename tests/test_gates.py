@@ -194,6 +194,19 @@ class TestPackedSolverAgainstDense:
                          for _ in range(rng.randint(1, 48))]
             packed_matches_dense(masks, n, k)
 
+    @pytest.mark.parametrize("k", [1, 3, 4, 7, 8, 15, 16, 31, 32, 40])
+    def test_every_lane_size(self, k, rng):
+        # V's lanes are 1, 2, 4 or 8 bytes up to k = 31, whole bytes past it.
+        for trial in range(12):
+            n = rng.randint(1, 24)
+            if trial % 2:
+                masks = list(span_ints([rng.getrandbits(n) for _ in range(rng.randint(1, 5))]))
+            else:
+                masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(1, 24))]
+            packed_matches_dense(masks, n, k)
+        masks = list(span_ints(subdual_css(4).a_x.row_ints()))
+        packed_matches_dense(masks, 15, k)
+
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_subdual_family_and_scrambled_copies(self, m, rng):
         canonical = subdual_css(m)
