@@ -248,6 +248,9 @@ def _cmd_search_min(args) -> int:
         budget_seconds=args.budget_seconds,
     )
     report = search.minimality_search(space, prune=args.prune, workers=args.threads)
+    if args.verbose:
+        for line in report.engines:
+            print(f"search-min {line}", file=sys.stderr)
     payload = report.to_dict()
     payload["command"] = "search-min"
     _emit(payload, args.out)

@@ -1,22 +1,27 @@
 """Exhaustive minimality search for k-orthogonal check matrices.
 
 Candidates at (m, n) are the n-subsets of the 2**m - 1 nonzero column
-values (distinct nonzero columns for free) that have full row rank.  Every
-box is scanned one way: a depth-first walk over the subsets folds a
-per-column parity table, with one bit per row subset T with |T| <= k, set
-when T lies inside the column's support, so a subset is k-orthogonal
-exactly when its column entries XOR to zero.  The walk stops s columns
-short of a full subset: one lookup in a table of every XOR of s
-fingerprints closes the whole block of subsets extending the prefix, and
-the deadline is checked once per block.  s is three, or the number of free
-columns if fewer, lowered while the table would pass ``_TAIL_ENTRY_LIMIT``
-entries (so three at m <= 5, two at m = 6, one from m = 7); each table is
-built once per row count and search.  Each hit is ranked from its packed
-column values; only a full-rank hit becomes a matrix, re-verified with
-:func:`is_k_orthogonal` before it is reported as a witness.
+values (distinct nonzero columns for free) that have full row rank.  Each
+value has a fingerprint, one bit per row subset T with |T| <= k, set when T
+lies inside its support, so a subset is k-orthogonal exactly when its
+fingerprints XOR to zero: with the fixed columns' XOR b, F.x = b over
+GF(2) for x its indicator over the L free values.  Per row count, one of two engines
+serves every box, the cheaper by closed-form costs (``_choose_engine``):
 
-Per box, ``subsets`` counts the subsets visited, and ``mode`` says what
-``candidates`` and ``hits`` mean:
+- the linear engine eliminates [F | b] once and walks its 2**D solutions
+  (D = L - rank F) from a kernel basis, keeping the weights the boxes need;
+- the walk visits subsets depth first and stops s columns short of a full
+  subset: one lookup in a table of every XOR of s fingerprints closes the
+  block of subsets extending the prefix.  s is three, or the number of
+  free columns if fewer, lowered while the table would pass
+  ``_TAIL_ENTRY_LIMIT`` entries (so three at m <= 5, two at m = 6, one
+  from m = 7); each table is built once per row count and search.
+
+Each hit is ranked from its packed column values; only a full-rank hit
+becomes a matrix, re-verified with :func:`is_k_orthogonal` before it is
+reported as a witness.  Per box, ``subsets`` counts the subsets decided
+(a block per lookup, all C(L, f) at once for f free columns in the linear
+engine), and ``mode`` says what ``candidates`` and ``hits`` mean:
 
 - ``"slow"``, a box of at most ``_EXACT_COUNT_LIMIT`` subsets: the exact
   number of full-rank subsets in the box (:func:`full_rank_count`), and
@@ -26,14 +31,15 @@ Per box, ``subsets`` counts the subsets visited, and ``mode`` says what
   identity columns fixed and only the other n - m columns varied;
 - ``"skip"``: not scanned, for the reason in ``skipped``.
 
-A subset cap stops the walk at the subset that takes the running total past
-the cap: a sequential scan visits ``cap - used_before + 1`` subsets of the
-box it stops in (in the block the cap falls in, column by column), marks
-that box incomplete and skips the later boxes.  The
-subsets of a box are split by leading column index into chunks; with
-``workers > 1`` the chunks run in a process pool and merge
-deterministically, each chunk may visit up to the remaining cap, and a box
-where the cap is reached is marked incomplete.  One
+A subset cap stops the scan at the subset that takes the running total past
+the cap: a sequential scan decides the first ``cap - used_before + 1``
+subsets of the box it stops in, in lexicographic order (the walk serves
+such a box), marks that box incomplete and skips the later boxes.  The deadline is checked per box,
+per block of the walk and per 2**16 solutions of the linear engine (the
+walk takes over if it passes there).  With ``workers > 1`` the walk splits
+a box by leading column index into chunks run in a process pool, merged
+deterministically, each allowed the remaining cap; the linear engine runs
+in the calling process.  One
 :class:`~concurrent.futures.ProcessPoolExecutor` serves the whole search:
 it is imported and opened only when ``workers > 1``, holds at most one
 process per CPU (the chunks still follow ``workers``), starts its processes
@@ -52,7 +58,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Optional
 
 from .errors import RangeError
-from .gf2 import BitMat, _eliminate
+from .gf2 import BitMat, _eliminate, null_space, span_ints
 from .ortho import is_k_orthogonal, row_products
 
 if TYPE_CHECKING:
@@ -73,11 +79,15 @@ _EXACT_COUNT_LIMIT = 200_000
 # Entries a tail table may hold: C(31, 3) = 4,495 keeps three tail columns at
 # m=5, where m=8 would need C(255, 3) = 2,731,135.
 _TAIL_ENTRY_LIMIT = 5_000
+# Linear-engine span steps or eliminated bits per walk tail lookup, at the
+# least (Python 3.11, 2 x86 cores): a lookup takes 1.3-2.9 us, a span step
+# 0.08-0.37 us, an eliminated bit of [F | b] 0.14-0.29 us.
+_PER_LOOKUP = 4
 
 # Per tail XOR, its index tuples packed one per int, or a list of them.
 _TailTable = dict[int, "int | list[int]"]
 # What every box at one row count chooses from; see _box_columns.
-_Columns = tuple[tuple[int, ...], int, list[int], list[int], dict[int, _TailTable]]
+_Columns = tuple[tuple[int, ...], int, list[int], list[int], dict[int, _TailTable], Optional[dict]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,6 +149,7 @@ class SearchReport:
     boxes: tuple[BoxResult, ...]
     elapsed_seconds: float
     notes: tuple[str, ...] = ()
+    engines: tuple[str, ...] = ()  # per scanned row count; not in to_dict
 
     @property
     def witnesses(self) -> tuple[SearchWitness, ...]:
@@ -307,10 +318,17 @@ def _scan_range(
     return visited, hits, complete
 
 
-def _box_columns(m: int, k: int, prune: str) -> _Columns:
+def _choose_engine(walk: int, rows: int, length: int, dim: int) -> bool:
+    """Whether the linear engine, eliminating ``rows`` x (``length`` + 1) bits
+    and walking 2**dim solutions, costs at most ``walk`` tail lookups."""
+    return (rows * (length + 1) + (1 << dim)) // _PER_LOOKUP <= walk
+
+
+def _box_columns(m: int, k: int, prune: str, n_max: int, budget: _Budget) -> tuple[_Columns, str]:
     """What every box at ``m`` chooses from: the fixed columns and their
-    fingerprint XOR, the other values and their fingerprints, and a cache
-    for the tail tables by size."""
+    fingerprint XOR, the other values and their fingerprints, a cache for the
+    tail tables, and the linear engine's solutions by weight (None for the
+    walk); with a line naming the engine and its costs."""
     table = subset_parity_table(m, k)
     # Under "orbit", every full-rank candidate is row-space equivalent to one
     # containing the identity columns, and k-orthogonality only sees the row
@@ -320,14 +338,47 @@ def _box_columns(m: int, k: int, prune: str) -> _Columns:
     for v in base:
         base_acc ^= table[v]
     values = [v for v in range(1, 1 << m) if v not in base]
-    return base, base_acc, values, [table[v] for v in values], {}
+    fps = [table[v] for v in values]
+    length, rows = len(values), max([base_acc, *fps]).bit_length()
+    frees = [n - len(base) for n in range(m, min(n_max, (1 << m) - 1) + 1)]
+    # The walk looks up once per prefix of free - s indices below length - s,
+    # and decides at most the subsets a cap leaves.
+    walk = sum(math.comb(length - s, free - s)
+               for free in frees for s in [_tail_size(length, free)])
+    walk = walk if budget.remaining() is None else min(walk, budget.remaining())
+    dim, kernel, linear, solutions = max(length - rows, 0), None, False, None
+    if _choose_engine(walk, rows, length, dim):  # D is at least length - rows
+        # The kernel of [F | base_acc], F's column i fps[i], holds (x, 1) for
+        # each x with F.x = base_acc: the values completing base.
+        kernel = null_space(BitMat.from_columns(rows, [*fps, base_acc])).row_ints()
+        ones = kernel[-1] >> length if kernel else 0
+        dim = len(kernel) - ones
+        linear = _choose_engine(walk, rows, length, dim)
+    if linear:
+        solutions = {free: [] for free in frees}
+        low = list(span_ints(kernel[: min(dim, 16)]))  # a list runs faster than the generator
+        for i, high in enumerate(span_ints(kernel[16:dim]) if ones else ()):
+            if i and budget.deadline is not None and time.monotonic() > budget.deadline:
+                solutions = None  # the walk takes over, and stops at once
+                break
+            high ^= kernel[-1] ^ 1 << length
+            for x in low:
+                x ^= high
+                found = solutions.get(x.bit_count())
+                if found is not None:
+                    found.append(x)
+    engine = (f"m={m}: {'walk' if solutions is None else 'linear'} engine, "
+              f"D{'>=' if kernel is None else '='}{dim}: ({rows}*{length + 1} + 2**{dim})/"
+              f"{_PER_LOOKUP} {'<=' if linear else '>'} {walk} walk lookups"
+              + ("; the deadline passed in the span" if linear and solutions is None else ""))
+    return (base, base_acc, values, fps, {}, solutions), engine
 
 
 def _scan_box(
     m: int, n: int, k: int, columns: _Columns, prune: str, budget: "_Budget",
     workers: int, pool: Optional[Executor],
 ) -> BoxResult:
-    base, base_acc, values, fps, tails = columns
+    base, base_acc, values, fps, tails, solutions = columns
     if prune == "orbit":
         mode, candidates = "fast-orbit", None
     elif math.comb(len(values), n) <= _EXACT_COUNT_LIMIT:
@@ -335,20 +386,25 @@ def _scan_box(
     else:
         mode, candidates = "fast", None
     free = n - len(base)
-    sizes = {1, _tail_size(len(values), free)} if free else set()
-    for s in sizes - tails.keys():
-        tails[s] = _tail_table(fps, s)
-    leading = range(len(values) - free + 1)
-    scan = partial(
-        _scan_range, values, fps, {s: tails[s] for s in sizes}, free, base, base_acc,
-        budget.deadline, budget.remaining(),
-    )
-    if pool is None or free == 0 or len(leading) < 2:
-        parts = [scan(leading)]
+    total, limit = math.comb(len(values), free), budget.remaining()
+    if solutions is not None and (limit is None or limit >= total):  # a cut box is walked
+        parts = [(total, [base + tuple(v for i, v in enumerate(values) if x >> i & 1)
+                          for x in solutions[free]], True)]
     else:
-        # Round-robin the leading indices so chunk costs balance.
-        chunks = [leading[w::workers] for w in range(min(workers, len(leading)))]
-        parts = list(pool.map(scan, chunks))
+        sizes = {1, _tail_size(len(values), free)} if free else set()
+        for s in sizes - tails.keys():
+            tails[s] = _tail_table(fps, s)
+        leading = range(len(values) - free + 1)
+        scan = partial(
+            _scan_range, values, fps, {s: tails[s] for s in sizes}, free, base, base_acc,
+            budget.deadline, limit,
+        )
+        if pool is None or free == 0 or len(leading) < 2:
+            parts = [scan(leading)]
+        else:
+            # Round-robin the leading indices so chunk costs balance.
+            chunks = [leading[w::workers] for w in range(min(workers, len(leading)))]
+            parts = list(pool.map(scan, chunks))
     visited = sum(part[0] for part in parts)
     complete = budget.charge(visited) and all(part[2] for part in parts)
     full_rank = 0
@@ -425,7 +481,7 @@ def minimality_search(
             "witnesses at or beyond it are expected, not refutations"
         )
     boxes: list[BoxResult] = []
-    columns: dict[int, _Columns] = {}  # built once per row count
+    columns: dict[int, tuple[_Columns, str]] = {}  # built once per row count
     if workers > 1:
         # Imported here: a sequential search needs no process machinery.
         from concurrent.futures import ProcessPoolExecutor
@@ -444,7 +500,8 @@ def minimality_search(
                                            skipped="budget exhausted"))
                 else:
                     if m not in columns:
-                        columns[m] = _box_columns(m, k, prune)
-                    boxes.append(_scan_box(m, n, k, columns[m], prune, budget, workers, pool))
+                        columns[m] = _box_columns(m, k, prune, space.n_max, budget)
+                    boxes.append(_scan_box(m, n, k, columns[m][0], prune, budget, workers, pool))
     return SearchReport(k=k, prune=prune, boxes=tuple(boxes),
-                        elapsed_seconds=time.monotonic() - start, notes=tuple(notes))
+                        elapsed_seconds=time.monotonic() - start, notes=tuple(notes),
+                        engines=tuple(engine for _, engine in columns.values()))

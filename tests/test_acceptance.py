@@ -152,3 +152,17 @@ def test_criterion_10_completeness_honesty():
         assert cut.to_dict()["complete"] is False
         reasons = [b.skipped for b in cut.boxes if b.skipped]
         assert any("budget" in r for r in reasons)
+
+
+def test_criterion_11_minimality_k3_floor():
+    # The paper's floor at desk scale: no full-rank 3-orthogonal matrix with
+    # 4 to 6 rows and at most 15 distinct nonzero columns except the 15-qubit
+    # Reed-Muller one, every nonzero column of four rows.
+    with criterion(11, 10.0):
+        report = minimality_search(
+            SearchSpace(k=3, m_range=(4, 5, 6), n_max=15), prune="orbit"
+        )
+        assert report.complete
+        assert [(w.m, w.n, w.columns) for w in report.witnesses] == [
+            (4, 15, tuple(range(1, 16)))
+        ]

@@ -221,6 +221,26 @@ class TestSearchMin:
         digest = hashlib.sha256(b"".join(kept)).hexdigest()
         assert digest == self.GOLDEN[k, m_min, m_max, n_max, prune, threads]
 
+    def test_verbose_names_the_engine_per_row_count(self, tmp_path, capsys):
+        argv = ["search-min", "--k", "2", "--m-min", "3", "--m-max", "5", "--n-max", "6",
+                "--out"]
+        quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+        status, _, err = run(capsys, *argv, str(quiet))
+        assert status == 0 and err == ""
+        status, _, err = run(capsys, "--verbose", *argv, str(loud))
+        assert status == 0
+        assert err.splitlines()[:3] == [
+            "search-min m=3: linear engine, D=1: (6*8 + 2**1)/4 <= 15 walk lookups",
+            "search-min m=4: linear engine, D=5: (10*16 + 2**5)/4 <= 298 walk lookups",
+            "search-min m=5: walk engine, D>=16: (15*32 + 2**16)/4 > 3654 walk lookups",
+        ]
+        assert err.splitlines()[3].startswith("search-min: exit 0 in ")
+        # The engine lines stay out of the report.
+        reports = [json.loads(p.read_text()) for p in (quiet, loud)]
+        for report in reports:
+            del report["elapsed_seconds"]
+        assert reports[0] == reports[1]
+
 
 class TestStandardFormCommand:
     def test_report(self, tmp_path, capsys):

@@ -318,6 +318,24 @@ class TestTailLookup:
         # Closing only the last column by lookup checked the clock 245,517 times.
         assert calls <= 245_517 // 10
 
+    def test_walk_checks_deadline_once_per_block(self, monkeypatch):
+        # The twin of the test above on row counts the walk still serves.
+        calls = _count_clock(monkeypatch)
+        rep = minimality_search(
+            SearchSpace(k=2, m_range=(5,), n_max=6, budget_seconds=1e9), prune="none")
+        assert rep.complete and rep.engines[0].startswith("m=5: walk engine")
+        # One check per three-column block: 378 + 3,276 of them.  Closing only
+        # the last column by lookup would check C(30, 4) + C(30, 5) = 169,911.
+        assert 3_654 < calls[0] <= 169_911 // 10
+
+    def test_linear_engine_reads_the_clock_per_box(self, monkeypatch):
+        calls = _count_clock(monkeypatch)
+        rep = minimality_search(
+            SearchSpace(k=3, m_range=(5,), n_max=12, budget_seconds=1e9), prune="orbit")
+        assert rep.complete and rep.engines[0].startswith("m=5: linear engine")
+        # The start, the deadline, one charge for each of the 8 boxes, the end.
+        assert calls[0] <= 11
+
     def test_m8_capped_scan_builds_no_table_above_the_bound(self, monkeypatch):
         entries = []
         real = search._tail_table
@@ -339,6 +357,114 @@ class TestTailLookup:
         # C(255, 2) = 32,385 and C(255, 3) = 2,731,135 pass the bound: one column.
         assert entries == [255]
         assert peak < 2_000_000
+
+
+def _count_clock(monkeypatch) -> list[int]:
+    """Count the search's clock reads in the returned one-entry list."""
+    calls = [0]
+
+    def counting():
+        calls[0] += 1
+        return time.monotonic()
+
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=counting))
+    return calls
+
+
+def _force_engine(monkeypatch, linear: bool):
+    """Make every row count take one engine, whatever the cost rule says."""
+    monkeypatch.setattr(search, "_choose_engine", lambda *args: linear)
+
+
+class TestLinearEngineAgainstWalk:
+    """The linear engine against the walk as oracle, box by box."""
+
+    @pytest.mark.parametrize("k,m", [(k, m) for k in range(1, 5) for m in range(k + 1, 6)])
+    @pytest.mark.parametrize("prune", ["none", "orbit"])
+    def test_every_box_to_m5(self, k, m, prune, monkeypatch):
+        # At m=5 the walk makes up to C(28, 7) lookups per box from n=10 on.
+        n_max = min((1 << m) - 1, 12 if m < 5 else 10)
+        if (k, m) == (1, 5):
+            # 2**26 / 4 against 11,698,194 walk lookups (2**21 / 4 against
+            # 10,906 under orbit): the walk serves it, so nothing to compare.
+            line = search._box_columns(m, k, prune, 12, search._Budget(None, None))[1]
+            assert line.startswith("m=5: walk")
+            return
+        space = SearchSpace(k=k, m_range=(m,), n_max=n_max)
+        _force_engine(monkeypatch, True)
+        linear = minimality_search(space, prune=prune)
+        assert linear.engines[0].startswith(f"m={m}: linear")
+        _force_engine(monkeypatch, False)
+        walk = minimality_search(space, prune=prune, workers=2)
+        assert walk.engines[0].startswith(f"m={m}: walk")
+        assert linear.boxes == walk.boxes
+
+    @pytest.mark.parametrize("k,m_range,n_max,prune,cap", [
+        # k=3, m=5 under orbit: the (5, 8) box ends at 2,952 subsets; caps on
+        # that boundary, one past it, and inside the (5, 9) box.
+        (3, (5,), 12, "orbit", 2_952),
+        (3, (5,), 12, "orbit", 2_953),
+        (3, (5,), 12, "orbit", 10_000),
+        # The (4, 8) box, from 15,808 subsets on, holds the 15 witnesses.
+        (2, (4,), 8, "none", 15_808),
+        (2, (4,), 8, "none", 15_809),
+        (2, (4,), 8, "none", 19_000),
+        # Hits in every box from n=5; the (4, 8) box ends at 562 subsets.
+        (1, (4,), 12, "orbit", 562),
+        (1, (4,), 12, "orbit", 563),
+        (1, (4,), 12, "orbit", 800),
+        (2, (3, 4), 6, "none", 50),
+    ])
+    def test_caps(self, k, m_range, n_max, prune, cap, monkeypatch):
+        space = SearchSpace(k=k, m_range=m_range, n_max=n_max, budget_subsets=cap)
+        _force_engine(monkeypatch, True)
+        linear = minimality_search(space, prune=prune)
+        assert all(" linear engine" in e for e in linear.engines)
+        assert not linear.complete
+        _force_engine(monkeypatch, False)
+        assert minimality_search(space, prune=prune).boxes == linear.boxes
+
+    def test_benchmark_orbit_scan_takes_the_linear_engine(self):
+        rep = minimality_search(SearchSpace(k=3, m_range=(4, 5), n_max=14), prune="orbit")
+        assert [e.split(",")[0] for e in rep.engines] == [
+            "m=4: linear engine", "m=5: linear engine"]
+
+    def test_cap_keeps_the_walks_prefix_of_hits(self):
+        # Inside the (4, 8) box the cap keeps some of its 15 witnesses.
+        rep = minimality_search(
+            SearchSpace(k=2, m_range=(4,), n_max=8, budget_subsets=19_000))
+        box = rep.boxes[7]
+        assert box.subsets == 19_000 - 15_808 + 1 and not box.complete
+        assert 0 < len(box.witnesses) < 15
+
+
+class TestEngineBudgets:
+    """Both budgets bound the engine choice and the linear engine's span."""
+
+    @pytest.mark.parametrize("budget", [{"budget_seconds": 1.0}, {"budget_subsets": 1_000}])
+    def test_m7_returns_promptly_and_incomplete(self, budget):
+        # 2**64 solutions, and about 2**66 walk lookups up to n = 17.
+        start = time.monotonic()
+        rep = minimality_search(SearchSpace(k=3, m_range=(7,), n_max=17, **budget))
+        assert time.monotonic() - start < 10
+        assert not rep.complete and rep.boxes[6].subsets > 0
+        assert all(b.skipped == "budget exhausted" for b in rep.boxes[7:])
+
+    def test_deadline_in_the_span_hands_over_to_the_walk(self):
+        # 2**22 solutions take about a second; the deadline stops the span.
+        rep = minimality_search(
+            SearchSpace(k=3, m_range=(6,), n_max=16, budget_seconds=0.1))
+        assert rep.engines == (
+            "m=6: walk engine, D=22: (41*64 + 2**22)/4 <= 31350099501766 walk lookups; "
+            "the deadline passed in the span",)
+        assert not rep.complete and rep.elapsed_seconds < 5
+
+    def test_cap_bounds_the_walk_cost_and_skips_the_elimination(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(search, "null_space", lambda M: calls.append(M))
+        rep = minimality_search(SearchSpace(k=9, m_range=(10,), n_max=10, budget_subsets=10))
+        assert rep.engines == ("m=10: walk engine, D>=1: (1022*1024 + 2**1)/4 > 11 walk lookups",)
+        assert calls == [] and not rep.complete
 
 
 class TestOnePoolPerSearch:
