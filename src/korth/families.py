@@ -99,11 +99,10 @@ def subdual_css(m: int) -> StandardFormCode:
     implements a logical phase gate.
     """
     if m < 3:
-        raise RangeError(
-            f"m={m} is too small: a 2**{m}-1 qubit layout leaves "
-            f"{2 ** m - 2 - m} Z-check rows, so single-qubit X errors would "
-            "go undetected; the construction needs m >= 3"
-        )
+        # Only m = 2 has a layout to describe: 3 qubits, 2 X checks, no Z check.
+        layout = ("a 2**2-1 qubit layout leaves 0 Z-check rows, so single-qubit X "
+                  "errors would go undetected; " if m == 2 else "")
+        raise RangeError(f"m={m} is too small: {layout}the construction needs m >= 3")
     v_cols, d, j_rows = _subdual_columns(m)
     n = (1 << m) - 1
     a_z_rows = [  # one per Z-check row: (J | d | I)

@@ -255,41 +255,13 @@ def _eliminate_by_columns(rows: list[int], ncols: int) -> tuple[list[int], list[
     return [row | 1 << col for row, col in zip(reduced, pivots)], pivots
 
 
-def _eliminate_small(rows: list[int], ncols: int) -> tuple[list[int], list[int]] | None:
-    """The insertion path of :func:`_eliminate`, or None where the sweep must run."""
-    low = (1 << ncols) - 1
-    kept: dict[int, int] = {}  # pivot bit -> reduced row, pivoting on its lowest bit
-    for row in rows:
-        for bit, b in kept.items():
-            if row & bit:
-                row ^= b
-        if not row & low:
-            if row:
-                return None  # ride-along bits outside the kept rows' span
-            continue
-        bit = row & -row
-        for p, b in kept.items():
-            if b & bit:
-                kept[p] = b ^ row
-        kept[bit] = row
-    order = sorted(kept)
-    return [kept[bit] for bit in order], [bit.bit_length() - 1 for bit in order]
-
-
 def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon over GF(2); returns (nonzero rows, pivot columns).
 
-    Only columns below ``ncols`` pivot; higher bits ride along.  Reduced input
-    (lowest set bits below ``ncols``, strictly rising, and alone in their
-    columns) is returned as is: the form is unique.
-
-    Blocks of at most ``_WINDOW`` rows skip the window table: each row in
-    turn is reduced by the rows kept so far, and one left nonzero below
-    ``ncols`` is kept, pivoting on its lowest bit, which is cleared from the
-    others.  The kept rows span every row, so sorted by pivot they are the
-    unique reduced form.  A row left with only ride-along bits (possible
-    only with dependent rows) hands the block to the sweep, whose pivot
-    choices then fix those bits.
+    Only columns below ``ncols`` pivot; higher bits ride along.  The form is
+    unique, and each of three paths returns it.  Reduced input (lowest set
+    bits below ``ncols``, strictly rising, and alone in their columns) is
+    returned as is.
 
     Tall sparse blocks (at least ``_COLUMN_MIN_ROWS`` rows, at most
     ``_COLUMN_MAX_BITS`` set bits per column on average) try the column path
@@ -307,10 +279,6 @@ def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     them from every other row by one table lookup (the method of four
     Russians).
     """
-    if len(rows) <= _WINDOW:
-        done = _eliminate_small(rows, ncols)
-        if done is not None:
-            return done
     lows = [(row & -row).bit_length() - 1 for row in rows]
     if all(-1 < a < b for a, b in zip(lows, lows[1:])) and (
         not lows or -1 < lows[-1] < ncols

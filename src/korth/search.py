@@ -17,11 +17,12 @@ serves every box, the cheaper by closed-form costs (``_choose_engine``):
   ``_TAIL_ENTRY_LIMIT`` entries (so three at m <= 5, two at m = 6, one
   from m = 7); each table is built once per row count and search.
 
-Each hit is ranked from its packed column values; only a full-rank hit
-becomes a matrix, re-verified with :func:`is_k_orthogonal` before it is
-reported as a witness.  Per box, ``subsets`` counts the subsets decided
-(a block per lookup, all C(L, f) at once for f free columns in the linear
-engine), and ``mode`` says what ``candidates`` and ``hits`` mean:
+Each hit is ranked from its packed column values by basis insertion
+(``_rank``); only a full-rank hit becomes a matrix, re-verified with
+:func:`is_k_orthogonal` before it is reported as a witness.  Per box,
+``subsets`` counts the subsets decided (a block per lookup, all C(L, f) at
+once for f free columns in the linear engine), and ``mode`` says what
+``candidates`` and ``hits`` mean:
 
 - ``"slow"``, a box of at most ``_EXACT_COUNT_LIMIT`` subsets: the exact
   number of full-rank subsets in the box (:func:`full_rank_count`), and
@@ -58,7 +59,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Optional
 
 from .errors import RangeError
-from .gf2 import BitMat, _eliminate, null_space, span_ints
+from .gf2 import BitMat, null_space, span_ints
 from .ortho import is_k_orthogonal, row_products
 
 if TYPE_CHECKING:
@@ -221,6 +222,21 @@ def full_rank_count(m: int, n: int) -> int:
         total += -term if j % 2 else term
         gaussian = gaussian * ((1 << (m - j)) - 1) // ((1 << (j + 1)) - 1)
     return total
+
+
+def _rank(values: tuple[int, ...]) -> int:
+    """GF(2) rank of packed values: each is XORed with the basis vector at its
+    lowest set bit until it is kept there or vanishes."""
+    basis: dict[int, int] = {}  # lowest set bit -> the one basis vector with it
+    for v in values:
+        while v:
+            low = v & -v
+            kept = basis.get(low)
+            if kept is None:
+                basis[low] = v
+                break
+            v ^= kept
+    return len(basis)
 
 
 def _tail_size(length: int, free: int) -> int:
@@ -412,7 +428,7 @@ def _scan_box(
     raw_hits = sorted(hit for part in parts for hit in part[1])
     for cols in raw_hits:
         cols = tuple(sorted(cols))
-        if len(_eliminate(list(cols), m)[1]) == m:  # the rank of the transpose
+        if _rank(cols) == m:
             full_rank += 1
             if is_k_orthogonal(BitMat.from_columns(m, cols), k).holds:
                 witnesses.append(SearchWitness(m, n, cols))

@@ -3,11 +3,13 @@ import hashlib
 import json
 import math
 import os
+import random
 import time
 import tracemalloc
 import types
 from itertools import combinations, islice
 
+import numpy as np
 import pytest
 
 from korth import search
@@ -16,7 +18,7 @@ from korth.gf2 import BitMat, rank
 from korth.ortho import is_k_orthogonal
 from korth.search import SearchSpace, full_rank_count, minimality_search, subset_parity_table
 
-from conftest import enumerate_candidates, sweep_rank
+from conftest import enumerate_candidates, oracle_rank, sweep_rank
 
 
 class TestEnumerateCandidates:
@@ -55,6 +57,45 @@ class TestEnumerateCandidates:
             assert rank(mat) == 3
             cols = mat.column_ints()
             assert 0 not in cols and len(set(cols)) == len(cols)
+
+
+class TestRankAgainstOracles:
+    """search._rank pivots on the lowest bit; the oracles pivot on the top bit
+    (sweep_rank) and on the first column of a numpy matrix (oracle_rank)."""
+
+    @staticmethod
+    def _value_lists(count: int):
+        rng = random.Random(20261018)
+        for _ in range(count):
+            m, length = rng.randint(1, 8), rng.randint(0, 20)
+            values: list[int] = []
+            for _ in range(length):
+                pick = rng.random()
+                if values and pick < 0.2:
+                    values.append(rng.choice(values))  # a repeat
+                elif len(values) > 1 and pick < 0.4:
+                    a, b = rng.sample(values, 2)
+                    values.append(a ^ b)  # dependent on earlier values
+                elif pick < 0.45:
+                    values.append(0)
+                else:
+                    values.append(rng.randrange(1 << m))
+            yield m, tuple(values)
+
+    def test_matches_sweep_and_numpy(self):
+        for m, values in self._value_lists(5_000):
+            got = search._rank(values)
+            assert got == sweep_rank(values), values
+            matrix = np.array([[v >> i & 1 for i in range(m)] for v in values],
+                              dtype=np.uint8).reshape(len(values), m)
+            assert got == oracle_rank(matrix), values
+
+    def test_full_rank_subsets_match_count(self):
+        for m in range(1, 5):
+            for n in range(0, 1 << m):
+                found = sum(1 for c in combinations(range(1, 1 << m), n)
+                            if search._rank(c) == m)
+                assert found == full_rank_count(m, n), (m, n)
 
 
 class TestParityTable:
