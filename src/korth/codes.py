@@ -394,8 +394,11 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     """
     x_rows, z_rows = code.validate()
     n = code.n
-    if len(code.generators) != n - 1:
-        k = n - len(code.generators)
+    k = n - len(code.generators)  # at least 0: validate leaves them independent
+    if k == 0:
+        raise InvalidCodeError(
+            f"expected one logical qubit, but {n} generators on {n} qubits encode none")
+    if k > 1:
         raise InvalidCodeError(
             f"expected one logical qubit ({n - 1} generators on {n} qubits), got {k}; "
             "promote the logical operators of the extra qubits to stabilizers first"

@@ -85,8 +85,8 @@ _TAIL_ENTRY_LIMIT = 5_000
 # 0.08-0.37 us, an eliminated bit of [F | b] 0.14-0.29 us.
 _PER_LOOKUP = 4
 
-# Per tail XOR, its index tuples packed one per int, or a list of them.
-_TailTable = dict[int, "int | list[int]"]
+# Per tail XOR, the index tuples producing it.
+_TailTable = dict[int, list[tuple[int, ...]]]
 # What every box at one row count chooses from; see _box_columns.
 _Columns = tuple[tuple[int, ...], int, list[int], list[int], dict[int, _TailTable], Optional[dict]]
 
@@ -201,12 +201,15 @@ def subset_parity_table(m: int, k: int) -> list[int]:
     T is contained in the support of v; a column multiset is k-orthogonal
     iff its fingerprints XOR to zero.
     """
-    # Row i of the matrix whose column v is v holds the values with bit i set,
-    # so the AND walk over its rows yields, per subset T, the values whose
-    # support contains T; transposing gives each value's fingerprint.
-    rows = BitMat.from_columns(m, range(1 << m)).row_ints()
-    products = [acc for _, acc in row_products(rows, k, (1 << (1 << m)) - 1)]
-    return BitMat.from_ints(1 << m, products).column_ints()
+    # Row i of the matrix whose column v is v holds the values with bit i set
+    # (from value 2**m - 1 down: runs of 2**i ones, then 2**i zeros), so the
+    # AND walk yields, per subset T, the values whose support contains T.
+    # Zipping the products' digits, last subset first, transposes them into
+    # fingerprints; the leading zeros keep one entry per value when k = 0.
+    size = 1 << m
+    rows = [int(("1" * (1 << i) + "0" * (1 << i)) * (size >> i + 1), 2) for i in range(m)]
+    digits = [format(acc, f"0{size}b")[::-1] for _, acc in row_products(rows, k, (1 << size) - 1)]
+    return [int("".join(bits), 2) for bits in zip("0" * size, *reversed(digits))]
 
 
 def full_rank_count(m: int, n: int) -> int:
@@ -250,23 +253,13 @@ def _tail_size(length: int, free: int) -> int:
 
 def _tail_table(fps: list[int], s: int) -> _TailTable:
     """Map each XOR of ``s`` fingerprints to the index tuples producing it, in
-    lexicographic order.  A tuple is packed into one int, one field of
-    ``len(fps).bit_length()`` bits per index with the first index highest; a
-    list is kept only where tuples share an XOR."""
-    width = len(fps).bit_length()
+    lexicographic order."""
     table: _TailTable = {}
     for tail in combinations(range(len(fps)), s):
-        acc = packed = 0
+        acc = 0
         for i in tail:
             acc ^= fps[i]
-            packed = packed << width | i
-        found = table.get(acc)
-        if found is None:
-            table[acc] = packed
-        elif isinstance(found, int):
-            table[acc] = [found, packed]
-        else:
-            found.append(packed)
+        table.setdefault(acc, []).append(tail)
     return table
 
 
@@ -280,7 +273,8 @@ def _scan_range(
     Every subset extends ``base`` (already-fixed columns).  ``tails`` maps a
     tail size s to its :func:`_tail_table`: s = 1 and at most one larger s.
     Once s columns are left to choose, one lookup closes the block of every
-    subset extending the prefix, and the deadline is checked once per
+    subset extending the prefix: a tail tuple found there is a hit when its
+    first index is in the block's range.  The deadline is checked once per
     block.  Where the limit falls inside a block of s > 1 columns, the walk
     goes on column by column, and the last column is cut at the limit.  At
     most ``limit`` subsets are visited.  Returns the visited count, the
@@ -290,8 +284,6 @@ def _scan_range(
     if n == 0:
         return 1, [base] if base_acc == 0 else [], True
     length = len(values)
-    width = length.bit_length()
-    mask = (1 << width) - 1
     hits: list[tuple[int, ...]] = []
     visited = 0
     chosen: list[int] = list(base)
@@ -311,14 +303,9 @@ def _scan_range(
                 block = sum(math.comb(length - 1 - i, size - 1) for i in indices)
             if limit is None or block <= limit - visited:
                 visited += block
-                found = table.get(acc)
-                if found is not None:
-                    shift = width * (size - 1)
-                    for packed in [found] if isinstance(found, int) else found:
-                        if packed >> shift in indices:
-                            hits.append(tuple(chosen) + tuple(
-                                values[packed >> (width * j) & mask]
-                                for j in range(size - 1, -1, -1)))
+                for tail in table.get(acc, ()):
+                    if tail[0] in indices:
+                        hits.append(tuple(chosen) + tuple(values[i] for i in tail))
                 if limit is not None and visited >= limit:
                     return False
                 return deadline is None or time.monotonic() <= deadline

@@ -493,3 +493,16 @@ class TestBadInput:
         assert status == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("descriptor", [
+        {"n": 3, "stabilizers": ["+ZZI", "+IZZ", "+XXX"]},
+        {"n": 0, "stabilizers": []},
+        {"n": 1, "stabilizers": ["+Z"]},
+    ], ids=["three-on-three", "empty", "one-on-one"])
+    def test_no_logical_qubit(self, descriptor, tmp_path, capsys):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(descriptor))
+        status, _, err = run(capsys, "standard-form", "--code", str(path))
+        assert status == 2 and err.startswith("error: ")
+        assert f"on {descriptor['n']} qubits encode none" in err
+        assert "promote" not in err and not re.search(r"-\d", err)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -125,6 +126,83 @@ class TestValidation:
         code = StabilizerCode(1, (PauliOp.from_label("+iY"),))
         with pytest.raises(InvalidCodeError, match="square"):
             code.validate()
+
+
+class TestValidationRejections:
+    """One minimal malformed input per rejection of the two ``validate``s."""
+
+    @pytest.mark.parametrize("code, message", [
+        (StabilizerCode(3, (PauliOp.from_label("+ZZ"),)), "generator on 2 qubits in an n=3 code"),
+        (StabilizerCode(3, (PauliOp.from_label("+III"),)), "identity (or phase-only) generator"),
+        (StabilizerCode(3, (PauliOp.from_label("+ZZI"),), logical_x=PauliOp.from_label("+III")),
+         "logical_x is not a valid order-2 Pauli"),
+        (StabilizerCode(3, (PauliOp.from_label("+ZZI"),), logical_z=PauliOp.from_label("+iZZZ")),
+         "logical_z is not a valid order-2 Pauli"),
+        (StabilizerCode(3, (PauliOp.from_label("+ZZI"), PauliOp.from_label("+IZZ")),
+                        logical_x=PauliOp.from_label("+XXX"),
+                        logical_z=PauliOp.from_label("+ZZI")),
+         "logical X and logical Z must anticommute"),
+    ], ids=["wrong-qubit-count", "identity", "identity-logical", "order-four-logical",
+            "commuting-logicals"])
+    def test_stabilizer_code(self, code, message):
+        with pytest.raises(InvalidCodeError) as info:
+            code.validate()
+        assert str(info.value) == message
+
+    @staticmethod
+    def malformed(sf, fault):
+        """``sf`` with one fault; A_X rows 0 and 1, A_Z row 0 and the logical
+        supports r and s are the parts changed."""
+        n, m = sf.n, sf.m
+        ax, az = sf.a_x.row_ints(), sf.a_z.row_ints()
+        r, s = sf.r.bits, sf.s.bits
+        zero_rows = [0] * (m - 1)
+
+        def low(bits):  # the lowest set bit
+            return bits & -bits
+
+        changes = {
+            "b-shape": {"b": BitMat.zero(m + 1, n)},
+            "r-width": {"r": BitVec.zeros(n + 1)},
+            "phase-count": {"x_phases": (0,) * (m + 1)},
+            "a_x-rank": {"a_x": BitMat.from_ints(n, [ax[0], *ax[:-1]])},
+            "a_z-dependent": {"a_z": BitMat.from_ints(n, [az[0], *az[:-1]])},
+            "logical-count": {"a_z": BitMat.from_ints(n, az[1:])},
+            "phase-value": {"x_phases": (2,) + sf.x_phases[1:]},
+            # Z on a qubit of X row 1 but not of X row 0.
+            "x-rows-anticommute": {"b": BitMat.from_ints(n, [low(ax[1] & ~ax[0]), *zero_rows])},
+            "z-row-anticommutes": {"a_z": BitMat.from_ints(n, [az[0] ^ low(ax[0]), *az[1:]])},
+            "r-anticommutes": {"r": BitVec(n, r ^ low(ax[0]))},
+            "r-in-stabilizer": {"r": BitVec(n, az[0])},
+            # r commutes with every X row, so only s sees the changed B part.
+            "s-anticommutes-b": {"b": BitMat.from_ints(n, [r, *zero_rows])},
+            "s-anticommutes-a_z": {"s": BitVec(n, s ^ low(az[0]))},
+            "r-s-even": {"s": BitVec.zeros(n)},
+        }
+        return dataclasses.replace(sf, **changes[fault])
+
+    @pytest.mark.parametrize("fault, message", [
+        ("b-shape", "B block shape must match A_X"),
+        ("r-width", "block widths disagree"),
+        ("phase-count", "one phase per X-bearing row required"),
+        ("a_x-rank", "A_X is not full rank"),
+        ("a_z-dependent", "A_Z rows are dependent"),
+        ("logical-count", "3 + 2 generators on 7 qubits does not leave one logical qubit"),
+        ("phase-value", "X-bearing row 0 has a non-normalized sign"),
+        ("x-rows-anticommute", "X-bearing rows 0 and 1 anticommute"),
+        ("z-row-anticommutes", "a Z row anticommutes with an X-bearing row"),
+        ("r-anticommutes", "logical Z support anticommutes with A_X"),
+        ("r-in-stabilizer", "logical Z support lies in the stabilizer"),
+        ("s-anticommutes-b", "logical X support anticommutes with a B part"),
+        ("s-anticommutes-a_z", "logical X support anticommutes with A_Z"),
+        ("r-s-even", "logical X and Z supports overlap evenly"),
+    ])
+    def test_standard_form_code(self, fault, message):
+        sf = subdual_css(3)
+        sf.validate()
+        with pytest.raises(InvalidCodeError) as info:
+            self.malformed(sf, fault).validate()
+        assert str(info.value) == message
 
 
 class TestStandardForm:

@@ -328,6 +328,16 @@ class TestEliminateAgainstGaussJordan:
                 bent[i] |= 1 << pivots[j]
             assert _eliminate(bent, ncols) == gauss_jordan(bent, ncols)
 
+    def test_rref_matches_gauss_jordan(self):
+        rng = random.Random(44)
+        for _ in range(500):
+            ncols, density = rng.randint(0, 40), rng.choice((0.1, 0.5, 0.9))
+            rows = [sum(1 << j for j in range(ncols) if rng.random() < density)
+                    for _ in range(rng.randint(0, 30))]
+            reduced, pivots = gauss_jordan(rows, ncols)
+            assert gf2.rref(BitMat.from_ints(ncols, rows)) == (
+                BitMat.from_ints(ncols, reduced), tuple(pivots))
+
     def test_large_block_with_identity_on_the_right(self):
         # The sub-dual Z block (J | d | I) at m=8: dense low columns, then a
         # long identity, the shape every constructed code presents.

@@ -116,6 +116,18 @@ class TestParityTable:
                 )
                 assert (acc == 0) == is_k_orthogonal(mat, k).holds
 
+    @pytest.mark.parametrize("m", range(9))
+    def test_bit_layout(self, m):
+        # Bit j of entry v is set exactly when the j-th row subset, in
+        # (t, lexicographic) order, lies inside v's support: all zeros at
+        # k = 0, and k = m + 1 gives the k = m table.
+        for k in range(m + 2):
+            masks = [sum(1 << i for i in subset)
+                     for t in range(1, min(k, m) + 1) for subset in combinations(range(m), t)]
+            assert subset_parity_table(m, k) == [
+                sum(1 << j for j, mask in enumerate(masks) if v & mask == mask)
+                for v in range(1 << m)]
+
 
 class TestMinimalitySearch:
     def test_k1_below_floor(self):
@@ -499,6 +511,14 @@ class TestEngineBudgets:
             "m=6: walk engine, D=22: (41*64 + 2**22)/4 <= 31350099501766 walk lookups; "
             "the deadline passed in the span",)
         assert not rep.complete and rep.elapsed_seconds < 5
+
+    def test_m15_set_up_returns_promptly_and_incomplete(self):
+        # The fingerprint table of 2**15 values is built before the first
+        # deadline check, so it must take a fraction of the budget.
+        start = time.monotonic()
+        rep = minimality_search(SearchSpace(k=2, m_range=(15,), n_max=15, budget_seconds=0.2))
+        assert time.monotonic() - start < 1.5
+        assert not rep.complete
 
     def test_cap_bounds_the_walk_cost_and_skips_the_elimination(self, monkeypatch):
         calls = []
