@@ -4,79 +4,49 @@ Construction of the minimal k-orthogonal matrices and sub-dual Hamming CSS
 family, exact verification of transversal (controlled) phase gates by
 modular arithmetic, CSS distance computation, and exhaustive desk-scale
 minimality searches.
+
+``import korth`` loads no submodule: each re-exported name below imports its
+submodule on first access (PEP 562), so a command pays only for the layers
+it runs.
 """
 
-from .codes import (
-    DegeneracyClass,
-    DegeneracyPartition,
-    PauliOp,
-    ReducedView,
-    StabilizerCode,
-    StandardFormCode,
-    code_from_json,
-    code_to_json,
-    css_standard_form,
-    degeneracy_classes,
-    is_css,
-    logical_zero_support,
-    nondegenerate_reduction,
-    to_standard_form,
-)
-from .distance import DistanceReport, ThreeColumnCheck, css_distances, z_distance_floor
-from .errors import (
-    CongruenceError,
-    DegenerateCodeError,
-    DimensionError,
-    InvalidCodeError,
-    KorthError,
-    MatrixParseError,
-    NoSyndromeError,
-    RangeError,
-    UnsupportedCodeError,
-)
-from .families import (
-    SubdualParts,
-    hamming_parity_check,
-    minimal_korth_matrix,
-    subdual_css,
-    subdual_parts,
-)
-from .gates import (
-    ControlledPhaseReport,
-    GateDescriptor,
-    PhaseActionResult,
-    PhaseSolutionSet,
-    controlled_phase_action,
-    find_transversal_phases,
-    logical_phase_action,
-    phase_quantization_exponent,
-    verify_korth_necessity,
-)
-from .gf2 import (
-    BitMat,
-    BitVec,
-    and_product,
-    covered_columns_count,
-    format_matrix_text,
-    in_rowspan,
-    null_space,
-    parse_matrix_text,
-    rank,
-    span_enumerate,
-)
-from .ortho import (
-    OrthogonalityReport,
-    OrthogonalityWitness,
-    is_k_orthogonal,
-    isolate_column,
-    max_orthogonality,
-)
-from .phases import DyadicPhase, DyadicPhaseVector
-from .search import (
-    SearchReport,
-    SearchSpace,
-    SearchWitness,
-    minimality_search,
-)
+from importlib import import_module
+
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "codes": "DegeneracyClass DegeneracyPartition PauliOp ReducedView StabilizerCode "
+                 "StandardFormCode code_from_json code_to_json css_standard_form "
+                 "degeneracy_classes is_css logical_zero_support nondegenerate_reduction "
+                 "to_standard_form",
+        "distance": "DistanceReport ThreeColumnCheck css_distances z_distance_floor",
+        "errors": "CongruenceError DegenerateCodeError DimensionError InvalidCodeError "
+                  "KorthError MatrixParseError NoSyndromeError RangeError UnsupportedCodeError",
+        "families": "SubdualParts hamming_parity_check minimal_korth_matrix subdual_css "
+                    "subdual_parts",
+        "gates": "ControlledPhaseReport GateDescriptor PhaseActionResult PhaseSolutionSet "
+                 "controlled_phase_action find_transversal_phases logical_phase_action "
+                 "phase_quantization_exponent verify_korth_necessity",
+        "gf2": "BitMat BitVec and_product covered_columns_count format_matrix_text in_rowspan "
+               "null_space parse_matrix_text rank span_enumerate",
+        "ortho": "OrthogonalityReport OrthogonalityWitness is_k_orthogonal isolate_column "
+                 "max_orthogonality",
+        "phases": "DyadicPhase DyadicPhaseVector",
+        "search": "SearchReport SearchSpace SearchWitness minimality_search",
+    }.items()
+    for name in names.split()
+}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -12,17 +12,20 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import codes, distance, families, gates, ortho, search
 from .errors import KorthError
-from .gf2 import BitVec, format_matrix_text, parse_matrix_text
-from .phases import DyadicPhaseVector
+
+if TYPE_CHECKING:  # each handler imports the layers it runs
+    from .codes import StandardFormCode
+    from .phases import DyadicPhaseVector
 
 SCHEMA = 1
 
 
 def _parse_phase_list(spec: str, n: int, k: int) -> DyadicPhaseVector:
+    from .phases import DyadicPhaseVector
+
     if spec == "all-ones":
         return DyadicPhaseVector.all_ones(n, k)
     try:
@@ -41,19 +44,26 @@ def _read_text(path: str) -> str:
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
-    text = codes.json_text(payload)
+    from . import report
+
+    text = report.json_text(payload)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _load_standard_form(path: str) -> codes.StandardFormCode:
+def _load_standard_form(path: str) -> StandardFormCode:
+    from . import codes
+
     code = codes.code_from_json(_read_text(path))
     return codes.to_standard_form(code)
 
 
 def _cmd_construct(args) -> int:
+    from . import codes, families
+    from .gf2 import format_matrix_text
+
     sf = families.subdual_css(args.m)
     _emit(codes.code_to_json_dict(sf.to_stabilizer_code()), args.out)
     if args.ax:
@@ -64,6 +74,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_standard_form(args) -> int:
+    from . import codes
+
     sf = _load_standard_form(args.code)
     payload = {
         "schema": SCHEMA,
@@ -84,6 +96,9 @@ def _cmd_standard_form(args) -> int:
 
 
 def _cmd_check_orth(args) -> int:
+    from . import ortho
+    from .gf2 import BitVec, parse_matrix_text
+
     mat = parse_matrix_text(_read_text(args.matrix))
     restriction = BitVec.from_string(args.r) if args.r else None
     report = ortho.is_k_orthogonal(mat, args.k, restriction)
@@ -113,6 +128,8 @@ def _cmd_check_orth(args) -> int:
 
 
 def _cmd_find_gates(args) -> int:
+    from . import gates
+
     sf = _load_standard_form(args.code)
     sol = gates.find_transversal_phases(sf, args.k)
     payload = {
@@ -135,6 +152,9 @@ def _cmd_find_gates(args) -> int:
 
 
 def _cmd_verify_gate(args) -> int:
+    from . import gates
+    from .phases import DyadicPhaseVector
+
     sf = _load_standard_form(args.code)
     if args.gate:
         try:
@@ -202,7 +222,12 @@ def _cmd_verify_gate(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    from . import distance
+    from .gf2 import parse_matrix_text
+
     if args.code:
+        from . import codes
+
         sf = _load_standard_form(args.code)
         if not codes.is_css(sf):
             raise KorthError("distance computation needs a CSS code")
@@ -240,6 +265,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_search_min(args) -> int:
+    from . import search
+
     m_range = tuple(range(args.m_min, args.m_max + 1))
     space = search.SearchSpace(
         k=args.k,
@@ -258,6 +285,8 @@ def _cmd_search_min(args) -> int:
 
 
 def _cmd_reduce_degenerate(args) -> int:
+    from . import codes
+
     sf = _load_standard_form(args.code)
     theta = _parse_phase_list(args.p, sf.n, args.k)
     view, reduced = codes.nondegenerate_reduction(sf, theta)
@@ -367,8 +396,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.verbose:
+        # Which layers the command loaded: each handler imports its own.
+        layers = sorted(name[6:] for name in sys.modules
+                        if name.startswith("korth.") and name != __name__)
         print(
-            f"{args.subcommand}: exit {status} in {time.perf_counter() - start:.3f}s",
+            f"{args.subcommand}: exit {status} in {time.perf_counter() - start:.3f}s; "
+            f"layers {' '.join(layers)}",
             file=sys.stderr,
         )
     return status

@@ -1,0 +1,72 @@
+"""The report writer: ``json_text`` writes every korth report and code
+descriptor.  It needs only the standard library, so a command that writes a
+report loads no other layer for it."""
+
+from __future__ import annotations
+
+import math
+from json.encoder import encode_basestring_ascii as _quote
+
+__all__ = ["json_text"]
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def json_text(obj) -> str:
+    r"""``json.dumps(obj, indent=2) + "\n"``, byte for byte.
+
+    With ``indent`` set, json runs its pure-Python encoder, one generator
+    step per value.  Here each list of plain ints (``type(x) is int``, so
+    never a bool) or plain strings is one ``join``, and every piece goes to
+    one list that is joined once, so no level of nesting copies the text
+    below it.  Dict keys must be strings.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, nl: str, out: list[str]) -> None:
+    """Append the pieces of ``obj`` at the indent ``nl`` (a newline and the
+    current indent), checking types in the order json's encoder does."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_JSON_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else
+                   "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, obj))
+        if kinds == {int} or kinds == {str}:
+            writer = int.__repr__ if kinds == {int} else _quote
+            out += ("[", inner, ("," + inner).join(map(writer, obj)), nl, "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            out += (sep, _quote(key), ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

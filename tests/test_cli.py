@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import korth
 from korth.cli import main
 from korth.codes import code_from_json, code_to_json, is_css, to_standard_form
 from korth.families import subdual_css
@@ -416,6 +421,67 @@ class TestReduceDegenerate:
         # a single X check: every qubit shares one syndrome class
         assert data["representatives"] == [0]
         assert data["p_reduced"] == [1, 0, 0, 0]
+
+
+class TestLoadedLayers:
+    """A command loads only the korth modules its handler imports.  The
+    in-process tests import every module, so each case runs a fresh
+    interpreter."""
+
+    ENV = dict(os.environ, PYTHONPATH=str(Path(korth.__file__).resolve().parent.parent))
+    PROBE = ("import sys\n"
+             "from korth.cli import main\n"
+             "status = main(sys.argv[1:])\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('korth')), file=sys.stderr)\n"
+             "sys.exit(status)\n")
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        sf = subdual_css(4)
+        (tmp_path / "code.json").write_text(code_to_json(sf.to_stabilizer_code()))
+        (tmp_path / "ax.txt").write_text(format_matrix_text(sf.a_x))
+        (tmp_path / "az.txt").write_text(format_matrix_text(sf.a_z))
+        (tmp_path / "deg.json").write_text(
+            json.dumps({"n": 4, "stabilizers": ["+XXXX", "+ZZII", "+IIZZ"]}))
+        return tmp_path
+
+    def spawn(self, cwd, *args):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=self.ENV, cwd=cwd, timeout=120)
+
+    # A command that loads codes loads the report writer with it.
+    CASES = [
+        ("construct --m 5 --out c5.json", 0, "codes families gf2 phases report"),
+        ("standard-form --code code.json", 0, "codes gf2 phases report"),
+        ("check-orth --matrix ax.txt --k 3", 0, "gf2 ortho"),
+        ("find-gates --code code.json --k 3", 0, "codes gates gf2 ortho phases report"),
+        ("verify-gate --code code.json --k 3 --p all-ones", 0, "codes gates gf2 ortho phases report"),
+        ("distance --code code.json", 0, "codes distance gf2 phases report"),
+        ("distance --ax ax.txt --az az.txt", 0, "distance gf2"),
+        ("search-min --k 2 --m-min 3 --m-max 4 --n-max 8", 1, "gf2 ortho report search"),
+        ("reduce-degenerate --code deg.json --k 2 --p 1,1,1,2", 0, "codes gf2 phases report"),
+    ]
+
+    @pytest.mark.parametrize("argv, status, layers", CASES,
+                             ids=[" ".join(c[0].split()[:2]) for c in CASES])
+    def test_command_loads_only_its_layers(self, files, argv, status, layers):
+        proc = self.spawn(files, "-c", self.PROBE, *argv.split())
+        assert proc.returncode == status, proc.stderr
+        loaded = proc.stderr.splitlines()[-1].split()
+        assert loaded == ["korth"] + [f"korth.{m}" for m in sorted(["cli", "errors", *layers.split()])]
+
+    def test_import_korth_loads_no_layer(self, tmp_path):
+        proc = self.spawn(tmp_path, "-c", "import sys, korth; "
+                          "print(*sorted(m for m in sys.modules if m.startswith('korth')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["korth"]
+
+    def test_verbose_line_names_the_layers(self, tmp_path):
+        proc = self.spawn(tmp_path, "-m", "korth.cli", "--verbose", "search-min", "--k", "3",
+                          "--m-min", "4", "--m-max", "4", "--n-max", "15", "--prune", "orbit")
+        assert proc.returncode == 1, proc.stderr
+        assert re.fullmatch(r"search-min: exit 1 in \d+\.\d{3}s; layers errors gf2 ortho report search",
+                            proc.stderr.splitlines()[-1])
 
 
 class TestUsage:

@@ -1,8 +1,8 @@
 """Every exported name must resolve: a function moved out of a module, or
 deleted, must leave its module's ``__all__`` and the package's re-exports
-(``korth`` has no ``__all__``; its imports from the submodules are its list)."""
+(``korth`` has no ``__all__``; its lazy table ``_EXPORTS``, name to
+submodule, is its list)."""
 
-import ast
 import importlib
 from pathlib import Path
 
@@ -15,11 +15,10 @@ MODULES = sorted(p.stem for p in INIT.parent.glob("*.py") if p.stem != "__init__
 
 
 def _reexports() -> dict[str, list[str]]:
-    """Names ``korth/__init__.py`` imports, by the submodule they come from."""
+    """Names ``korth`` resolves lazily, by the submodule they come from."""
     out: dict[str, list[str]] = {}
-    for node in ast.parse(INIT.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            out.setdefault(node.module, []).extend(a.name for a in node.names)
+    for name, module in korth._EXPORTS.items():
+        out.setdefault(module, []).append(name)
     return out
 
 
@@ -40,3 +39,17 @@ def test_package_reexports_are_module_exports():
             assert hasattr(korth, name), name
             if exported is not None:
                 assert name in exported, f"{name} is not in korth.{module_name}.__all__"
+
+
+def test_dir_lists_every_reexport():
+    assert set(korth._EXPORTS) <= set(dir(korth))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'korth' has no attribute 'no_such_name'"):
+        korth.no_such_name
+
+
+def test_unknown_name_import_raises_import_error():
+    with pytest.raises(ImportError):
+        from korth import no_such_name  # noqa: F401

@@ -1,4 +1,4 @@
-"""The report writer ``codes.json_text`` against ``json.dumps(obj, indent=2)``:
+"""The report writer ``report.json_text`` against ``json.dumps(obj, indent=2)``:
 byte for byte on every CLI report and on fuzzed payloads, and with a bounded
 memory peak on a large report."""
 
@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from korth import cli, codes
-from korth.codes import json_text
+from korth import cli, codes, report
+from korth.report import json_text
 
 
 def reference(obj) -> str:
@@ -55,7 +55,7 @@ class TestEveryCommandReport:
             payloads.append(obj)
             return json_text(obj)
 
-        monkeypatch.setattr(codes, "json_text", recording)
+        monkeypatch.setattr(report, "json_text", recording)
         out = tmp_path / "report.json"
         cli.main([a.format(**files) for a in argv] + ["--out", str(out)])
         capsys.readouterr()
@@ -118,7 +118,7 @@ def test_large_report_memory_peak(tmp_path, monkeypatch, capsys):
     code = tmp_path / "code.json"
     cli.main(["construct", "--m", "8", "--out", str(code)])
     payloads = []
-    monkeypatch.setattr(codes, "json_text", lambda obj: payloads.append(obj) or "")
+    monkeypatch.setattr(report, "json_text", lambda obj: payloads.append(obj) or "")
     cli.main(["find-gates", "--code", str(code), "--k", "7"])
     monkeypatch.undo()
     capsys.readouterr()
