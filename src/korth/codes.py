@@ -13,12 +13,12 @@ discarded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DimensionError, InvalidCodeError
 from .gf2 import BitMat, BitVec, RowSpace, _eliminate, null_space, rank, solve
 from .phases import DyadicPhaseVector
+from .record import Record
 from .report import json_text
 
 __all__ = [
@@ -49,20 +49,17 @@ _Z_DIGITS = str.maketrans("IXYZ", "0011")
 _LETTERS = str.maketrans("0123", "IXZY")  # x + 2z per qubit
 
 
-@dataclass(frozen=True, slots=True)
-class PauliOp:
+class PauliOp(Record):
     """An n-qubit Pauli operator ``i**i_exp * X_x * Z_z`` (bits packed)."""
 
-    n: int
-    x: int
-    z: int
-    i_exp: int = 0
+    __slots__ = ("n", "x", "z", "i_exp")
 
-    def __post_init__(self):
-        mask = (1 << self.n) - 1
-        object.__setattr__(self, "x", self.x & mask)
-        object.__setattr__(self, "z", self.z & mask)
-        object.__setattr__(self, "i_exp", self.i_exp % 4)
+    def __init__(self, n: int, x: int, z: int, i_exp: int = 0):
+        mask = (1 << n) - 1
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "x", x & mask)
+        object.__setattr__(self, "z", z & mask)
+        object.__setattr__(self, "i_exp", i_exp % 4)
 
     @classmethod
     def from_label(cls, label: str) -> "PauliOp":
@@ -136,14 +133,11 @@ class PauliOp:
         return PauliOp(self.n, self.x, self.z ^ hits, self.i_exp + hits.bit_count())
 
 
-@dataclass(frozen=True, slots=True)
-class StabilizerCode:
+class StabilizerCode(Record):
     """A stabilizer code given by generators, with optional logicals."""
 
-    n: int
-    generators: tuple[PauliOp, ...]
-    logical_x: Optional[PauliOp] = None
-    logical_z: Optional[PauliOp] = None
+    __slots__ = ("n", "generators", "logical_x", "logical_z")
+    _defaults = {"logical_x": None, "logical_z": None}
 
     def validate(self) -> tuple[list[PauliOp], list[PauliOp]]:
         """Check the code; return its X-bearing rows, reduced on their X
@@ -193,8 +187,7 @@ class StabilizerCode:
         return x_rows, z_rows
 
 
-@dataclass(frozen=True)
-class StandardFormCode:
+class StandardFormCode(Record):
     """A single-logical-qubit code in standard form.
 
     ``a_x`` (m x n, full rank) and ``b`` hold the X-bearing generators
@@ -209,23 +202,16 @@ class StandardFormCode:
     generate exactly the input group.
     """
 
-    a_x: BitMat
-    b: BitMat
-    a_z: BitMat
-    r: BitVec
-    s: BitVec
-    x_phases: tuple[int, ...] = ()
-    local_x_mask: BitVec | None = None
-    local_s_mask: BitVec | None = None
-    local_z_mask: BitVec | None = None
+    __slots__ = ("a_x", "b", "a_z", "r", "s", "x_phases",
+                 "local_x_mask", "local_s_mask", "local_z_mask")
 
-    def __post_init__(self):
-        if not self.x_phases:
-            object.__setattr__(self, "x_phases", (0,) * self.a_x.nrows)
-        zero = BitVec.zeros(self.a_x.ncols)
-        for name in ("local_x_mask", "local_s_mask", "local_z_mask"):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, zero)
+    def __init__(self, a_x: BitMat, b: BitMat, a_z: BitMat, r: BitVec, s: BitVec,
+                 x_phases: tuple[int, ...] = (), local_x_mask: BitVec | None = None,
+                 local_s_mask: BitVec | None = None, local_z_mask: BitVec | None = None):
+        zero = BitVec.zeros(a_x.ncols)
+        masks = [zero if mask is None else mask
+                 for mask in (local_x_mask, local_s_mask, local_z_mask)]
+        Record.__init__(self, a_x, b, a_z, r, s, x_phases or (0,) * a_x.nrows, *masks)
 
     @property
     def n(self) -> int:
@@ -486,19 +472,14 @@ def logical_zero_support(sf: StandardFormCode) -> list[tuple[BitVec, complex]]:
     return pairs
 
 
-@dataclass(frozen=True, slots=True)
-class DegeneracyClass:
+class DegeneracyClass(Record):
     """Qubits whose check columns coincide; undetectable when all zero."""
 
-    indices: tuple[int, ...]
-    representative: int
-    undetectable: bool
+    __slots__ = ("indices", "representative", "undetectable")
 
 
-@dataclass(frozen=True, slots=True)
-class DegeneracyPartition:
-    n: int
-    classes: tuple[DegeneracyClass, ...]
+class DegeneracyPartition(Record):
+    __slots__ = ("n", "classes")
 
     def representatives(self) -> tuple[int, ...]:
         return tuple(c.representative for c in self.classes)
@@ -518,13 +499,10 @@ def degeneracy_classes(a_x: BitMat) -> DegeneracyPartition:
     return DegeneracyPartition(a_x.ncols, tuple(classes))
 
 
-@dataclass(frozen=True, slots=True)
-class ReducedView:
+class ReducedView(Record):
     """Restriction of a check matrix to one representative per class."""
 
-    partition: DegeneracyPartition
-    representatives: tuple[int, ...]
-    a_x: BitMat
+    __slots__ = ("partition", "representatives", "a_x")
 
 
 def nondegenerate_reduction(

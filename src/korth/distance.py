@@ -11,11 +11,10 @@ stops at the first (hence minimum-weight) logical found.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvalidCodeError, RangeError
 from .gf2 import BitMat, BitVec, RowSpace, null_space, span_ints
+from .record import Record
 
 __all__ = ["DistanceReport", "ThreeColumnCheck", "css_distances", "z_distance_floor"]
 
@@ -24,31 +23,22 @@ _COSET_DIM_LIMIT = 16
 _COSET_HARD_LIMIT = 26
 
 
-@dataclass(frozen=True, slots=True)
-class DistanceReport:
+class DistanceReport(Record):
     """Per-type minimum logical weights with re-checkable witnesses.
 
     ``exact_*`` is False only when a weight cap stopped the search early, in
     which case ``d_*`` is a lower bound (cap + 1) and the witness is absent.
     """
 
-    d_z: int
-    d_x: int
-    witness_z: Optional[BitVec]
-    witness_x: Optional[BitVec]
-    method_z: str
-    method_x: str
-    exact_z: bool
-    exact_x: bool
+    __slots__ = ("d_z", "d_x", "witness_z", "witness_x", "method_z", "method_x",
+                 "exact_z", "exact_x")
 
 
-@dataclass(frozen=True, slots=True)
-class ThreeColumnCheck:
+class ThreeColumnCheck(Record):
     """Whether distinct nonzero columns force distance >= 3, plus a weight-3
     null triple when one exists (making the distance exactly 3)."""
 
-    distance_at_least_3: bool
-    triple: Optional[tuple[int, int, int]]
+    __slots__ = ("distance_at_least_3", "triple")
 
 
 def _min_logical_coset(

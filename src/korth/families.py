@@ -10,11 +10,10 @@ Reed-Muller code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .codes import StandardFormCode
 from .errors import RangeError
 from .gf2 import BitMat, BitVec
+from .record import Record
 
 __all__ = [
     "SubdualParts",
@@ -27,8 +26,7 @@ __all__ = [
 _C = 0b11  # the fixed weight-2 column c
 
 
-@dataclass(frozen=True, slots=True)
-class SubdualParts:
+class SubdualParts(Record):
     """Column blocks of the sub-dual construction.
 
     ``c`` is the fixed weight-2 column (bits 0 and 1); ``v`` collects every
@@ -38,11 +36,7 @@ class SubdualParts:
     (I | c | v) and have even row weights.
     """
 
-    m: int
-    c: BitVec
-    v: BitMat
-    d: BitVec
-    j_block: BitMat
+    __slots__ = ("m", "c", "v", "d", "j_block")
 
 
 def _column_value(col: int, m: int) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .codes import StandardFormCode, degeneracy_classes, is_css
@@ -17,6 +16,7 @@ from .errors import CongruenceError, DegenerateCodeError, RangeError, Unsupporte
 from .gf2 import BitVec, and_product, span_ints
 from .ortho import OrthogonalityReport, is_k_orthogonal, isolate_column, row_products
 from .phases import DyadicPhase, DyadicPhaseVector
+from .record import Record
 
 __all__ = [
     "GateDescriptor",
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseActionResult:
+class PhaseActionResult(Record):
     """Outcome of checking a transversal phase vector against a code.
 
     ``ok`` means every codeword-support congruence held and ``phase`` is the
@@ -40,14 +39,11 @@ class PhaseActionResult:
     numerator sum leaves the nonzero ``residue`` modulo 2**k.
     """
 
-    ok: bool
-    phase: Optional[DyadicPhase] = None
-    violation: Optional[BitVec] = None
-    residue: Optional[int] = None
+    __slots__ = ("ok", "phase", "violation", "residue")
+    _defaults = {"phase": None, "violation": None, "residue": None}
 
 
-@dataclass(frozen=True, slots=True)
-class GateDescriptor:
+class GateDescriptor(Record):
     """A claimed transversal diagonal gate with ``controls`` control qubits.
 
     Every physical gate is a power of the single base phase P(pi/2**(k-1)),
@@ -57,9 +53,8 @@ class GateDescriptor:
     verification then confirms or refutes.
     """
 
-    controls: int
-    realized: DyadicPhaseVector
-    logical_phase: Optional[DyadicPhase] = None
+    __slots__ = ("controls", "realized", "logical_phase")
+    _defaults = {"logical_phase": None}
 
     def validate(self, n: int) -> None:
         if self.controls < 0:
@@ -72,8 +67,7 @@ class GateDescriptor:
         self.realized.check_length(n)
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseSolutionSet:
+class PhaseSolutionSet(Record):
     """All phase vectors acting trivially on every codeword support.
 
     The set is a module over Z_{2**k}: each solution is a unique combination
@@ -81,31 +75,19 @@ class PhaseSolutionSet:
     as particular solutions and carry their induced logical phases.
     """
 
-    k: int
-    n: int
-    generators: tuple[DyadicPhaseVector, ...]
-    orders: tuple[int, ...]
-    phases: tuple[DyadicPhase, ...]
+    __slots__ = ("k", "n", "generators", "orders", "phases")
 
     def count(self) -> int:
         return math.prod(self.orders)
 
 
-@dataclass(frozen=True, slots=True)
-class ControlledPhaseReport:
+class ControlledPhaseReport(Record):
     """Verdict for a q-controlled transversal phase gate."""
 
-    passed: bool
-    controls: int
-    k: int
-    induced_r: BitVec
-    non_clifford: bool
-    size_bound_ok: Optional[bool] = None
-    logical_numerator: Optional[int] = None
-    claim_ok: Optional[bool] = None
-    witness_rows: Optional[tuple[int, ...]] = None
-    witness_residue: Optional[int] = None
-    witness_modulus: Optional[int] = None
+    __slots__ = ("passed", "controls", "k", "induced_r", "non_clifford", "size_bound_ok",
+                 "logical_numerator", "claim_ok", "witness_rows", "witness_residue",
+                 "witness_modulus")
+    _defaults = dict.fromkeys(__slots__[5:])  # None from size_bound_ok on
 
 
 def logical_phase_action(

@@ -8,10 +8,10 @@ hashable, so they can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError, MatrixParseError, RangeError
+from .record import Record
 
 __all__ = [
     "BitVec",
@@ -34,17 +34,16 @@ __all__ = [
 _NOT_BITS = str.maketrans("", "", "01")  # deletes every valid character
 
 
-@dataclass(frozen=True, slots=True)
-class BitVec:
+class BitVec(Record):
     """An immutable binary string of length ``n`` packed into an int."""
 
-    n: int
-    bits: int
+    __slots__ = ("n", "bits")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, bits: int):
+        if n < 0:
             raise RangeError("BitVec length must be nonnegative")
-        object.__setattr__(self, "bits", self.bits & ((1 << self.n) - 1))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits & ((1 << n) - 1))
 
     @classmethod
     def from_string(cls, text: str) -> "BitVec":
@@ -123,27 +122,19 @@ class BitVec:
         return (self.bits & other.bits).bit_count() & 1
 
 
-@dataclass(frozen=True, slots=True)
-class BitMat:
+class BitMat(Record):
     """A row-major binary matrix; every row is a BitVec of length ``ncols``."""
 
-    ncols: int
-    rows: tuple[BitVec, ...]
+    __slots__ = ("ncols", "rows")
 
-    def __post_init__(self):
-        if self.ncols < 0:
+    def __init__(self, ncols: int, rows: tuple[BitVec, ...]):
+        if ncols < 0:
             raise RangeError("column count must be nonnegative")
-        for row in self.rows:
-            if row.n != self.ncols:
-                raise DimensionError(
-                    f"row length {row.n} does not match column count {self.ncols}"
-                )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[BitVec]) -> "BitMat":
-        if not rows:
-            raise ValueError("cannot infer column count from an empty row list")
-        return cls(rows[0].n, tuple(rows))
+        for row in rows:
+            if row.n != ncols:
+                raise DimensionError(f"row length {row.n} does not match column count {ncols}")
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_ints(cls, ncols: int, rows: Iterable[int]) -> "BitMat":

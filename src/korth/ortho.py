@@ -9,12 +9,12 @@ The optional restriction vector counts weight only on its support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import NoSyndromeError, RangeError
 from .gf2 import BitMat, BitVec
+from .record import Record
 
 __all__ = [
     "OrthogonalityWitness",
@@ -26,20 +26,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class OrthogonalityWitness:
+class OrthogonalityWitness(Record):
     """A failing product: AND of the given rows has odd restricted weight."""
 
-    t: int
-    rows: tuple[int, ...]
-    restriction: BitVec
+    __slots__ = ("t", "rows", "restriction")
 
 
-@dataclass(frozen=True, slots=True)
-class OrthogonalityReport:
-    level: int
-    holds: bool
-    witness: Optional[OrthogonalityWitness] = None
+class OrthogonalityReport(Record):
+    __slots__ = ("level", "holds", "witness")
+    _defaults = {"witness": None}
 
 
 def row_products(

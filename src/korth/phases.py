@@ -6,9 +6,9 @@ No floating point is used anywhere; every angle comparison is a congruence.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from .errors import DimensionError, RangeError
+from .record import Record
 
 __all__ = ["DyadicPhase", "DyadicPhaseVector"]
 
@@ -16,8 +16,7 @@ __all__ = ["DyadicPhase", "DyadicPhaseVector"]
 _DIGITS = tuple(bytes(48 + ((v >> b) & 1) for v in range(256)) for b in range(8))
 
 
-@dataclass(frozen=True, slots=True)
-class DyadicPhase:
+class DyadicPhase(Record):
     """The angle numerator*pi/2**(k-1), stored in lowest terms.
 
     The numerator is reduced modulo 2**k and shared factors of two are
@@ -25,14 +24,12 @@ class DyadicPhase:
     produced.  Zero is represented as (0, 1).
     """
 
-    numerator: int
-    k: int
+    __slots__ = ("numerator", "k")
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise RangeError(f"denominator exponent must be >= 1, got {self.k}")
-        num = self.numerator % (1 << self.k)
-        k = self.k
+    def __init__(self, numerator: int, k: int):
+        if k < 1:
+            raise RangeError(f"denominator exponent must be >= 1, got {k}")
+        num = numerator % (1 << k)
         while num and num % 2 == 0 and k > 1:
             num //= 2
             k -= 1
@@ -52,27 +49,26 @@ class DyadicPhase:
         return num if denom == 1 else f"{num}/{denom}"
 
 
-@dataclass(frozen=True, slots=True)
-class DyadicPhaseVector:
+class DyadicPhaseVector(Record):
     """Per-qubit phase exponents: qubit i receives P(p[i]*pi/2**(k-1)).
 
     ``planes[b]`` packs bit b of every exponent (bit i = qubit i), so a
     masked sum is at most k popcounts instead of a loop over the mask.
     """
 
-    k: int
-    p: tuple[int, ...]
-    planes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("k", "p", "planes")
+    _fields = ("k", "p")  # planes is derived: not compared, hashed or shown
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise RangeError(f"denominator exponent must be >= 1, got {self.k}")
-        q = 1 << self.k
-        p = tuple(map(operator.index, self.p))  # exact ints only
+    def __init__(self, k: int, p: tuple[int, ...]):
+        if k < 1:
+            raise RangeError(f"denominator exponent must be >= 1, got {k}")
+        q = 1 << k
+        p = tuple(map(operator.index, p))  # exact ints only
         top = max(p, default=0)
         if top >= q or min(p, default=0) < 0:
             p = tuple(x % q for x in p)
             top = max(p, default=0)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "p", p)
         planes = []
         width = top.bit_length()

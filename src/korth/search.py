@@ -53,7 +53,6 @@ import math
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from typing import TYPE_CHECKING, Optional
@@ -61,6 +60,7 @@ from typing import TYPE_CHECKING, Optional
 from .errors import RangeError
 from .gf2 import BitMat, null_space, span_ints
 from .ortho import is_k_orthogonal, row_products
+from .record import Record
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -91,66 +91,49 @@ _TailTable = dict[int, list[tuple[int, ...]]]
 _Columns = tuple[tuple[int, ...], int, list[int], list[int], dict[int, _TailTable], Optional[dict]]
 
 
-@dataclass(frozen=True, slots=True)
-class SearchSpace:
+class SearchSpace(Record):
     """Parameter boxes to scan: row counts in ``m_range``, columns up to
     ``n_max``, with optional wall-clock or subset budgets."""
 
-    k: int
-    m_range: tuple[int, ...]
-    n_max: int
-    budget_seconds: Optional[float] = None
-    budget_subsets: Optional[int] = None
+    __slots__ = ("k", "m_range", "n_max", "budget_seconds", "budget_subsets")
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise RangeError(f"orthogonality level must be >= 1, got {self.k}")
-        if self.n_max < 1:
-            raise RangeError(f"n_max must be >= 1, got {self.n_max}")
-        if not self.m_range or min(self.m_range) < 1:
-            raise RangeError(f"m_range must hold row counts >= 1, got {self.m_range}")
-        top = max(self.m_range)  # no box holds more distinct nonzero columns
-        if self.n_max.bit_length() > top:  # n_max > 2**top - 1, without the power
-            raise RangeError(f"n_max must be <= 2**{top}-1, got {self.n_max}")
-        for name in ("budget_seconds", "budget_subsets"):
-            value = getattr(self, name)
+    def __init__(self, k: int, m_range: tuple[int, ...], n_max: int,
+                 budget_seconds: Optional[float] = None, budget_subsets: Optional[int] = None):
+        if k < 1:
+            raise RangeError(f"orthogonality level must be >= 1, got {k}")
+        if n_max < 1:
+            raise RangeError(f"n_max must be >= 1, got {n_max}")
+        if not m_range or min(m_range) < 1:
+            raise RangeError(f"m_range must hold row counts >= 1, got {m_range}")
+        top = max(m_range)  # no box holds more distinct nonzero columns
+        if n_max.bit_length() > top:  # n_max > 2**top - 1, without the power
+            raise RangeError(f"n_max must be <= 2**{top}-1, got {n_max}")
+        for name, value in (("budget_seconds", budget_seconds), ("budget_subsets", budget_subsets)):
             if value is not None and not value >= 0:  # rejects NaN too
                 raise RangeError(f"{name} must be nonnegative, got {value}")
+        Record.__init__(self, k, m_range, n_max, budget_seconds, budget_subsets)
 
 
-@dataclass(frozen=True, slots=True)
-class SearchWitness:
+class SearchWitness(Record):
     """A full-rank k-orthogonal candidate (would refute minimality)."""
 
-    m: int
-    n: int
-    columns: tuple[int, ...]
+    __slots__ = ("m", "n", "columns")
 
     def matrix(self) -> BitMat:
         return BitMat.from_columns(self.m, self.columns)
 
 
-@dataclass(frozen=True, slots=True)
-class BoxResult:
-    m: int
-    n: int
-    subsets: int = 0
-    candidates: Optional[int] = None
-    hits: int = 0
-    witnesses: tuple[SearchWitness, ...] = ()
-    complete: bool = True
-    skipped: Optional[str] = None
-    mode: str = "fast"
+class BoxResult(Record):
+    __slots__ = ("m", "n", "subsets", "candidates", "hits", "witnesses", "complete",
+                 "skipped", "mode")
+    _defaults = {"subsets": 0, "candidates": None, "hits": 0, "witnesses": (),
+                 "complete": True, "skipped": None, "mode": "fast"}
 
 
-@dataclass(frozen=True, slots=True)
-class SearchReport:
-    k: int
-    prune: str
-    boxes: tuple[BoxResult, ...]
-    elapsed_seconds: float
-    notes: tuple[str, ...] = ()
-    engines: tuple[str, ...] = ()  # per scanned row count; not in to_dict
+class SearchReport(Record):
+    __slots__ = ("k", "prune", "boxes", "elapsed_seconds", "notes",
+                 "engines")  # engines: per scanned row count; not in to_dict
+    _defaults = {"notes": (), "engines": ()}
 
     @property
     def witnesses(self) -> tuple[SearchWitness, ...]:

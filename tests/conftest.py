@@ -26,9 +26,16 @@ from korth.phases import DyadicPhaseVector
 # small helpers the library itself does not need
 
 
+def mat_from_rows(rows: Sequence[BitVec]) -> BitMat:
+    """A matrix from a nonempty list of equal-length rows."""
+    if not rows:
+        raise ValueError("cannot infer column count from an empty row list")
+    return BitMat(rows[0].n, tuple(rows))
+
+
 def bitmat(rows: Sequence[str]) -> BitMat:
     """A matrix from its row strings, position 0 leftmost."""
-    return BitMat.from_rows([BitVec.from_string(r) for r in rows])
+    return mat_from_rows([BitVec.from_string(r) for r in rows])
 
 
 def mul_vec(M: BitMat, v: BitVec) -> BitVec:
@@ -230,7 +237,7 @@ def random_css_sf(rng: random.Random, n: int, m: int) -> StandardFormCode:
     kernel = null_space(a_x)
     rows = list(kernel.rows)
     rng.shuffle(rows)
-    a_z = BitMat.from_rows(rows[: n - 1 - m]) if n - 1 - m else BitMat.zero(0, n)
+    a_z = mat_from_rows(rows[: n - 1 - m]) if n - 1 - m else BitMat.zero(0, n)
     return css_standard_form(a_x, a_z)
 
 

@@ -15,7 +15,8 @@ from korth.gf2 import BitMat, BitVec, and_product, covered_columns_count, null_s
 from korth.ortho import is_k_orthogonal
 from korth.phases import DyadicPhaseVector
 
-from conftest import frame_conjugate, groups_equal, random_css_sf, random_full_rank, scrambled
+from conftest import (frame_conjugate, groups_equal, mat_from_rows, random_css_sf,
+                      random_full_rank, scrambled)
 
 DEFAULT_SEED = 20240817
 
@@ -148,7 +149,7 @@ def degeneracy_reduction_equivalence(seed: int = DEFAULT_SEED, cases: int = 200)
             n, [sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(m)]
         )
         kernel = null_space(a_x)
-        a_z = BitMat.from_rows(list(kernel.rows)[: n - 1 - m]) if n - 1 - m else BitMat.zero(0, n)
+        a_z = mat_from_rows(list(kernel.rows)[: n - 1 - m]) if n - 1 - m else BitMat.zero(0, n)
         sf = css_standard_form(a_x, a_z)
         k = rng.randint(1, 3)
         theta = DyadicPhaseVector(k, tuple(rng.randrange(1 << k) for _ in range(n)))

@@ -430,8 +430,11 @@ class TestLoadedLayers:
 
     ENV = dict(os.environ, PYTHONPATH=str(Path(korth.__file__).resolve().parent.parent))
     PROBE = ("import sys\n"
+             "before = set(sys.modules)\n"
              "from korth.cli import main\n"
              "status = main(sys.argv[1:])\n"
+             "heavy = {'dataclasses', 'inspect'} & (set(sys.modules) - before)\n"
+             "assert not heavy, f'loaded {sorted(heavy)}'\n"
              "print(*sorted(m for m in sys.modules if m.startswith('korth')), file=sys.stderr)\n"
              "sys.exit(status)\n")
 
@@ -451,15 +454,15 @@ class TestLoadedLayers:
 
     # A command that loads codes loads the report writer with it.
     CASES = [
-        ("construct --m 5 --out c5.json", 0, "codes families gf2 phases report"),
-        ("standard-form --code code.json", 0, "codes gf2 phases report"),
-        ("check-orth --matrix ax.txt --k 3", 0, "gf2 ortho"),
-        ("find-gates --code code.json --k 3", 0, "codes gates gf2 ortho phases report"),
-        ("verify-gate --code code.json --k 3 --p all-ones", 0, "codes gates gf2 ortho phases report"),
-        ("distance --code code.json", 0, "codes distance gf2 phases report"),
-        ("distance --ax ax.txt --az az.txt", 0, "distance gf2"),
-        ("search-min --k 2 --m-min 3 --m-max 4 --n-max 8", 1, "gf2 ortho report search"),
-        ("reduce-degenerate --code deg.json --k 2 --p 1,1,1,2", 0, "codes gf2 phases report"),
+        ("construct --m 5 --out c5.json", 0, "codes families gf2 phases record report"),
+        ("standard-form --code code.json", 0, "codes gf2 phases record report"),
+        ("check-orth --matrix ax.txt --k 3", 0, "gf2 ortho record"),
+        ("find-gates --code code.json --k 3", 0, "codes gates gf2 ortho phases record report"),
+        ("verify-gate --code code.json --k 3 --p all-ones", 0, "codes gates gf2 ortho phases record report"),
+        ("distance --code code.json", 0, "codes distance gf2 phases record report"),
+        ("distance --ax ax.txt --az az.txt", 0, "distance gf2 record"),
+        ("search-min --k 2 --m-min 3 --m-max 4 --n-max 8", 1, "gf2 ortho record report search"),
+        ("reduce-degenerate --code deg.json --k 2 --p 1,1,1,2", 0, "codes gf2 phases record report"),
     ]
 
     @pytest.mark.parametrize("argv, status, layers", CASES,
@@ -480,7 +483,7 @@ class TestLoadedLayers:
         proc = self.spawn(tmp_path, "-m", "korth.cli", "--verbose", "search-min", "--k", "3",
                           "--m-min", "4", "--m-max", "4", "--n-max", "15", "--prune", "orbit")
         assert proc.returncode == 1, proc.stderr
-        assert re.fullmatch(r"search-min: exit 1 in \d+\.\d{3}s; layers errors gf2 ortho report search",
+        assert re.fullmatch(r"search-min: exit 1 in \d+\.\d{3}s; layers errors gf2 ortho record report search",
                             proc.stderr.splitlines()[-1])
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -8,6 +7,7 @@ import pytest
 from korth.codes import (
     PauliOp,
     StabilizerCode,
+    StandardFormCode,
     code_from_json,
     code_to_json,
     css_standard_form,
@@ -27,6 +27,7 @@ from conftest import (
     bitmat,
     five_qubit_code,
     frame_conjugate,
+    mat_from_rows,
     random_css_sf,
     groups_equal,
     pauli_group_member,
@@ -179,7 +180,8 @@ class TestValidationRejections:
             "s-anticommutes-a_z": {"s": BitVec(n, s ^ low(az[0]))},
             "r-s-even": {"s": BitVec.zeros(n)},
         }
-        return dataclasses.replace(sf, **changes[fault])
+        fields = {name: getattr(sf, name) for name in StandardFormCode.__slots__}
+        return StandardFormCode(**{**fields, **changes[fault]})
 
     @pytest.mark.parametrize("fault, message", [
         ("b-shape", "B block shape must match A_X"),
@@ -393,7 +395,7 @@ class TestDegeneracy:
         rows = list(M.rows)
         rows[0] = rows[0] ^ rows[1]
         rows[2] = rows[2] ^ rows[0]
-        M2 = BitMat.from_rows(rows)
+        M2 = mat_from_rows(rows)
         part1 = degeneracy_classes(M)
         part2 = degeneracy_classes(M2)
         assert [c.indices for c in part1.classes] == [c.indices for c in part2.classes]
@@ -426,7 +428,7 @@ class TestNondegenerateReduction:
         a_x = BitMat.from_ints(
             7, [sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(3)]
         )
-        a_z = BitMat.from_rows(list(null_space(a_x).rows)[:3])
+        a_z = mat_from_rows(list(null_space(a_x).rows)[:3])
         sf = css_standard_form(a_x, a_z)
         theta = DyadicPhaseVector(2, tuple(rng.randrange(4) for _ in range(7)))
         view, _ = nondegenerate_reduction(sf, theta)

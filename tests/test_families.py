@@ -13,7 +13,7 @@ from korth.families import (
 from korth.gf2 import BitMat, BitVec, in_rowspan, rank, span_enumerate
 from korth.ortho import is_k_orthogonal, max_orthogonality
 
-from conftest import spans_equal, textbook_steane
+from conftest import mat_from_rows, spans_equal, textbook_steane
 
 # The 4x15 minimal tri-orthogonal matrix, frozen row by row.
 MINIMAL_4x15 = [
@@ -117,7 +117,7 @@ class TestSubdualCss:
         # every X check lies in the span of the Z checks plus the logical
         for m in (3, 4, 5):
             sf = subdual_css(m)
-            aug = BitMat.from_rows(list(sf.a_z.rows) + [sf.r])
+            aug = mat_from_rows(list(sf.a_z.rows) + [sf.r])
             assert all(in_rowspan(row, aug) for row in sf.a_x.rows)
 
     def test_logical_commutation(self):

@@ -8,7 +8,7 @@ from korth.families import hamming_parity_check
 from korth.gf2 import BitMat, BitVec, and_product, in_rowspan, rank, span_enumerate
 from korth.ortho import is_k_orthogonal, isolate_column, max_orthogonality
 
-from conftest import bitmat, random_full_rank
+from conftest import bitmat, mat_from_rows, random_full_rank
 
 
 def brute_k_orthogonal(a_x: BitMat, k: int, r: BitVec | None = None) -> bool:
@@ -85,7 +85,7 @@ class TestIsKOrthogonal:
                 i, j = rng.randrange(m), rng.randrange(m)
                 if i != j:
                     rows[i] = rows[i] ^ rows[j]
-            M2 = BitMat.from_rows(rows)
+            M2 = mat_from_rows(rows)
             for k in range(1, m + 1):
                 assert is_k_orthogonal(M, k).holds == is_k_orthogonal(M2, k).holds
 
