@@ -159,7 +159,7 @@ def _cmd_verify_gate(args) -> int:
     if args.gate:
         try:
             spec = json.loads(_read_text(args.gate))
-        except ValueError as exc:  # bad JSON, or a number past int()'s digit limit
+        except (ValueError, RecursionError) as exc:  # bad, too deeply nested or too long a number
             raise KorthError(str(exc)) from None
         need = "gate descriptor needs integer k, optional controls and a list p"
         try:

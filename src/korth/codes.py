@@ -602,6 +602,6 @@ def code_to_json(code: StabilizerCode) -> str:
 def code_from_json(text: str) -> StabilizerCode:
     try:
         data = json.loads(text)
-    except ValueError as exc:  # bad JSON, or a number past int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # bad, too deeply nested or too long a number
         raise InvalidCodeError(f"invalid JSON: {exc}") from None
     return code_from_json_dict(data)

@@ -90,7 +90,7 @@ def _min_logical_weight_search(
 
 def _one_side(
     checks: RowSpace, stabilizers: RowSpace, n: int, strategy: str, weight_cap: int | None
-) -> tuple[int, Optional[BitVec], str, bool]:
+) -> tuple[int, BitVec | None, str, bool]:
     dim = n - len(checks.rows)
     if strategy == "auto":
         strategy = "coset" if dim <= _COSET_DIM_LIMIT else "weight"

@@ -8,14 +8,12 @@ fingerprints XOR to zero: with the fixed columns' XOR b, F.x = b over
 GF(2) for x its indicator over the L free values.  Per row count, one of two engines
 serves every box, the cheaper by closed-form costs (``_choose_engine``):
 
-- the linear engine eliminates [F | b] once and walks its 2**D solutions
-  (D = L - rank F) from a kernel basis, keeping the weights the boxes need;
+- the linear engine walks the 2**D solutions from a kernel basis in closed
+  form (``_kernel``), keeping the weights the boxes need;
 - the walk visits subsets depth first and stops s columns short of a full
   subset: one lookup in a table of every XOR of s fingerprints closes the
-  block of subsets extending the prefix.  s is three, or the number of
-  free columns if fewer, lowered while the table would pass
-  ``_TAIL_ENTRY_LIMIT`` entries (so three at m <= 5, two at m = 6, one
-  from m = 7); each table is built once per row count and search.
+  block of subsets extending the prefix (s <= 3, see ``_tail_size``); the
+  fingerprints and tables are built once, for the first box walked.
 
 Each hit is ranked from its packed column values by basis insertion
 (``_rank``); only a full-rank hit becomes a matrix, re-verified with
@@ -53,12 +51,12 @@ import math
 import os
 import time
 from contextlib import nullcontext
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 from typing import TYPE_CHECKING, Optional
 
 from .errors import RangeError
-from .gf2 import BitMat, null_space, span_ints
+from .gf2 import BitMat, span_ints
 from .ortho import is_k_orthogonal, row_products
 from .record import Record
 
@@ -80,15 +78,14 @@ _EXACT_COUNT_LIMIT = 200_000
 # Entries a tail table may hold: C(31, 3) = 4,495 keeps three tail columns at
 # m=5, where m=8 would need C(255, 3) = 2,731,135.
 _TAIL_ENTRY_LIMIT = 5_000
-# Linear-engine span steps or eliminated bits per walk tail lookup, at the
-# least (Python 3.11, 2 x86 cores): a lookup takes 1.3-2.9 us, a span step
-# 0.08-0.37 us, an eliminated bit of [F | b] 0.14-0.29 us.
+# Linear-engine span steps per walk tail lookup, at the least (Python 3.11,
+# 2 x86 cores): a lookup takes 1.3-2.9 us, a span step 0.08-0.37 us.
 _PER_LOOKUP = 4
 
 # Per tail XOR, the index tuples producing it.
 _TailTable = dict[int, list[tuple[int, ...]]]
 # What every box at one row count chooses from; see _box_columns.
-_Columns = tuple[tuple[int, ...], int, list[int], list[int], dict[int, _TailTable], Optional[dict]]
+_Columns = tuple[tuple[int, ...], list[int], dict, Optional[dict]]
 
 
 class SearchSpace(Record):
@@ -247,29 +244,28 @@ def _tail_table(fps: list[int], s: int) -> _TailTable:
 
 
 def _scan_range(
-    values: list[int], fps: list[int], tails: dict[int, _TailTable], n: int,
-    base: tuple[int, ...], base_acc: int,
+    values: list[int], fps: list[int], tails: dict[int, _TailTable], n: int, acc: int,
     deadline: Optional[float], limit: Optional[int], leading: range,
 ) -> tuple[int, list[tuple[int, ...]], bool]:
     """Scan the n-subsets of ``values`` whose first index is in ``leading``.
 
-    Every subset extends ``base`` (already-fixed columns).  ``tails`` maps a
-    tail size s to its :func:`_tail_table`: s = 1 and at most one larger s.
-    Once s columns are left to choose, one lookup closes the block of every
-    subset extending the prefix: a tail tuple found there is a hit when its
-    first index is in the block's range.  The deadline is checked once per
-    block.  Where the limit falls inside a block of s > 1 columns, the walk
-    goes on column by column, and the last column is cut at the limit.  At
-    most ``limit`` subsets are visited.  Returns the visited count, the
-    fingerprint hits, and whether the range completed within the deadline
-    and the limit.
+    ``acc`` is the fixed columns' fingerprint XOR, and a hit holds only the
+    other columns.  ``tails`` maps a tail size s to its :func:`_tail_table`:
+    s = 1 and at most one larger s.  Once s columns are left to choose, one
+    lookup closes the block of every subset extending the prefix: a tail
+    tuple found there is a hit when its first index is in the block's range.
+    The deadline is checked once per block.  Where the limit falls inside a
+    block of s > 1 columns, the walk goes on column by column, and the last
+    column is cut at the limit.  At most ``limit`` subsets are visited.
+    Returns the visited count, the fingerprint hits, and whether the range
+    completed within the deadline and the limit.
     """
     if n == 0:
-        return 1, [base] if base_acc == 0 else [], True
+        return 1, [()] if acc == 0 else [], True
     length = len(values)
     hits: list[tuple[int, ...]] = []
     visited = 0
-    chosen: list[int] = list(base)
+    chosen: list[int] = []
 
     def rec(indices: range, depth: int, acc: int) -> bool:
         nonlocal visited
@@ -300,71 +296,71 @@ def _scan_range(
                 return False
         return True
 
-    complete = rec(leading, 0, base_acc)
+    complete = rec(leading, 0, acc)
     return visited, hits, complete
 
 
-def _choose_engine(walk: int, rows: int, length: int, dim: int) -> bool:
-    """Whether the linear engine, eliminating ``rows`` x (``length`` + 1) bits
-    and walking 2**dim solutions, costs at most ``walk`` tail lookups."""
-    return (rows * (length + 1) + (1 << dim)) // _PER_LOOKUP <= walk
+def _choose_engine(walk: int, dim: int) -> bool:
+    """Whether walking 2**dim solutions costs at most ``walk`` tail lookups."""
+    return (1 << dim) // _PER_LOOKUP <= walk
+
+
+def _kernel(m: int, k: int, base: tuple[int, ...]) -> tuple[list[int], int]:
+    """A basis of the x with F.x = 0 and one x with F.x = b, bit v of x selecting
+    value v: the monomials x_U, |U| <= m-k-1 (x_U x_T has even weight
+    2**(m - |T u U|) for 1 <= |T| <= k), and 0; with the identity columns fixed,
+    the x_U, |U| >= 2, and 1 + x_0 + ... + x_{m-1}, which vanish on each e_i, and 1."""
+    size = 1 << m  # the value rows, as in subset_parity_table
+    rows = [int(("1" * (1 << i) + "0" * (1 << i)) * (size >> i + 1), 2) for i in range(m)]
+    full = (1 << size) - 2 - sum(1 << v for v in base)  # the free values
+    products = [acc for _, acc in row_products(rows, m - k - 1, full)]  # the m single rows first
+    if not base:
+        return [full, *products], 0
+    return products[m:] + [reduce(int.__xor__, products[:m], full)] * (m - k > 1), full
 
 
 def _box_columns(m: int, k: int, prune: str, n_max: int, budget: _Budget) -> tuple[_Columns, str]:
-    """What every box at ``m`` chooses from: the fixed columns and their
-    fingerprint XOR, the other values and their fingerprints, a cache for the
-    tail tables, and the linear engine's solutions by weight (None for the
-    walk); with a line naming the engine and its costs."""
-    table = subset_parity_table(m, k)
+    """What every box at ``m`` chooses from (the fixed columns, the other values,
+    a cache for their fingerprints and tail tables, and the linear engine's
+    solutions by weight, or None), and a line naming the engine and its costs."""
     # Under "orbit", every full-rank candidate is row-space equivalent to one
-    # containing the identity columns, and k-orthogonality only sees the row
-    # space.
+    # containing the identity columns; k-orthogonality only sees the row space.
     base = tuple(1 << i for i in range(m)) if prune == "orbit" else ()
-    base_acc = 0
-    for v in base:
-        base_acc ^= table[v]
     values = [v for v in range(1, 1 << m) if v not in base]
-    fps = [table[v] for v in values]
-    length, rows = len(values), max([base_acc, *fps]).bit_length()
     frees = [n - len(base) for n in range(m, min(n_max, (1 << m) - 1) + 1)]
-    # The walk looks up once per prefix of free - s indices below length - s,
+    # The walk looks up once per prefix of free - s indices below L - s,
     # and decides at most the subsets a cap leaves.
-    walk = sum(math.comb(length - s, free - s)
-               for free in frees for s in [_tail_size(length, free)])
+    walk = sum(math.comb(len(values) - s, free - s)
+               for free in frees for s in [_tail_size(len(values), free)])
     walk = walk if budget.remaining() is None else min(walk, budget.remaining())
-    dim, kernel, linear, solutions = max(length - rows, 0), None, False, None
-    if _choose_engine(walk, rows, length, dim):  # D is at least length - rows
-        # The kernel of [F | base_acc], F's column i fps[i], holds (x, 1) for
-        # each x with F.x = base_acc: the values completing base.
-        kernel = null_space(BitMat.from_columns(rows, [*fps, base_acc])).row_ints()
-        ones = kernel[-1] >> length if kernel else 0
-        dim = len(kernel) - ones
-        linear = _choose_engine(walk, rows, length, dim)
+    dim = sum(math.comb(m, t) for t in range(m - k))  # the monomials of _kernel, less
+    if base:  # the m conditions x(e_i) = 0, or at degree 0 the one the constant meets
+        dim -= m if m - k > 1 else 1
+    linear, solutions = _choose_engine(walk, dim), None
     if linear:
+        kernel, particular = _kernel(m, k, base)
         solutions = {free: [] for free in frees}
-        low = list(span_ints(kernel[: min(dim, 16)]))  # a list runs faster than the generator
-        for i, high in enumerate(span_ints(kernel[16:dim]) if ones else ()):
+        low = [x ^ particular for x in span_ints(kernel[:16])]
+        for i, high in enumerate(span_ints(kernel[16:])):
             if i and budget.deadline is not None and time.monotonic() > budget.deadline:
                 solutions = None  # the walk takes over, and stops at once
                 break
-            high ^= kernel[-1] ^ 1 << length
             for x in low:
                 x ^= high
                 found = solutions.get(x.bit_count())
                 if found is not None:
                     found.append(x)
     engine = (f"m={m}: {'walk' if solutions is None else 'linear'} engine, "
-              f"D{'>=' if kernel is None else '='}{dim}: ({rows}*{length + 1} + 2**{dim})/"
-              f"{_PER_LOOKUP} {'<=' if linear else '>'} {walk} walk lookups"
+              f"D={dim}: 2**{dim}/{_PER_LOOKUP} {'<=' if linear else '>'} {walk} walk lookups"
               + ("; the deadline passed in the span" if linear and solutions is None else ""))
-    return (base, base_acc, values, fps, {}, solutions), engine
+    return (base, values, {}, solutions), engine
 
 
 def _scan_box(
     m: int, n: int, k: int, columns: _Columns, prune: str, budget: "_Budget",
     workers: int, pool: Optional[Executor],
 ) -> BoxResult:
-    base, base_acc, values, fps, tails, solutions = columns
+    base, values, cache, solutions = columns
     if prune == "orbit":
         mode, candidates = "fast-orbit", None
     elif math.comb(len(values), n) <= _EXACT_COUNT_LIMIT:
@@ -374,16 +370,20 @@ def _scan_box(
     free = n - len(base)
     total, limit = math.comb(len(values), free), budget.remaining()
     if solutions is not None and (limit is None or limit >= total):  # a cut box is walked
-        parts = [(total, [base + tuple(v for i, v in enumerate(values) if x >> i & 1)
+        parts = [(total, [tuple(v for v in values if x >> v & 1)
                           for x in solutions[free]], True)]
     else:
+        if "fps" not in cache:  # the first box walked at this row count
+            table = subset_parity_table(m, k)
+            cache["fps"] = [table[v] for v in values]
         sizes = {1, _tail_size(len(values), free)} if free else set()
-        for s in sizes - tails.keys():
-            tails[s] = _tail_table(fps, s)
+        for s in sizes - cache.keys():
+            cache[s] = _tail_table(cache["fps"], s)
         leading = range(len(values) - free + 1)
+        # Each e_i has one fingerprint bit, {i}'s, bit i: base XORs to 2**len(base) - 1.
         scan = partial(
-            _scan_range, values, fps, {s: tails[s] for s in sizes}, free, base, base_acc,
-            budget.deadline, limit,
+            _scan_range, values, cache["fps"], {s: cache[s] for s in sizes}, free,
+            (1 << len(base)) - 1, budget.deadline, limit,
         )
         if pool is None or free == 0 or len(leading) < 2:
             parts = [scan(leading)]
@@ -395,7 +395,7 @@ def _scan_box(
     complete = budget.charge(visited) and all(part[2] for part in parts)
     full_rank = 0
     witnesses = []
-    raw_hits = sorted(hit for part in parts for hit in part[1])
+    raw_hits = sorted(base + hit for part in parts for hit in part[1])
     for cols in raw_hits:
         cols = tuple(sorted(cols))
         if _rank(cols) == m:

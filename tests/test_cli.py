@@ -248,9 +248,9 @@ class TestSearchMin:
         status, _, err = run(capsys, "--verbose", *argv, str(loud))
         assert status == 0
         assert err.splitlines()[:3] == [
-            "search-min m=3: linear engine, D=1: (6*8 + 2**1)/4 <= 15 walk lookups",
-            "search-min m=4: linear engine, D=5: (10*16 + 2**5)/4 <= 298 walk lookups",
-            "search-min m=5: walk engine, D>=16: (15*32 + 2**16)/4 > 3654 walk lookups",
+            "search-min m=3: linear engine, D=1: 2**1/4 <= 15 walk lookups",
+            "search-min m=4: linear engine, D=5: 2**5/4 <= 298 walk lookups",
+            "search-min m=5: walk engine, D=16: 2**16/4 > 3654 walk lookups",
         ]
         assert err.splitlines()[3].startswith("search-min: exit 0 in ")
         # The engine lines stay out of the report.
@@ -524,6 +524,9 @@ class TestBadInput:
         files["gate_huge_number"].write_text('{"k": 3, "p": [' + "9" * 5000 + "]}")
         files["n_huge"] = tmp_path / "n_huge.json"
         files["n_huge"].write_text('{"n": ' + "9" * 5000 + ', "stabilizers": []}')
+        # nesting past the JSON decoder's recursion limit
+        files["deep"] = tmp_path / "deep.json"
+        files["deep"].write_text("[" * 200_000)
         return {name: str(path) for name, path in files.items()}
 
     @pytest.mark.parametrize("argv", [
@@ -552,11 +555,14 @@ class TestBadInput:
         ["search-min", "--k", "2", "--m-min", "3", "--m-max", "3", "--n-max", "8"],
         ["verify-gate", "--code", "{code}", "--gate", "{gate_huge_number}"],
         ["standard-form", "--code", "{n_huge}"],
+        ["standard-form", "--code", "{deep}"],
+        ["verify-gate", "--code", "{code}", "--gate", "{deep}"],
     ], ids=["gate-without-p", "pauli-letter-q", "stabilizers-int", "restriction-bit-2",
             "weight-cap-below-1", "negative-budget", "budget-nan", "threads-0",
             "threads-negative", "n-float", "n-bool", "gate-floats", "gate-k-bool",
             "gate-controls-bool", "gate-p-entry-float", "gate-p-string", "m-range-empty",
-            "m-min-0", "n-max-above-columns", "gate-huge-number", "n-huge"])
+            "m-min-0", "n-max-above-columns", "gate-huge-number", "n-huge", "code-deep",
+            "gate-deep"])
     def test_exit_two(self, files, argv, capsys):
         status, _, err = run(capsys, *(a.format(**files) for a in argv))
         assert status == 2

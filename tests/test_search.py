@@ -14,7 +14,7 @@ import pytest
 
 from korth import search
 from korth.errors import RangeError
-from korth.gf2 import BitMat, rank
+from korth.gf2 import BitMat, null_space, rank
 from korth.ortho import is_k_orthogonal
 from korth.search import SearchSpace, full_rank_count, minimality_search, subset_parity_table
 
@@ -491,6 +491,44 @@ class TestLinearEngineAgainstWalk:
         assert 0 < len(box.witnesses) < 15
 
 
+class TestClosedFormKernel:
+    """The linear engine's kernel in closed form against elimination of the
+    fingerprint system [F | b] as oracle."""
+
+    @pytest.mark.parametrize("m,k", [(m, k) for m in range(2, 9) for k in range(1, m)])
+    @pytest.mark.parametrize("prune", ["none", "orbit"])
+    def test_matches_null_space(self, m, k, prune, monkeypatch):
+        base = tuple(1 << i for i in range(m)) if prune == "orbit" else ()
+        values = [v for v in range(1, 1 << m) if v not in base]
+        table = subset_parity_table(m, k)
+        b = 0
+        for v in base:
+            b ^= table[v]
+        rows = sum(math.comb(m, t) for t in range(1, k + 1))
+        # Column j of [F | b] is values[j]'s fingerprint, column L is b: the
+        # kernel holds (x, 0) for the homogeneous solutions and (x, 1) for the rest.
+        length = len(values)
+        oracle = null_space(BitMat.from_columns(rows, [table[v] for v in values] + [b])).row_ints()
+        assert any(x >> length for x in oracle)  # F.x = b is solvable
+        dims = []
+        monkeypatch.setattr(search, "_choose_engine", lambda walk, dim: dims.append(dim))
+        line = search._box_columns(m, k, prune, m, search._Budget(None, None))[1]
+        assert dims == [len(oracle) - 1] and f" D={len(oracle) - 1}:" in line
+
+        kernel, particular = search._kernel(m, k, base)
+        free = sum(1 << v for v in values)
+
+        def by_index(x: int) -> int:
+            """x, selecting values by bit v, as the oracle's bits by index."""
+            assert x & ~free == 0  # only free values are selected
+            return sum(1 << j for j, v in enumerate(values) if x >> v & 1)
+
+        homogeneous = [by_index(x) for x in kernel]
+        assert len(kernel) == len(oracle) - 1 == sweep_rank(homogeneous)
+        assert sweep_rank(oracle + homogeneous) == len(oracle)  # the same span
+        assert sweep_rank(oracle + [by_index(particular) | 1 << length]) == len(oracle)
+
+
 class TestEngineBudgets:
     """Both budgets bound the engine choice and the linear engine's span."""
 
@@ -508,7 +546,7 @@ class TestEngineBudgets:
         rep = minimality_search(
             SearchSpace(k=3, m_range=(6,), n_max=16, budget_seconds=0.1))
         assert rep.engines == (
-            "m=6: walk engine, D=22: (41*64 + 2**22)/4 <= 31350099501766 walk lookups; "
+            "m=6: walk engine, D=22: 2**22/4 <= 31350099501766 walk lookups; "
             "the deadline passed in the span",)
         assert not rep.complete and rep.elapsed_seconds < 5
 
@@ -520,12 +558,28 @@ class TestEngineBudgets:
         assert time.monotonic() - start < 1.5
         assert not rep.complete
 
-    def test_cap_bounds_the_walk_cost_and_skips_the_elimination(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(search, "null_space", lambda M: calls.append(M))
+    def test_cap_bounds_the_walk_cost_and_skips_the_elimination(self):
         rep = minimality_search(SearchSpace(k=9, m_range=(10,), n_max=10, budget_subsets=10))
-        assert rep.engines == ("m=10: walk engine, D>=1: (1022*1024 + 2**1)/4 > 11 walk lookups",)
-        assert calls == [] and not rep.complete
+        assert rep.engines == ("m=10: linear engine, D=1: 2**1/4 <= 11 walk lookups",)
+        assert not rep.complete
+
+    def test_fingerprint_table_only_for_walked_boxes(self, monkeypatch):
+        calls = []
+        real = search.subset_parity_table
+
+        def counting(m, k):
+            calls.append((m, k))
+            return real(m, k)
+
+        monkeypatch.setattr(search, "subset_parity_table", counting)
+        # An uncapped linear row count: 1,022 x 1,024 fingerprint bits never built.
+        rep = minimality_search(SearchSpace(k=9, m_range=(10,), n_max=10))
+        assert rep.complete and rep.engines[0].startswith("m=10: linear engine")
+        assert calls == []
+        # A walk row count builds its table once, for the first of its boxes.
+        rep = minimality_search(SearchSpace(k=2, m_range=(5,), n_max=6))
+        assert rep.complete and rep.engines[0].startswith("m=5: walk engine")
+        assert calls == [(5, 2)]
 
 
 class TestOnePoolPerSearch:
