@@ -274,7 +274,7 @@ def _cmd_search_min(args) -> int:
         n_max=args.n_max,
         budget_seconds=args.budget_seconds,
     )
-    report = search.minimality_search(space, prune=args.prune, workers=args.threads)
+    report = search.minimality_search(space, prune=args.prune)
     if args.verbose:
         for line in report.engines:
             print(f"search-min {line}", file=sys.stderr)
@@ -369,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--prune", choices=("none", "orbit"), default="none")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search_min)
 

@@ -94,10 +94,6 @@ class PauliOp(Record):
         z = int(format(self.z, width + "b"), 16)
         return sign + format(x + 2 * z, width + "x").translate(_LETTERS)[::-1]
 
-    @property
-    def phase(self) -> complex:
-        return _PHASE_COMPLEX[self.i_exp]
-
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 

@@ -78,9 +78,6 @@ class BitVec(Record):
             raise IndexError(i)
         return (self.bits >> i) & 1
 
-    def __iter__(self) -> Iterator[int]:
-        return ((self.bits >> i) & 1 for i in range(self.n))
-
     def __str__(self) -> str:
         return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
@@ -98,13 +95,6 @@ class BitVec(Record):
     def __and__(self, other: "BitVec") -> "BitVec":
         self._check_len(other)
         return BitVec(self.n, self.bits & other.bits)
-
-    def __or__(self, other: "BitVec") -> "BitVec":
-        self._check_len(other)
-        return BitVec(self.n, self.bits | other.bits)
-
-    def __invert__(self) -> "BitVec":
-        return BitVec(self.n, ~self.bits)
 
     @property
     def weight(self) -> int:

@@ -89,15 +89,8 @@ class DyadicPhaseVector(Record):
         return cls(k, (0,) * n)
 
     @property
-    def n(self) -> int:
-        return len(self.p)
-
-    @property
     def modulus(self) -> int:
         return 1 << self.k
-
-    def __len__(self) -> int:
-        return len(self.p)
 
     def check_length(self, n: int) -> None:
         if len(self.p) != n:

@@ -31,37 +31,26 @@ once for f free columns in the linear engine), and ``mode`` says what
 - ``"skip"``: not scanned, for the reason in ``skipped``.
 
 A subset cap stops the scan at the subset that takes the running total past
-the cap: a sequential scan decides the first ``cap - used_before + 1``
-subsets of the box it stops in, in lexicographic order (the walk serves
-such a box), marks that box incomplete and skips the later boxes.  The deadline is checked per box,
-per block of the walk and per 2**16 solutions of the linear engine (the
-walk takes over if it passes there).  With ``workers > 1`` the walk splits
-a box by leading column index into chunks run in a process pool, merged
-deterministically, each allowed the remaining cap; the linear engine runs
-in the calling process.  One
-:class:`~concurrent.futures.ProcessPoolExecutor` serves the whole search:
-it is imported and opened only when ``workers > 1``, holds at most one
-process per CPU (the chunks still follow ``workers``), starts its processes
-when the first box is split and shuts down when the search returns.
+the cap: the scan decides the first ``cap - used_before + 1`` subsets of
+the box it stops in, in lexicographic order (the walk serves such a box),
+marks that box incomplete and skips the later boxes.  The deadline is
+checked per box, per block of the walk and per 2**16 solutions of the
+linear engine, which hands over to the walk once the solutions left would,
+at the pace so far, pass it.  A search runs in the calling process.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from contextlib import nullcontext
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import RangeError
 from .gf2 import BitMat, span_ints
 from .ortho import is_k_orthogonal, row_products
 from .record import Record
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 __all__ = [
     "SearchSpace",
@@ -174,6 +163,14 @@ class SearchReport(Record):
         }
 
 
+def _value_rows(m: int) -> list[int]:
+    """Row i of the matrix whose column v is v, as a 2**m-bit int: bit v holds
+    bit i of value v."""
+    # From value 2**m - 1 down: runs of 2**i ones, then 2**i zeros.
+    size = 1 << m
+    return [int(("1" * (1 << i) + "0" * (1 << i)) * (size >> i + 1), 2) for i in range(m)]
+
+
 def subset_parity_table(m: int, k: int) -> list[int]:
     """Per-column-value parity fingerprints for the fast k-orthogonality scan.
 
@@ -181,14 +178,13 @@ def subset_parity_table(m: int, k: int) -> list[int]:
     T is contained in the support of v; a column multiset is k-orthogonal
     iff its fingerprints XOR to zero.
     """
-    # Row i of the matrix whose column v is v holds the values with bit i set
-    # (from value 2**m - 1 down: runs of 2**i ones, then 2**i zeros), so the
-    # AND walk yields, per subset T, the values whose support contains T.
-    # Zipping the products' digits, last subset first, transposes them into
-    # fingerprints; the leading zeros keep one entry per value when k = 0.
+    # Row i of the value rows holds the values with bit i set, so the AND walk
+    # yields, per subset T, the values whose support contains T.  Zipping the
+    # products' digits, last subset first, transposes them into fingerprints;
+    # the leading zeros keep one entry per value when k = 0.
     size = 1 << m
-    rows = [int(("1" * (1 << i) + "0" * (1 << i)) * (size >> i + 1), 2) for i in range(m)]
-    digits = [format(acc, f"0{size}b")[::-1] for _, acc in row_products(rows, k, (1 << size) - 1)]
+    products = row_products(_value_rows(m), k, (1 << size) - 1)
+    digits = [format(acc, f"0{size}b")[::-1] for _, acc in products]
     return [int("".join(bits), 2) for bits in zip("0" * size, *reversed(digits))]
 
 
@@ -245,9 +241,9 @@ def _tail_table(fps: list[int], s: int) -> _TailTable:
 
 def _scan_range(
     values: list[int], fps: list[int], tails: dict[int, _TailTable], n: int, acc: int,
-    deadline: Optional[float], limit: Optional[int], leading: range,
+    deadline: Optional[float], limit: Optional[int],
 ) -> tuple[int, list[tuple[int, ...]], bool]:
-    """Scan the n-subsets of ``values`` whose first index is in ``leading``.
+    """Scan the n-subsets of ``values`` in lexicographic order.
 
     ``acc`` is the fixed columns' fingerprint XOR, and a hit holds only the
     other columns.  ``tails`` maps a tail size s to its :func:`_tail_table`:
@@ -257,7 +253,7 @@ def _scan_range(
     The deadline is checked once per block.  Where the limit falls inside a
     block of s > 1 columns, the walk goes on column by column, and the last
     column is cut at the limit.  At most ``limit`` subsets are visited.
-    Returns the visited count, the fingerprint hits, and whether the range
+    Returns the visited count, the fingerprint hits, and whether the scan
     completed within the deadline and the limit.
     """
     if n == 0:
@@ -274,12 +270,9 @@ def _scan_range(
         if table is not None:
             if size == 1 and limit is not None:
                 indices = indices[: limit - visited]
-            if indices.step == 1:
-                # Hockey stick: C(length-1-i, size-1) summed over the range.
-                block = (math.comb(length - indices.start, size)
-                         - math.comb(length - indices.stop, size))
-            else:
-                block = sum(math.comb(length - 1 - i, size - 1) for i in indices)
+            # Hockey stick: C(length-1-i, size-1) summed over the range.
+            block = (math.comb(length - indices.start, size)
+                     - math.comb(length - indices.stop, size))
             if limit is None or block <= limit - visited:
                 visited += block
                 for tail in table.get(acc, ()):
@@ -296,7 +289,7 @@ def _scan_range(
                 return False
         return True
 
-    complete = rec(leading, 0, acc)
+    complete = rec(range(length - n + 1), 0, acc)
     return visited, hits, complete
 
 
@@ -310,10 +303,9 @@ def _kernel(m: int, k: int, base: tuple[int, ...]) -> tuple[list[int], int]:
     value v: the monomials x_U, |U| <= m-k-1 (x_U x_T has even weight
     2**(m - |T u U|) for 1 <= |T| <= k), and 0; with the identity columns fixed,
     the x_U, |U| >= 2, and 1 + x_0 + ... + x_{m-1}, which vanish on each e_i, and 1."""
-    size = 1 << m  # the value rows, as in subset_parity_table
-    rows = [int(("1" * (1 << i) + "0" * (1 << i)) * (size >> i + 1), 2) for i in range(m)]
-    full = (1 << size) - 2 - sum(1 << v for v in base)  # the free values
-    products = [acc for _, acc in row_products(rows, m - k - 1, full)]  # the m single rows first
+    full = (1 << (1 << m)) - 2 - sum(1 << v for v in base)  # the free values
+    # The m single rows come first.
+    products = [acc for _, acc in row_products(_value_rows(m), m - k - 1, full)]
     if not base:
         return [full, *products], 0
     return products[m:] + [reduce(int.__xor__, products[:m], full)] * (m - k > 1), full
@@ -341,10 +333,18 @@ def _box_columns(m: int, k: int, prune: str, n_max: int, budget: _Budget) -> tup
         kernel, particular = _kernel(m, k, base)
         solutions = {free: [] for free in frees}
         low = [x ^ particular for x in span_ints(kernel[:16])]
+        blocks, deadline = 1 << max(len(kernel) - 16, 0), budget.deadline
+        start = time.monotonic() if deadline is not None and blocks > 1 else None
         for i, high in enumerate(span_ints(kernel[16:])):
-            if i and budget.deadline is not None and time.monotonic() > budget.deadline:
-                solutions = None  # the walk takes over, and stops at once
-                break
+            if i and deadline is not None:
+                # Each of the i blocks so far took (now - start) / i: the walk
+                # takes over once the blocks - i left would pass the deadline.
+                # A block has run since start, so the divisor is positive; the
+                # block count is compared as an int, since it may pass a float.
+                now = time.monotonic()
+                if blocks - i > (deadline - now) * i / (now - start):
+                    solutions = None
+                    break
             for x in low:
                 x ^= high
                 found = solutions.get(x.bit_count())
@@ -352,14 +352,11 @@ def _box_columns(m: int, k: int, prune: str, n_max: int, budget: _Budget) -> tup
                     found.append(x)
     engine = (f"m={m}: {'walk' if solutions is None else 'linear'} engine, "
               f"D={dim}: 2**{dim}/{_PER_LOOKUP} {'<=' if linear else '>'} {walk} walk lookups"
-              + ("; the deadline passed in the span" if linear and solutions is None else ""))
+              + ("; the span would pass the deadline" if linear and solutions is None else ""))
     return (base, values, {}, solutions), engine
 
 
-def _scan_box(
-    m: int, n: int, k: int, columns: _Columns, prune: str, budget: "_Budget",
-    workers: int, pool: Optional[Executor],
-) -> BoxResult:
+def _scan_box(m: int, n: int, k: int, columns: _Columns, prune: str, budget: _Budget) -> BoxResult:
     base, values, cache, solutions = columns
     if prune == "orbit":
         mode, candidates = "fast-orbit", None
@@ -370,8 +367,8 @@ def _scan_box(
     free = n - len(base)
     total, limit = math.comb(len(values), free), budget.remaining()
     if solutions is not None and (limit is None or limit >= total):  # a cut box is walked
-        parts = [(total, [tuple(v for v in values if x >> v & 1)
-                          for x in solutions[free]], True)]
+        hits = [tuple(v for v in values if x >> v & 1) for x in solutions[free]]
+        visited, complete = total, True
     else:
         if "fps" not in cache:  # the first box walked at this row count
             table = subset_parity_table(m, k)
@@ -379,23 +376,15 @@ def _scan_box(
         sizes = {1, _tail_size(len(values), free)} if free else set()
         for s in sizes - cache.keys():
             cache[s] = _tail_table(cache["fps"], s)
-        leading = range(len(values) - free + 1)
         # Each e_i has one fingerprint bit, {i}'s, bit i: base XORs to 2**len(base) - 1.
-        scan = partial(
-            _scan_range, values, cache["fps"], {s: cache[s] for s in sizes}, free,
+        visited, hits, complete = _scan_range(
+            values, cache["fps"], {s: cache[s] for s in sizes}, free,
             (1 << len(base)) - 1, budget.deadline, limit,
         )
-        if pool is None or free == 0 or len(leading) < 2:
-            parts = [scan(leading)]
-        else:
-            # Round-robin the leading indices so chunk costs balance.
-            chunks = [leading[w::workers] for w in range(min(workers, len(leading)))]
-            parts = list(pool.map(scan, chunks))
-    visited = sum(part[0] for part in parts)
-    complete = budget.charge(visited) and all(part[2] for part in parts)
+    complete = budget.charge(visited) and complete
     full_rank = 0
     witnesses = []
-    raw_hits = sorted(base + hit for part in parts for hit in part[1])
+    raw_hits = sorted(base + hit for hit in hits)
     for cols in raw_hits:
         cols = tuple(sorted(cols))
         if _rank(cols) == m:
@@ -443,9 +432,7 @@ class _Budget:
         return not self.exhausted
 
 
-def minimality_search(
-    space: SearchSpace, prune: str = "none", workers: int = 1
-) -> SearchReport:
+def minimality_search(space: SearchSpace, prune: str = "none") -> SearchReport:
     """Scan every (m, n) box for full-rank k-orthogonal candidates.
 
     Skipped boxes record the sound reason for the exclusion; a budget abort
@@ -454,8 +441,6 @@ def minimality_search(
     """
     if prune not in ("none", "orbit"):
         raise RangeError(f"unknown prune mode {prune!r}")
-    if workers < 1:
-        raise RangeError(f"workers must be >= 1, got {workers}")
     k = space.k
     start = time.monotonic()
     budget = _Budget(space.budget_seconds, space.budget_subsets)
@@ -468,26 +453,18 @@ def minimality_search(
         )
     boxes: list[BoxResult] = []
     columns: dict[int, tuple[_Columns, str]] = {}  # built once per row count
-    if workers > 1:
-        # Imported here: a sequential search needs no process machinery.
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool_scope = ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
-    else:
-        pool_scope = nullcontext()
-    with pool_scope as pool:
-        for m in space.m_range:
-            for n in range(1, space.n_max + 1):
-                reason = _skip_reason(m, n, k)
-                if reason is not None:
-                    boxes.append(BoxResult(m=m, n=n, skipped=reason, mode="skip"))
-                elif budget.exhausted:
-                    boxes.append(BoxResult(m=m, n=n, complete=False, mode="skip",
-                                           skipped="budget exhausted"))
-                else:
-                    if m not in columns:
-                        columns[m] = _box_columns(m, k, prune, space.n_max, budget)
-                    boxes.append(_scan_box(m, n, k, columns[m][0], prune, budget, workers, pool))
+    for m in space.m_range:
+        for n in range(1, space.n_max + 1):
+            reason = _skip_reason(m, n, k)
+            if reason is not None:
+                boxes.append(BoxResult(m=m, n=n, skipped=reason, mode="skip"))
+            elif budget.exhausted:
+                boxes.append(BoxResult(m=m, n=n, complete=False, mode="skip",
+                                       skipped="budget exhausted"))
+            else:
+                if m not in columns:
+                    columns[m] = _box_columns(m, k, prune, space.n_max, budget)
+                boxes.append(_scan_box(m, n, k, columns[m][0], prune, budget))
     return SearchReport(k=k, prune=prune, boxes=tuple(boxes),
                         elapsed_seconds=time.monotonic() - start, notes=tuple(notes),
                         engines=tuple(engine for _, engine in columns.values()))

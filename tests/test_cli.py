@@ -200,44 +200,37 @@ class TestSearchMin:
 
     # sha256 of the `search-min --out` report without its `elapsed_seconds`
     # line: the four scans of the benchmark search workload at their tiny
-    # sizes, and one scan split over two worker processes.  The k = 1 scans
-    # (23,023 hits, 14,343 of them witnesses) and the k = 2 scan at m = 5
-    # (620 hits, none full rank) pin the hit ranking, recorded while it ran
-    # through gf2's elimination.
+    # sizes, and two more.  The k = 1 scan (23,023 hits, 14,343 of them
+    # witnesses) and the k = 2 scan at m = 5 (620 hits, none full rank) pin
+    # the hit ranking, recorded while it ran through gf2's elimination.
     GOLDEN = {
-        ("1", "3", "5", "6", "none", "1"):
+        ("1", "3", "5", "6", "none"):
             "4b025cef331a9bd33a9a9cd69230ac84161d159e0a119e960f644b2e65a1935b",
-        ("1", "3", "5", "6", "none", "2"):
-            "4b025cef331a9bd33a9a9cd69230ac84161d159e0a119e960f644b2e65a1935b",
-        ("2", "5", "5", "8", "none", "1"):
+        ("2", "5", "5", "8", "none"):
             "fae63e7250d30b2929fc26972d0000173a10f196b4f72885041a05cf88a434b2",
-        ("3", "4", "4", "14", "orbit", "1"):
+        ("3", "4", "4", "14", "orbit"):
             "7c92b5d55a264bbc9e2865348dcb36f6eafd6ced9d29e75557377f74b267d91c",
-        ("2", "3", "4", "6", "none", "1"):
+        ("2", "3", "4", "6", "none"):
             "d17cd1126398c49fc6a919e0e56be748998412d4aa2d9e662f5ce70e89cf0457",
-        ("2", "3", "4", "8", "none", "1"):
+        ("2", "3", "4", "8", "none"):
             "451c72aca83467eb0734c27a783877b5bc6fb6a74f4b182e7f31e4a3cfc3b488",
-        ("2", "3", "4", "8", "orbit", "1"):
+        ("2", "3", "4", "8", "orbit"):
             "5de92ba2bdcdf6a5c2deb7ec1700e11ce09a8c1b703e0387ca80e991dea30502",
-        ("2", "3", "4", "8", "none", "2"):
-            "451c72aca83467eb0734c27a783877b5bc6fb6a74f4b182e7f31e4a3cfc3b488",
     }
 
-    @pytest.mark.parametrize("k,m_min,m_max,n_max,prune,threads", sorted(GOLDEN),
-                             ids=lambda v: str(v))
-    def test_golden_report_digest(self, k, m_min, m_max, n_max, prune, threads,
-                                  tmp_path, capsys):
+    @pytest.mark.parametrize("k,m_min,m_max,n_max,prune", sorted(GOLDEN), ids=lambda v: str(v))
+    def test_golden_report_digest(self, k, m_min, m_max, n_max, prune, tmp_path, capsys):
         report = tmp_path / "report.json"
         status, _, _ = run(
             capsys, "search-min", "--k", k, "--m-min", m_min, "--m-max", m_max,
-            "--n-max", n_max, "--prune", prune, "--threads", threads, "--out", str(report),
+            "--n-max", n_max, "--prune", prune, "--out", str(report),
         )
         lines = report.read_bytes().splitlines(keepends=True)
         assert status == (1 if json.loads(b"".join(lines))["witnesses"] else 0)
         kept = [line for line in lines if not line.startswith(b'  "elapsed_seconds": ')]
         assert len(kept) == len(lines) - 1
         digest = hashlib.sha256(b"".join(kept)).hexdigest()
-        assert digest == self.GOLDEN[k, m_min, m_max, n_max, prune, threads]
+        assert digest == self.GOLDEN[k, m_min, m_max, n_max, prune]
 
     def test_verbose_names_the_engine_per_row_count(self, tmp_path, capsys):
         argv = ["search-min", "--k", "2", "--m-min", "3", "--m-max", "5", "--n-max", "6",
@@ -539,10 +532,6 @@ class TestBadInput:
          "--budget-seconds", "-1"],
         ["search-min", "--k", "2", "--m-min", "3", "--m-max", "4", "--n-max", "6",
          "--budget-seconds", "nan"],
-        ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "3",
-         "--threads", "0"],
-        ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "3",
-         "--threads", "-1"],
         ["standard-form", "--code", "{n_float}"],
         ["standard-form", "--code", "{n_bool}"],
         ["verify-gate", "--code", "{code}", "--gate", "{gate_floats}"],
@@ -558,11 +547,10 @@ class TestBadInput:
         ["standard-form", "--code", "{deep}"],
         ["verify-gate", "--code", "{code}", "--gate", "{deep}"],
     ], ids=["gate-without-p", "pauli-letter-q", "stabilizers-int", "restriction-bit-2",
-            "weight-cap-below-1", "negative-budget", "budget-nan", "threads-0",
-            "threads-negative", "n-float", "n-bool", "gate-floats", "gate-k-bool",
-            "gate-controls-bool", "gate-p-entry-float", "gate-p-string", "m-range-empty",
-            "m-min-0", "n-max-above-columns", "gate-huge-number", "n-huge", "code-deep",
-            "gate-deep"])
+            "weight-cap-below-1", "negative-budget", "budget-nan", "n-float", "n-bool",
+            "gate-floats", "gate-k-bool", "gate-controls-bool", "gate-p-entry-float",
+            "gate-p-string", "m-range-empty", "m-min-0", "n-max-above-columns",
+            "gate-huge-number", "n-huge", "code-deep", "gate-deep"])
     def test_exit_two(self, files, argv, capsys):
         status, _, err = run(capsys, *(a.format(**files) for a in argv))
         assert status == 2

@@ -1,8 +1,6 @@
-import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import random
 import time
 import tracemalloc
@@ -181,14 +179,6 @@ class TestMinimalitySearch:
         assert not rep.complete
         assert any(b.skipped == "budget exhausted" for b in rep.boxes)
 
-    def test_parallel_matches_sequential(self):
-        space = SearchSpace(k=2, m_range=(5,), n_max=6)
-        seq = minimality_search(space)
-        par = minimality_search(space, workers=2)
-        assert [b.subsets for b in seq.boxes] == [b.subsets for b in par.boxes]
-        assert [b.hits for b in seq.boxes] == [b.hits for b in par.boxes]
-        assert seq.witnesses == par.witnesses
-
     def test_orbit_prune_counts(self):
         # with the identity anchored, the (3, 7) box has C(4, 4) = 1 subset
         rep = minimality_search(SearchSpace(k=2, m_range=(3,), n_max=7), prune="orbit")
@@ -243,14 +233,12 @@ class TestSinglePathAgainstBruteForce:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_counts_and_witnesses(self, k):
         # k=1 tails share XORs.  Boxes with at most three free columns close
-        # in one lookup at depth 0, over a stepped leading range under
-        # workers=2.
+        # in one lookup at depth 0.
         space = SearchSpace(k=k, m_range=(2, 3, 4), n_max=15)
         brute = {}
         for prune in ("none", "orbit"):
-            reports = [minimality_search(space, prune=prune, workers=w) for w in (1, 2)]
-            assert reports[0].boxes == reports[1].boxes
-            scanned = [b for b in reports[0].boxes if b.skipped is None]
+            report = minimality_search(space, prune=prune)
+            scanned = [b for b in report.boxes if b.skipped is None]
             assert scanned
             for b in scanned:
                 if (b.m, b.n) not in brute:
@@ -448,7 +436,7 @@ class TestLinearEngineAgainstWalk:
         linear = minimality_search(space, prune=prune)
         assert linear.engines[0].startswith(f"m={m}: linear")
         _force_engine(monkeypatch, False)
-        walk = minimality_search(space, prune=prune, workers=2)
+        walk = minimality_search(space, prune=prune)
         assert walk.engines[0].startswith(f"m={m}: walk")
         assert linear.boxes == walk.boxes
 
@@ -542,13 +530,23 @@ class TestEngineBudgets:
         assert all(b.skipped == "budget exhausted" for b in rep.boxes[7:])
 
     def test_deadline_in_the_span_hands_over_to_the_walk(self):
-        # 2**22 solutions take about a second; the deadline stops the span.
+        # 2**22 solutions take about a second: at the pace of the first
+        # blocks, the span would pass the deadline.
         rep = minimality_search(
             SearchSpace(k=3, m_range=(6,), n_max=16, budget_seconds=0.1))
         assert rep.engines == (
             "m=6: walk engine, D=22: 2**22/4 <= 31350099501766 walk lookups; "
-            "the deadline passed in the span",)
+            "the span would pass the deadline",)
         assert not rep.complete and rep.elapsed_seconds < 5
+
+    def test_span_that_cannot_finish_leaves_the_budget_to_the_walk(self):
+        # D = 299: 2**283 blocks of 2**16 solutions.  Spinning until the
+        # deadline left the walk 4,084 subsets.
+        start = time.monotonic()
+        rep = minimality_search(SearchSpace(k=8, m_range=(12,), n_max=40, budget_seconds=1.0))
+        assert time.monotonic() - start < 1.5
+        assert rep.engines[0].startswith("m=12: walk engine, D=299")
+        assert not rep.complete and sum(b.subsets for b in rep.boxes) > 4_084
 
     def test_m15_set_up_returns_promptly_and_incomplete(self):
         # The fingerprint table of 2**15 values is built before the first
@@ -580,53 +578,3 @@ class TestEngineBudgets:
         rep = minimality_search(SearchSpace(k=2, m_range=(5,), n_max=6))
         assert rep.complete and rep.engines[0].startswith("m=5: walk engine")
         assert calls == [(5, 2)]
-
-
-class TestOnePoolPerSearch:
-    def test_multi_box_scan_starts_one_pool(self, monkeypatch):
-        started = []
-        real = concurrent.futures.ProcessPoolExecutor
-
-        def counting(*args, **kwargs):
-            started.append(kwargs.get("max_workers"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
-        space = SearchSpace(k=2, m_range=(3, 4), n_max=8)
-        par = minimality_search(space, workers=2).to_dict()
-        assert started == [min(2, os.cpu_count() or 1)]
-        assert sum(1 for b in par["boxes"] if b["skipped"] is None) > 1
-        seq = minimality_search(space, workers=1).to_dict()
-        assert started == [min(2, os.cpu_count() or 1)]
-        del par["elapsed_seconds"], seq["elapsed_seconds"]
-        assert par == seq
-
-    def test_pool_size_capped_at_cpu_count(self, monkeypatch):
-        # An in-process stand-in: no real pool is ever started at this count.
-        started = []
-
-        class InProcess:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
-        space = SearchSpace(k=2, m_range=(3, 4), n_max=8)
-        wide = minimality_search(space, workers=10_000).to_dict()
-        assert len(started) == 1 and started[0] <= (os.cpu_count() or 1)
-        seq = minimality_search(space, workers=1).to_dict()
-        del wide["elapsed_seconds"], seq["elapsed_seconds"]
-        assert wide == seq
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(RangeError, match="workers"):
-            minimality_search(SearchSpace(k=1, m_range=(2,), n_max=3), workers=workers)
