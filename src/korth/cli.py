@@ -237,9 +237,7 @@ def _cmd_distance(args) -> int:
             raise KorthError("distance needs --code or both --ax and --az")
         a_x = parse_matrix_text(_read_text(args.ax))
         a_z = parse_matrix_text(_read_text(args.az))
-    report = distance.css_distances(
-        a_x, a_z, strategy=args.strategy, weight_cap=args.weight_cap
-    )
+    report = distance.css_distances(a_x, a_z, weight_cap=args.weight_cap)
     payload = {
         "schema": SCHEMA,
         "command": "distance",
@@ -357,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code")
     p.add_argument("--ax")
     p.add_argument("--az")
-    p.add_argument("--strategy", choices=("auto", "coset", "weight"), default="auto")
     p.add_argument("--weight-cap", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_distance)

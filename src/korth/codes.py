@@ -16,7 +16,7 @@ import json
 from typing import Sequence
 
 from .errors import DimensionError, InvalidCodeError
-from .gf2 import BitMat, BitVec, RowSpace, _eliminate, null_space, rank, solve
+from .gf2 import BitMat, BitVec, RowSpace, rank, solve
 from .phases import DyadicPhaseVector
 from .record import Record
 from .report import json_text
@@ -135,10 +135,11 @@ class StabilizerCode(Record):
     __slots__ = ("n", "generators", "logical_x", "logical_z")
     _defaults = {"logical_x": None, "logical_z": None}
 
-    def validate(self) -> tuple[list[PauliOp], list[PauliOp]]:
+    def validate(self) -> tuple[list[PauliOp], RowSpace]:
         """Check the code; return its X-bearing rows, reduced on their X
-        parts, and its pure-Z rows, reduced on Z: exact products that
-        generate the same group, from the one reduction standard form uses.
+        parts, and the row space of its signed pure-Z rows (Z part, then the
+        sign as bit n), reduced once: exact products that generate the same
+        group, from the one reduction standard form uses.
         """
         n = self.n
         for g in self.generators:
@@ -162,11 +163,11 @@ class StabilizerCode(Record):
                         if not g.commutes_with(h))
             raise InvalidCodeError(f"generators {g.label()} and {h.label()} anticommute")
         # Commuting products of order-2 generators have order 2, so every
-        # pure-Z row is +-Z_z; its sign rides along as bit n.
-        z_bits, _ = _eliminate([g.z | (g.i_exp >> 1) << n for g in rest], n)
-        if len(x_rows) + len(z_bits) != len(self.generators):
+        # pure-Z row is +-Z_z, with its sign as column n.  That column pivots
+        # only when -I is in the group.
+        signed_z = RowSpace(BitMat.from_ints(n + 1, [g.z | (g.i_exp >> 1) << n for g in rest]))
+        if len(x_rows) + len(signed_z.rows) != len(self.generators) or n in signed_z.pivots:
             raise InvalidCodeError("generators are dependent")
-        z_rows = [PauliOp(n, 0, z, 2 * (z >> n)) for z in z_bits]  # PauliOp masks z
         for name, op in (("logical_x", self.logical_x), ("logical_z", self.logical_z)):
             if op is None:
                 continue
@@ -180,7 +181,7 @@ class StabilizerCode(Record):
         if self.logical_x is not None and self.logical_z is not None:
             if self.logical_x.commutes_with(self.logical_z):
                 raise InvalidCodeError("logical X and logical Z must anticommute")
-        return x_rows, z_rows
+        return x_rows, signed_z
 
 
 class StandardFormCode(Record):
@@ -309,13 +310,13 @@ def _pauli_reduce(gens: Sequence[PauliOp], n: int) -> tuple[list[PauliOp], list[
     return rows[:row_idx], rows[row_idx:]
 
 
-def _derive_r(checks: RowSpace, stabilizers: RowSpace, n: int) -> BitVec:
-    """The first null-space member of ``checks`` outside ``stabilizers``,
-    reduced against them; the reduced rows skip a second sweep."""
-    for v in null_space(BitMat.from_ints(n, checks.rows)).row_ints():
+def _derive_r(checks: RowSpace, stabilizers: RowSpace) -> BitVec:
+    """The first kernel member of ``checks`` outside ``stabilizers``,
+    reduced against them."""
+    for v in checks.kernel().row_ints():
         res = stabilizers.residue(v)
         if res:
-            return BitVec(n, res)
+            return BitVec(checks.ncols, res)
     raise InvalidCodeError("no pure-Z logical operator exists; not a one-qubit code")
 
 
@@ -372,7 +373,7 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     conjugated by the recorded local frame masks, which stay zero whenever
     the input signs are already consistent.
     """
-    x_rows, z_rows = code.validate()
+    x_rows, signed_z = code.validate()
     n = code.n
     k = n - len(code.generators)  # at least 0: validate leaves them independent
     if k == 0:
@@ -387,20 +388,17 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     # validate reduced the pure-Z rows with each sign at bit n.  Reducing the
     # Z parts of the X-bearing rows against them multiplies those rows in,
     # signs included; for a CSS group this empties B entirely.
-    signed_z = RowSpace(BitMat.from_ints(n + 1, [g.z | (g.i_exp >> 1) << n for g in z_rows]))
     for idx, g in enumerate(x_rows):
         z = signed_z.residue(g.z)
         x_rows[idx] = PauliOp(n, g.x, z, g.i_exp + 2 * (z >> n))  # PauliOp masks z
 
     # Normalize the pure-Z signs with a single X-type conjugation: X on the
-    # pivot of a reduced row meets no other row.
+    # pivot of a reduced row meets no other row, so every Z row comes out +.
     x_mask = sum(1 << p for row, p in zip(signed_z.rows, signed_z.pivots) if row >> n)
     x_rows = [g.conjugated_by_x(x_mask) for g in x_rows]
-    z_rows = [g.conjugated_by_x(x_mask) for g in z_rows]
-    assert all(g.i_exp == 0 for g in z_rows)
 
     a_x = BitMat.from_ints(n, [g.x for g in x_rows])
-    z_block = BitMat.from_ints(n, [g.z for g in z_rows])
+    z_block = BitMat.from_ints(n, signed_z.rows)  # BitVec masks off the sign bit
 
     # Logical Z support: clear a declared logical's X content with the
     # X-bearing rows (reduced on X, so each pivot is hit only by its own
@@ -414,7 +412,7 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
         if not lz.x:
             r = BitVec(n, lz.z)
     if r is None:
-        r = _derive_r(RowSpace(a_x), RowSpace(z_block), n)
+        r = _derive_r(RowSpace(a_x), RowSpace(z_block))
 
     # Logical X support, preferring a declared pure-X operator.
     s = None
@@ -544,8 +542,8 @@ def css_standard_form(
                 raise InvalidCodeError("A_Z is not orthogonal to A_X")
     if r is None or s is None:
         x_space, z_space = RowSpace(a_x), RowSpace(a_z)
-        r = _derive_r(x_space, z_space, n) if r is None else r
-        s = _derive_r(z_space, x_space, n) if s is None else s
+        r = _derive_r(x_space, z_space) if r is None else r
+        s = _derive_r(z_space, x_space) if s is None else s
     sf = StandardFormCode(
         a_x=a_x, b=BitMat.zero(a_x.nrows, n), a_z=a_z, r=r, s=s
     )

@@ -3,9 +3,9 @@
 A Z-type logical is a null-space member of A_X outside the row space of A_Z
 (and symmetrically for X-type).  The null space of the Z checks in the
 sub-dual family is tiny while the X-check null space is huge, so each side
-picks its strategy independently: enumerate the whole null space when its
-dimension is small, otherwise search supports by increasing weight, which
-stops at the first (hence minimum-weight) logical found.
+picks its method from its own null-space dimension: enumerate the whole null
+space when the dimension is small, otherwise search supports by increasing
+weight, which stops at the first (hence minimum-weight) logical found.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from __future__ import annotations
 import itertools
 
 from .errors import InvalidCodeError, RangeError
-from .gf2 import BitMat, BitVec, RowSpace, null_space, span_ints
+from .gf2 import BitMat, BitVec, RowSpace, span_ints
 from .record import Record
 
 __all__ = ["DistanceReport", "ThreeColumnCheck", "css_distances", "z_distance_floor"]
 
-# Null spaces of at most this dimension are enumerated under "auto".
+# Null spaces of at most this dimension are enumerated.
 _COSET_DIM_LIMIT = 16
-_COSET_HARD_LIMIT = 26
 
 
 class DistanceReport(Record):
@@ -41,21 +40,18 @@ class ThreeColumnCheck(Record):
     __slots__ = ("distance_at_least_3", "triple")
 
 
-def _min_logical_coset(
-    checks: RowSpace, stabilizers: RowSpace, n: int
-) -> tuple[int, BitVec] | None:
-    """Scan the whole null space of ``checks``, skipping stabilizer members;
-    the reduced rows skip a second sweep."""
+def _min_logical_coset(checks: RowSpace, stabilizers: RowSpace) -> tuple[int, BitVec] | None:
+    """Scan the whole kernel of ``checks``, skipping stabilizer members."""
     best_w = None
     best = None
-    for acc in span_ints(null_space(BitMat.from_ints(n, checks.rows)).row_ints()):
+    for acc in span_ints(checks.kernel().row_ints()):
         w = acc.bit_count()
         if (best_w is None or w < best_w) and not stabilizers.contains(acc):
             best_w = w
             best = acc
     if best_w is None:
         return None
-    return best_w, BitVec(n, best)
+    return best_w, BitVec(checks.ncols, best)
 
 
 def _min_logical_weight_search(
@@ -89,39 +85,26 @@ def _min_logical_weight_search(
 
 
 def _one_side(
-    checks: RowSpace, stabilizers: RowSpace, n: int, strategy: str, weight_cap: int | None
+    checks: RowSpace, stabilizers: RowSpace, weight_cap: int | None
 ) -> tuple[int, BitVec | None, str, bool]:
-    dim = n - len(checks.rows)
-    if strategy == "auto":
-        strategy = "coset" if dim <= _COSET_DIM_LIMIT else "weight"
-    if strategy == "coset":
-        if dim > _COSET_HARD_LIMIT:
-            raise RangeError(
-                f"coset enumeration over a {dim}-dimensional null space exceeds "
-                f"the 2**{_COSET_HARD_LIMIT} ceiling; use the weight strategy"
-            )
-        found = _min_logical_coset(checks, stabilizers, n)
-    elif strategy == "weight":
+    n = checks.ncols
+    if n - len(checks.rows) <= _COSET_DIM_LIMIT:
+        method, found = "coset", _min_logical_coset(checks, stabilizers)
+    else:
+        method = "weight"
         cap = n if weight_cap is None else weight_cap
         found = _min_logical_weight_search(BitMat.from_ints(n, checks.rows), stabilizers, cap)
         if found is None and cap < n:
-            return cap + 1, None, "weight", False
-    else:
-        raise RangeError(f"unknown strategy {strategy!r}")
+            return cap + 1, None, method, False
     if found is None:
         raise InvalidCodeError("no logical operator of this type exists")
-    return found[0], found[1], strategy, True
+    return found[0], found[1], method, True
 
 
-def css_distances(
-    a_x: BitMat,
-    a_z: BitMat,
-    strategy: str = "auto",
-    weight_cap: int | None = None,
-) -> DistanceReport:
+def css_distances(a_x: BitMat, a_z: BitMat, weight_cap: int | None = None) -> DistanceReport:
     """Exact minimum-weight Z-type and X-type logicals of a CSS pair.
 
-    Each side auto-selects coset enumeration when its null-space dimension
+    Each side takes coset enumeration when its null-space dimension
     is at most ``_COSET_DIM_LIMIT`` (16), else the weight-increasing search,
     which ``weight_cap`` (at least 1) may stop early.
     """
@@ -134,9 +117,9 @@ def css_distances(
             if c.dot_parity(a):
                 raise InvalidCodeError("A_Z is not orthogonal to A_X; not a CSS pair")
     # One reduction per block gives its rank, null space and membership.
-    x_space, z_space, n = RowSpace(a_x), RowSpace(a_z), a_x.ncols
-    d_z, wit_z, method_z, exact_z = _one_side(x_space, z_space, n, strategy, weight_cap)
-    d_x, wit_x, method_x, exact_x = _one_side(z_space, x_space, n, strategy, weight_cap)
+    x_space, z_space = RowSpace(a_x), RowSpace(a_z)
+    d_z, wit_z, method_z, exact_z = _one_side(x_space, z_space, weight_cap)
+    d_x, wit_x, method_x, exact_x = _one_side(z_space, x_space, weight_cap)
     for wit, check, stabilizers in ((wit_z, a_x, z_space), (wit_x, a_z, x_space)):
         if wit is None:
             continue

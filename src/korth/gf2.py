@@ -211,7 +211,7 @@ def _eliminate_by_columns(rows: list[int], ncols: int) -> tuple[list[int], list[
     pivots: list[int] = []
     images = []  # per column, the pivots it sums to (none for a pivot)
     budget = 0
-    for col, v in enumerate(_columns(rows, max(ncols, max(rows).bit_length()))):
+    for col, v in enumerate(_columns(rows, ncols)):
         budget += _COLUMN_STEPS
         t = 0
         while v:
@@ -226,12 +226,10 @@ def _eliminate_by_columns(rows: list[int], ncols: int) -> tuple[list[int], list[
             return None
         if not v:
             images.append(t)
-        elif col < ncols:
+        else:
             basis[low] = (v, t | 1 << len(pivots))
             pivots.append(col)
             images.append(0)
-        else:
-            return None  # a ride-along column outside the pivot span
     reduced = _columns(images, len(pivots))
     return [row | 1 << col for row, col in zip(reduced, pivots)], pivots
 
@@ -239,31 +237,24 @@ def _eliminate_by_columns(rows: list[int], ncols: int) -> tuple[list[int], list[
 def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon over GF(2); returns (nonzero rows, pivot columns).
 
-    Only columns below ``ncols`` pivot; higher bits ride along.  The form is
-    unique, and each of three paths returns it.  Reduced input (lowest set
-    bits below ``ncols``, strictly rising, and alone in their columns) is
-    returned as is.
+    Every row fits in ``ncols`` bits.  The form is unique, and each of three
+    paths returns it.  Reduced input (lowest set bits strictly rising, and
+    alone in their columns) is returned as is.
 
     Tall sparse blocks (at least ``_COLUMN_MIN_ROWS`` rows, at most
     ``_COLUMN_MAX_BITS`` set bits per column on average) try the column path
     first: each column, packed over the rows, is reduced against the pivot
     columns before it, keyed by lowest row bit.  One that stays nonzero is the
     next pivot; one that vanishes is the sum of some pivot columns, and in
-    the reduced form it has a 1 in exactly those pivots' rows.  That part is
-    the unique reduced form.  A ride-along column in the pivot span has the
-    same image under every row transform that reduces the block, so it is
-    read off the same way; one outside the span (possible only with dependent
-    rows), or a run past ``_COLUMN_STEPS`` reduction steps per column, hands
-    the block to the sweep.
+    the reduced form it has a 1 in exactly those pivots' rows.  A run past
+    ``_COLUMN_STEPS`` reduction steps per column hands the block to the sweep.
 
     The sweep finds the pivots of ``_WINDOW`` columns at a time, then clears
     them from every other row by one table lookup (the method of four
     Russians).
     """
     lows = [(row & -row).bit_length() - 1 for row in rows]
-    if all(-1 < a < b for a, b in zip(lows, lows[1:])) and (
-        not lows or -1 < lows[-1] < ncols
-    ):
+    if all(-1 < a < b for a, b in zip(lows, lows[1:])) and (not lows or lows[-1] > -1):
         low_bits = sum(1 << col for col in lows)
         if all(row & low_bits == 1 << col for row, col in zip(rows, lows)):
             return list(rows), lows
@@ -321,18 +312,7 @@ def rank(M: BitMat) -> int:
 
 def null_space(M: BitMat) -> BitMat:
     """Basis of {v : M.v = 0 mod 2}, one row per free column (ascending)."""
-    reduced, pivots = _eliminate(M.row_ints(), M.ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(M.ncols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for prow, pcol in zip(reduced, pivots):
-            if (prow >> free) & 1:
-                v |= 1 << pcol
-        basis.append(v)
-    return BitMat.from_ints(M.ncols, basis)
+    return RowSpace(M).kernel()
 
 
 class RowSpace:
@@ -340,12 +320,28 @@ class RowSpace:
 
     ``residue`` reduces packed bits against the reduced-echelon basis: the
     result is the canonical coset representative, zero exactly for members.
+    ``kernel`` reads the null space off the same basis.
     """
 
-    __slots__ = ("rows", "pivots")
+    __slots__ = ("ncols", "rows", "pivots")
 
     def __init__(self, M: BitMat):
+        self.ncols = M.ncols
         self.rows, self.pivots = _eliminate(M.row_ints(), M.ncols)
+
+    def kernel(self) -> BitMat:
+        """Basis of {v : M.v = 0 mod 2}, one row per free column (ascending)."""
+        pivot_set = set(self.pivots)
+        basis = []
+        for free in range(self.ncols):
+            if free in pivot_set:
+                continue
+            v = 1 << free
+            for prow, pcol in zip(self.rows, self.pivots):
+                if (prow >> free) & 1:
+                    v |= 1 << pcol
+            basis.append(v)
+        return BitMat.from_ints(self.ncols, basis)
 
     def residue(self, bits: int) -> int:
         for prow, pcol in zip(self.rows, self.pivots):

@@ -487,6 +487,15 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         assert main(["construct", "--bogus"]) == 2
 
+    def test_distance_has_no_strategy_flag(self, tmp_path, capsys):
+        # Each side's method follows from its null-space dimension alone.
+        code = tmp_path / "code.json"
+        run(capsys, "construct", "--m", "3", "--out", str(code))
+        status, out, err = run(capsys, "distance", "--code", str(code), "--strategy", "weight")
+        assert status == 2 and out == ""
+        assert err.startswith("usage: ") and "Traceback" not in err
+        assert "unrecognized arguments: --strategy weight" in err
+
 
 class TestBadInput:
     """Malformed input exits 2 with an ``error:`` line, never a traceback."""
@@ -520,6 +529,9 @@ class TestBadInput:
         # nesting past the JSON decoder's recursion limit
         files["deep"] = tmp_path / "deep.json"
         files["deep"].write_text("[" * 200_000)
+        for name, text in (("header_words", "a b\n"), ("header_negative", "-1 3\n")):
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(text)
         return {name: str(path) for name, path in files.items()}
 
     @pytest.mark.parametrize("argv", [
@@ -527,7 +539,7 @@ class TestBadInput:
         ["standard-form", "--code", "{letter_q}"],
         ["standard-form", "--code", "{stabilizers_int}"],
         ["check-orth", "--matrix", "{ax}", "--k", "1", "--r", "1012"],
-        ["distance", "--code", "{code}", "--strategy", "weight", "--weight-cap", "-3"],
+        ["distance", "--code", "{code}", "--weight-cap", "-3"],
         ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "3",
          "--budget-seconds", "-1"],
         ["search-min", "--k", "2", "--m-min", "3", "--m-max", "4", "--n-max", "6",
@@ -546,11 +558,20 @@ class TestBadInput:
         ["standard-form", "--code", "{n_huge}"],
         ["standard-form", "--code", "{deep}"],
         ["verify-gate", "--code", "{code}", "--gate", "{deep}"],
+        ["verify-gate", "--code", "{code}", "--k", "3", "--p", "1,x"],
+        ["reduce-degenerate", "--code", "{code}", "--k", "3", "--p", "1,x"],
+        ["verify-gate", "--code", "{code}", "--k", "3", "--p", "1,1"],
+        ["verify-gate", "--code", "{code}", "--k", "3"],
+        ["check-orth", "--matrix", "{header_words}", "--k", "1"],
+        ["check-orth", "--matrix", "{header_negative}", "--k", "1"],
+        ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "0"],
     ], ids=["gate-without-p", "pauli-letter-q", "stabilizers-int", "restriction-bit-2",
             "weight-cap-below-1", "negative-budget", "budget-nan", "n-float", "n-bool",
             "gate-floats", "gate-k-bool", "gate-controls-bool", "gate-p-entry-float",
             "gate-p-string", "m-range-empty", "m-min-0", "n-max-above-columns",
-            "gate-huge-number", "n-huge", "code-deep", "gate-deep"])
+            "gate-huge-number", "n-huge", "code-deep", "gate-deep", "p-not-integers",
+            "reduce-p-not-integers", "p-wrong-length", "k-without-p", "header-not-integers",
+            "header-negative", "n-max-0"])
     def test_exit_two(self, files, argv, capsys):
         status, _, err = run(capsys, *(a.format(**files) for a in argv))
         assert status == 2

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from korth.codes import (
     nondegenerate_reduction,
     to_standard_form,
 )
+from korth import gf2
 from korth.errors import InvalidCodeError
 from korth.families import hamming_parity_check, subdual_css
 from korth.gf2 import BitMat, BitVec, rank, span_enumerate
@@ -35,6 +37,7 @@ from conftest import (
     sparse_logical_zero,
     spans_equal,
     states_proportional,
+    sweep_rank,
     textbook_steane,
 )
 
@@ -316,6 +319,38 @@ class TestStandardForm:
             assert states_proportional(apply_pauli(state, z_r), state) == pytest.approx(1)
 
 
+class TestOneReductionOfSignedZRows:
+    """``validate`` reduces the signed pure-Z rows (sign as bit n) once, and
+    standard form reads B's reduction, the X-frame mask and the Z block off
+    that ``RowSpace``.  Calls are seen through the code object of
+    ``gf2._eliminate``, so a module holding its own reference is counted too."""
+
+    @pytest.fixture
+    def passes(self):
+        seen = []
+        target = gf2._eliminate.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is target:
+                seen.append(list(frame.f_locals["rows"]))
+
+        sys.setprofile(profile)
+        yield seen
+        sys.setprofile(None)
+
+    def test_scrambled_code_without_logicals(self, passes):
+        code = scrambled(subdual_css(6).to_stabilizer_code(), random.Random(6),
+                         drop_logicals=True)
+        sf = to_standard_form(code)
+        n, x_mask = code.n, sf.local_x_mask.bits
+        assert x_mask  # some reduced Z row carries a minus sign
+        signed = [c | ((c & x_mask).bit_count() & 1) << n for c in sf.a_z.row_ints()]
+        dim = sweep_rank(signed)
+        same_span = [rows for rows in passes
+                     if sweep_rank(rows) == dim == sweep_rank(rows + signed)]
+        assert len(same_span) == 1
+
+
 class TestStandardFormDigest:
     """sha256 over every field of 200 seeded standard forms, recorded before
     standard form read its signs and logicals off the one reduction: the frame
@@ -588,8 +623,10 @@ class TestFoldedValidationAgainstPairwiseScan:
         for _ in range(150):
             code = random_valid_code(rng)
             assert self.check(code) is None
-            x_rows, z_rows = code.validate()
-            assert all(g.x for g in x_rows) and all(g.x == 0 for g in z_rows)
+            x_rows, signed_z = code.validate()
+            n = code.n
+            assert all(g.x for g in x_rows) and n not in signed_z.pivots
+            z_rows = [PauliOp(n, 0, row, 2 * (row >> n)) for row in signed_z.rows]
             assert groups_equal(x_rows + z_rows, list(code.generators))
 
     def test_one_anticommuting_pair(self):
@@ -642,7 +679,8 @@ class TestFoldedValidationAgainstPairwiseScan:
     def test_empty_generator_list(self):
         code = StabilizerCode(4, ())
         assert self.check(code) is None
-        assert code.validate() == ([], [])
+        x_rows, signed_z = code.validate()
+        assert x_rows == [] and signed_z.rows == []
 
 
 class TestLabelStrings:

@@ -6,8 +6,13 @@ import pytest
 
 from korth import gf2
 from korth.codes import css_standard_form
-from korth.distance import _min_logical_weight_search, css_distances, z_distance_floor
-from korth.errors import InvalidCodeError, RangeError
+from korth.distance import (
+    _min_logical_coset,
+    _min_logical_weight_search,
+    css_distances,
+    z_distance_floor,
+)
+from korth.errors import InvalidCodeError
 from korth.families import hamming_parity_check, minimal_korth_matrix, subdual_css
 from korth.gf2 import BitMat, BitVec, null_space, span_enumerate
 
@@ -56,10 +61,16 @@ class TestCssDistances:
         assert rep.method_z == "weight"
 
     def test_strategies_cross_check(self):
-        sf = subdual_css(3)
-        a = css_distances(sf.a_x, sf.a_z, strategy="coset")
-        b = css_distances(sf.a_x, sf.a_z, strategy="weight")
-        assert (a.d_z, a.d_x) == (b.d_z, b.d_x) == (3, 3)
+        # Both methods on both sides, whichever one css_distances would pick.
+        for m, expected in ((3, (3, 3)), (4, (3, 7))):
+            sf = subdual_css(m)
+            x_space, z_space = gf2.RowSpace(sf.a_x), gf2.RowSpace(sf.a_z)
+            for (check, checks, stabilizers), d in zip(
+                ((sf.a_x, x_space, z_space), (sf.a_z, z_space, x_space)), expected
+            ):
+                coset = _min_logical_coset(checks, stabilizers)
+                weight = _min_logical_weight_search(check, stabilizers, sf.n)
+                assert coset[0] == weight[0] == d
 
     def test_witnesses_recheck(self):
         for m in (3, 4):
@@ -99,20 +110,16 @@ class TestCssDistances:
             css_distances(BitMat.identity(3), BitMat.identity(3))
 
     def test_weight_cap_lower_bound(self):
-        sf = subdual_css(4)
-        rep = css_distances(
-            sf.a_x, sf.a_z, strategy="weight", weight_cap=4
-        )
-        # Z side resolves at 3; X side (true distance 7) hits the cap
+        sf = subdual_css(6)
+        # The Z side (a 57-dimensional null space) is searched by weight and
+        # stops at the cap; the X side enumerates its null space regardless.
+        rep = css_distances(sf.a_x, sf.a_z, weight_cap=2)
+        assert (rep.method_z, rep.method_x) == ("weight", "coset")
+        assert rep.d_z == 3 and not rep.exact_z
+        assert rep.witness_z is None
+        assert rep.d_x == 31 and rep.exact_x
+        rep = css_distances(sf.a_x, sf.a_z, weight_cap=3)
         assert rep.d_z == 3 and rep.exact_z
-        assert rep.d_x == 5 and not rep.exact_x
-        assert rep.witness_x is None
-
-    def test_coset_hard_ceiling(self):
-        # a 28-dimensional null space exceeds the explicit coset ceiling
-        empty = BitMat.zero(0, 28)
-        with pytest.raises(RangeError, match="ceiling"):
-            css_distances(bitmat(["1" * 28]), empty, strategy="coset")
 
     def test_dual_weight_accounting(self):
         # every Z-check null-space member weighs 0 or at least 2**(m-1) - 1
