@@ -16,7 +16,7 @@ import json
 from typing import Sequence
 
 from .errors import DimensionError, InvalidCodeError
-from .gf2 import BitMat, BitVec, RowSpace, rank, solve
+from .gf2 import BitMat, BitVec, RowSpace, orthogonal_rows, rank, solve
 from .phases import DyadicPhaseVector
 from .record import Record
 from .report import json_text
@@ -44,8 +44,8 @@ _SIGN_LABELS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _SIGN_VALUES = {"+": 0, "+i": 1, "-": 2, "-i": 3}
 _PHASE_COMPLEX = (1 + 0j, 1j, -1 + 0j, -1j)
 _NOT_PAULI = str.maketrans("", "", "IXYZ")  # deletes every valid letter
-_X_DIGITS = str.maketrans("IXYZ", "0110")
-_Z_DIGITS = str.maketrans("IXYZ", "0011")
+_X_DIGITS = bytes(map(dict(zip(b"IXYZ", b"0110")).get, range(256), b"." * 256))
+_Z_DIGITS = bytes(map(dict(zip(b"IXYZ", b"0011")).get, range(256), b"." * 256))
 _LETTERS = str.maketrans("0123", "IXZY")  # x + 2z per qubit
 
 
@@ -66,20 +66,24 @@ class PauliOp(Record):
         """Parse a signed Pauli string such as "+XZZXI" or "-iYZ"."""
         if not isinstance(label, str):
             raise InvalidCodeError(f"Pauli label must be a string, got {label!r}")
-        sign = next((p for p in ("+i", "-i", "+", "-") if label.startswith(p)), None)
-        if sign is None:
+        sign = label[:2] if label[1:2] == "i" else label[:1]
+        if sign not in _SIGN_VALUES:
             raise InvalidCodeError(
                 f"Pauli label must start with one of +, -, +i, -i: {label!r}"
             )
         body = label[len(sign):]
-        invalid = body.translate(_NOT_PAULI)
-        if invalid:
-            raise InvalidCodeError(f"invalid Pauli letter {invalid[0]!r} in {label!r}")
-        # Qubit i is character i, so the reversed body reads as binary.
-        digits = body[::-1]
-        x = int(digits.translate(_X_DIGITS) or "0", 2)
-        z = int(digits.translate(_Z_DIGITS) or "0", 2)
-        return cls(len(body), x, z, _SIGN_VALUES[sign] + body.count("Y"))
+        # Qubit i is character i, so the reversed body reads as binary.  Only the
+        # axes the label carries are parsed (Z when it has no X), and as the
+        # tables send every other byte to ".", a bad letter fails the parse.
+        y = "Y" in body
+        digits = body[::-1].encode("utf-8", "replace")
+        try:
+            x = int(digits.translate(_X_DIGITS), 2) if y or "X" in body else 0
+            z = int(digits.translate(_Z_DIGITS) or b"0", 2) if y or not x or "Z" in body else 0
+        except ValueError:
+            invalid = body.translate(_NOT_PAULI)
+            raise InvalidCodeError(f"invalid Pauli letter {invalid[0]!r} in {label!r}") from None
+        return cls(len(body), x, z, _SIGN_VALUES[sign] + (body.count("Y") if y else 0))
 
     def label(self) -> str:
         """Canonical signed string; inverse of :meth:`from_label`."""
@@ -149,15 +153,15 @@ class StabilizerCode(Record):
                 raise InvalidCodeError("identity (or phase-only) generator")
             if not g.squares_to_identity():
                 raise InvalidCodeError(f"generator {g.label()} does not square to +1")
-        x_rows, rest = _pauli_reduce(self.generators, n)
+        # Pure-Z generators never pivot and are never hit, so only the
+        # X-bearing ones are reduced; those left without X join the Z rows.
+        x_rows, rest = _pauli_reduce([g for g in self.generators if g.x], n)
+        z_rows = [g for g in self.generators if not g.x] + rest
         # Commutation holds on the span, so the reduced rows may stand in for
         # the generators; pure-Z rows commute with each other.
-        reduced = x_rows + rest
-        if any(
-            ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) & 1
-            for i, a in enumerate(x_rows)
-            for b in reduced[i + 1:]
-        ):
+        anticommute = any(((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1
+                          for i, a in enumerate(x_rows) for b in x_rows[i + 1:])
+        if anticommute or not orthogonal_rows([g.z for g in z_rows], [a.x for a in x_rows]):
             gens = self.generators
             g, h = next((g, h) for i, g in enumerate(gens) for h in gens[i + 1:]
                         if not g.commutes_with(h))
@@ -165,7 +169,7 @@ class StabilizerCode(Record):
         # Commuting products of order-2 generators have order 2, so every
         # pure-Z row is +-Z_z, with its sign as column n.  That column pivots
         # only when -I is in the group.
-        signed_z = RowSpace(BitMat.from_ints(n + 1, [g.z | (g.i_exp >> 1) << n for g in rest]))
+        signed_z = RowSpace.from_ints(n + 1, [g.z | (g.i_exp >> 1) << n for g in z_rows])
         if len(x_rows) + len(signed_z.rows) != len(self.generators) or n in signed_z.pivots:
             raise InvalidCodeError("generators are dependent")
         for name, op in (("logical_x", self.logical_x), ("logical_z", self.logical_z)):
@@ -176,7 +180,7 @@ class StabilizerCode(Record):
             if op.is_identity() or not op.squares_to_identity():
                 raise InvalidCodeError(f"{name} is not a valid order-2 Pauli")
             for g in self.generators:
-                if not op.commutes_with(g):
+                if ((op.x & g.z) ^ (op.z & g.x)).bit_count() & 1:
                     raise InvalidCodeError(f"{name} anticommutes with stabilizer {g.label()}")
         if self.logical_x is not None and self.logical_z is not None:
             if self.logical_x.commutes_with(self.logical_z):
@@ -244,7 +248,8 @@ class StandardFormCode(Record):
             raise InvalidCodeError("one phase per X-bearing row required")
         if rank(self.a_x) != m:
             raise InvalidCodeError("A_X is not full rank")
-        z_space = RowSpace(self.a_z)
+        x_ints, z_ints = self.a_x.row_ints(), self.a_z.row_ints()
+        z_space = RowSpace.from_ints(n, z_ints)
         if len(z_space.rows) != self.a_z.nrows:
             raise InvalidCodeError("A_Z rows are dependent")
         if m + self.a_z.nrows != n - 1:
@@ -258,8 +263,7 @@ class StandardFormCode(Record):
             for j in range(i + 1, m):
                 if not gi.commutes_with(self.x_row_pauli(j)):
                     raise InvalidCodeError(f"X-bearing rows {i} and {j} anticommute")
-        x_ints = self.a_x.row_ints()
-        if any((c & a).bit_count() & 1 for c in self.a_z.row_ints() for a in x_ints):
+        if not orthogonal_rows(z_ints, x_ints):
             raise InvalidCodeError("a Z row anticommutes with an X-bearing row")
         if any(self.r.dot_parity(a) for a in self.a_x.rows):
             raise InvalidCodeError("logical Z support anticommutes with A_X")
@@ -267,7 +271,7 @@ class StandardFormCode(Record):
             raise InvalidCodeError("logical Z support lies in the stabilizer")
         if any(self.s.dot_parity(row) for row in self.b.rows):
             raise InvalidCodeError("logical X support anticommutes with a B part")
-        if any(self.s.dot_parity(c) for c in self.a_z.rows):
+        if not orthogonal_rows(z_ints, [self.s.bits]):
             raise InvalidCodeError("logical X support anticommutes with A_Z")
         if not self.r.dot_parity(self.s):
             raise InvalidCodeError("logical X and Z supports overlap evenly")
@@ -389,8 +393,9 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     # Z parts of the X-bearing rows against them multiplies those rows in,
     # signs included; for a CSS group this empties B entirely.
     for idx, g in enumerate(x_rows):
-        z = signed_z.residue(g.z)
-        x_rows[idx] = PauliOp(n, g.x, z, g.i_exp + 2 * (z >> n))  # PauliOp masks z
+        if g.z:
+            z = signed_z.residue(g.z)
+            x_rows[idx] = PauliOp(n, g.x, z, g.i_exp + 2 * (z >> n))  # PauliOp masks z
 
     # Normalize the pure-Z signs with a single X-type conjugation: X on the
     # pivot of a reduced row meets no other row, so every Z row comes out +.
@@ -536,10 +541,8 @@ def css_standard_form(
     n = a_x.ncols
     if a_z.ncols != n:
         raise DimensionError("check blocks have different widths")
-    for c in a_z.rows:
-        for a in a_x.rows:
-            if c.dot_parity(a):
-                raise InvalidCodeError("A_Z is not orthogonal to A_X")
+    if not orthogonal_rows(a_z.row_ints(), a_x.row_ints()):
+        raise InvalidCodeError("A_Z is not orthogonal to A_X")
     if r is None or s is None:
         x_space, z_space = RowSpace(a_x), RowSpace(a_z)
         r = _derive_r(x_space, z_space) if r is None else r

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InvalidCodeError, RangeError
-from .gf2 import BitMat, BitVec, RowSpace, span_ints
+from .gf2 import BitMat, BitVec, RowSpace, orthogonal_rows, span_ints
 from .record import Record
 
 __all__ = ["DistanceReport", "ThreeColumnCheck", "css_distances", "z_distance_floor"]
@@ -112,10 +112,8 @@ def css_distances(a_x: BitMat, a_z: BitMat, weight_cap: int | None = None) -> Di
         raise RangeError(f"weight cap must be >= 1, got {weight_cap}")
     if a_x.ncols != a_z.ncols:
         raise InvalidCodeError("check blocks have different widths")
-    for c in a_z.rows:
-        for a in a_x.rows:
-            if c.dot_parity(a):
-                raise InvalidCodeError("A_Z is not orthogonal to A_X; not a CSS pair")
+    if not orthogonal_rows(a_z.row_ints(), a_x.row_ints()):
+        raise InvalidCodeError("A_Z is not orthogonal to A_X; not a CSS pair")
     # One reduction per block gives its rank, null space and membership.
     x_space, z_space = RowSpace(a_x), RowSpace(a_z)
     d_z, wit_z, method_z, exact_z = _one_side(x_space, z_space, weight_cap)

@@ -21,6 +21,7 @@ __all__ = [
     "rref",
     "null_space",
     "RowSpace",
+    "orthogonal_rows",
     "span_ints",
     "span_enumerate",
     "covered_columns_count",
@@ -189,9 +190,9 @@ def _columns(rows: Sequence[int], width: int) -> list[int]:
     for i, bits in enumerate(rows):
         bit = 1 << i
         while bits:
-            low = bits & -bits
-            out[low.bit_length() - 1] |= bit
-            bits ^= low
+            j = bits.bit_length() - 1
+            out[j] |= bit
+            bits ^= 1 << j
     return out
 
 
@@ -207,31 +208,37 @@ def _eliminate_by_columns(rows: list[int], ncols: int) -> tuple[list[int], list[
         sum(row.bit_count() for row in rows) > _COLUMN_MAX_BITS * ncols
     ):
         return None
-    basis = {}  # lowest row bit -> (reduced column, its pivot combination)
-    pivots: list[int] = []
-    images = []  # per column, the pivots it sums to (none for a pivot)
-    budget = 0
-    for col, v in enumerate(_columns(rows, ncols)):
-        budget += _COLUMN_STEPS
-        t = 0
+    # Columns are packed over the rows in reverse: slot[top bit] is the pivot
+    # keyed at that first row.  Per pivot: its reduced column, the pivots that
+    # reduction added, and its row (the vanished columns whose sums hold it).
+    slot, images, budget = [-1] * len(rows), [0] * len(rows), 0
+    basis, pivots, used_by = [], [], []
+    for col, v in enumerate(_columns(rows[::-1], ncols)):
+        used = []
         while v:
-            low = v & -v
-            hit = basis.get(low)
-            if hit is None:
+            k = slot[v.bit_length() - 1]
+            if k < 0:
                 break
-            v ^= hit[0]
-            t ^= hit[1]
-            budget -= 1
+            v ^= basis[k]
+            used.append(k)
+        budget += _COLUMN_STEPS - len(used)
         if budget < 0:
             return None
-        if not v:
-            images.append(t)
-        else:
-            basis[low] = (v, t | 1 << len(pivots))
+        if v:
+            slot[v.bit_length() - 1] = len(pivots)
+            basis.append(v)
             pivots.append(col)
-            images.append(0)
-    reduced = _columns(images, len(pivots))
-    return [row | 1 << col for row, col in zip(reduced, pivots)], pivots
+            used_by.append(used)
+        else:
+            for k in used:
+                images[k] ^= 1 << col
+    # Reduced pivot k is pivot column k plus the reduced pivots it used, so a
+    # column summing it also sums those: expand from the last pivot down.
+    for k in range(len(pivots) - 1, -1, -1):
+        if images[k]:
+            for h in used_by[k]:
+                images[h] ^= images[k]
+    return [image | 1 << col for image, col in zip(images, pivots)], pivots
 
 
 def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
@@ -244,7 +251,7 @@ def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     Tall sparse blocks (at least ``_COLUMN_MIN_ROWS`` rows, at most
     ``_COLUMN_MAX_BITS`` set bits per column on average) try the column path
     first: each column, packed over the rows, is reduced against the pivot
-    columns before it, keyed by lowest row bit.  One that stays nonzero is the
+    columns before it, keyed by first row.  One that stays nonzero is the
     next pivot; one that vanishes is the sum of some pivot columns, and in
     the reduced form it has a 1 in exactly those pivots' rows.  A run past
     ``_COLUMN_STEPS`` reduction steps per column hands the block to the sweep.
@@ -329,6 +336,13 @@ class RowSpace:
         self.ncols = M.ncols
         self.rows, self.pivots = _eliminate(M.row_ints(), M.ncols)
 
+    @classmethod
+    def from_ints(cls, ncols: int, rows: list[int]) -> "RowSpace":
+        """The row space of packed rows of ``ncols`` bits, without a BitMat."""
+        space = cls.__new__(cls)
+        space.ncols, (space.rows, space.pivots) = ncols, _eliminate(rows, ncols)
+        return space
+
     def kernel(self) -> BitMat:
         """Basis of {v : M.v = 0 mod 2}, one row per free column (ascending)."""
         pivot_set = set(self.pivots)
@@ -351,6 +365,11 @@ class RowSpace:
 
     def contains(self, bits: int) -> bool:
         return self.residue(bits) == 0
+
+
+def orthogonal_rows(rows: Iterable[int], others: Sequence[int]) -> bool:
+    """True when every packed row overlaps every one of ``others`` evenly."""
+    return not any((a & b).bit_count() & 1 for a in rows for b in others)
 
 
 def span_ints(rows: Sequence[int]) -> Iterator[int]:

@@ -11,11 +11,13 @@ import pytest
 
 import korth
 from korth.cli import main
-from korth.codes import code_from_json, code_to_json, is_css, to_standard_form
+from korth.codes import (
+    PauliOp, StabilizerCode, code_from_json, code_to_json, is_css, to_standard_form,
+)
 from korth.families import subdual_css
 from korth.gf2 import format_matrix_text, parse_matrix_text
 
-from conftest import scrambled, spans_equal
+from conftest import five_qubit_code, scrambled, spans_equal
 
 
 def run(capsys, *argv):
@@ -313,7 +315,13 @@ class TestCertificateGoldens:
     reduction (the ``distance`` and ``bare`` cases before standard form and
     distances reused each block's reduction): a change to the reduction, the
     signs or the report layout breaks them.  ``bare`` is the scrambled code
-    without its logicals, so standard form derives both."""
+    without its logicals, so standard form derives both.  The non-CSS inputs
+    were recorded before validation reduced only the X-bearing generators:
+    ``s-conjugated`` is the scrambled, sign-flipped code conjugated by S on
+    random qubits (Y content, B nonzero; a pure-X logical still exists, so
+    its local S mask stays zero), ``five-qubit`` the [[5,1,3]] code and
+    ``y-pair`` the one-generator code +YY, whose standard form needs a
+    nonzero local S mask (m is unused for the last two)."""
 
     GOLDEN = {
         ("construct", 5, "standard-form"):
@@ -350,7 +358,21 @@ class TestCertificateGoldens:
             "88ba02479b6e669f491a81eaccb998a29d2c0bf0fc87203c4f019f7717311d9f",
         ("bare", 6, "standard-form"):
             "b97c437626985a4c451ad082361e875102a7a52d497b21b5adebda1109ec2ac9",
+        ("s-conjugated", 5, "standard-form"):
+            "1842f2890dae0fe4153acb7c8cd35941b1aadb9656a41463ef604ff965028e25",
+        ("s-conjugated", 5, "pass"):
+            "a6e2b024dc5fcfec89100d36ee7a1a4021f00f402ea5e1633db71937507d9a37",
+        ("s-conjugated", 5, "late-fail"):
+            "6401181c51d37e144072ede8fa623df1903eb9e0177eb10ea57b9875dc6d2f1b",
+        ("five-qubit", 0, "standard-form"):
+            "b0414809a0a11999f12a152f4400f79d3a7600dbe2fbe126642e31f8c4ae7653",
+        ("y-pair", 0, "standard-form"):
+            "38cc08210490d246db0660dbb7dbce51e799cb736503327ba15ff25f9e09e6fd",
+        ("y-pair", 0, "pass"):
+            "9b413134b2a80352c987053bf1405a340fc7bf5697e07e7ed9220fefea29cdc7",
     }
+    FIXED = {"five-qubit": five_qubit_code,
+             "y-pair": lambda: StabilizerCode(2, (PauliOp.from_label("+YY"),))}
 
     @staticmethod
     def late_fail_gate(code, k: int) -> dict:
@@ -368,12 +390,16 @@ class TestCertificateGoldens:
         code = tmp_path / "code.json"
         if source == "construct":
             run(capsys, "construct", "--m", str(m), "--out", str(code))
+        elif source in self.FIXED:
+            code.write_text(code_to_json(self.FIXED[source]()))
         else:
             base = subdual_css(m).to_stabilizer_code()
+            s_mask = random.Random(55).getrandbits(base.n) if source == "s-conjugated" else 0
             code.write_text(code_to_json(scrambled(
                 base, random.Random(m), permute_qubits=True, drop_logicals=source == "bare",
+                s_mask=s_mask,
             )))
-        k = str(m - 1)
+        k = str(max(m - 1, 1))
         ax, az = tmp_path / "ax.txt", tmp_path / "az.txt"
         argv = {
             "standard-form": ["standard-form", "--code", str(code)],

@@ -683,6 +683,15 @@ class TestFoldedValidationAgainstPairwiseScan:
         assert x_rows == [] and signed_z.rows == []
 
 
+def per_letter(label: str) -> PauliOp:
+    """The operator a label names, read one letter at a time."""
+    sign = next(p for p in ("+i", "-i", "+", "-") if label.startswith(p))
+    body = label[len(sign):]
+    x = sum(1 << i for i, c in enumerate(body) if c in "XY")
+    z = sum(1 << i for i, c in enumerate(body) if c in "ZY")
+    return PauliOp(len(body), x, z, ("+", "+i", "-", "-i").index(sign) + body.count("Y"))
+
+
 class TestLabelStrings:
     def test_round_trip_and_per_letter_reference(self):
         rng = random.Random(66)
@@ -695,10 +704,27 @@ class TestLabelStrings:
                 )
                 sign = ("+", "+i", "-", "-i")[(op.i_exp - (x & z).bit_count()) % 4]
                 assert op.label() == sign + letters
-                assert PauliOp.from_label(op.label()) == op
+                assert PauliOp.from_label(op.label()) == op == per_letter(op.label())
+
+    @pytest.mark.parametrize("sign", ["+", "-", "+i", "-i"])
+    @pytest.mark.parametrize("letter", ["X", "Z", "Y", "I"])
+    def test_one_letter_bodies(self, sign, letter):
+        # The parse skips an axis the label does not carry: pure-X, pure-Z,
+        # pure-Y and all-I bodies, and the empty body at n = 0.
+        for n in range(71):
+            label = sign + letter * n
+            op = PauliOp.from_label(label)
+            assert op == per_letter(label)
+            assert (op.n, op.x == 0, op.z == 0) == (n, letter in "ZI" or not n,
+                                                    letter in "XI" or not n)
 
     @pytest.mark.parametrize("label,letter", [
         ("+XQZ", "Q"), ("-ZxX", "x"), ("+iXZé", "é"), ("+XX Z", " "), ("+Q?", "Q"),
+        # after the letters an axis check finds first: pure-Z, pure-X, pure-Y
+        # and all-I bodies, and characters a base-2 parse would accept
+        ("+ZZZQ", "Q"), ("-XXXXé", "é"), ("+iYYq", "q"), ("-iIII?", "?"),
+        ("+ZZ1", "1"), ("+Z0Z", "0"), ("+Z_Z", "_"), ("+XX-", "-"), ("+ZZ\udc80", "\udc80"),
+        ("+II\t", "\t"), ("+Z١", "١"),
     ])
     def test_first_invalid_letter_named(self, label, letter):
         with pytest.raises(InvalidCodeError) as exc:
