@@ -376,6 +376,11 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     kept verbatim.  The output blocks generate the input stabilizer group
     conjugated by the recorded local frame masks, which stay zero whenever
     the input signs are already consistent.
+
+    :meth:`StabilizerCode.validate` checks commutation, independence and the
+    generator count, and the reduction gives the shapes, signs and logicals
+    (A_X r = B s = A_Z s = 0, r.s = 1: r is no Z stabilizer), so the output
+    is not re-checked with :meth:`StandardFormCode.validate`.
     """
     x_rows, signed_z = code.validate()
     n = code.n
@@ -439,7 +444,7 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     z_mask = sum(g.x & -g.x for g in x_rows if g.i_exp >= 2)
     x_rows = [g.conjugated_by_z(z_mask) for g in x_rows]
 
-    sf = StandardFormCode(
+    return StandardFormCode(
         a_x=a_x,
         b=BitMat.from_ints(n, [g.z for g in x_rows]),
         a_z=z_block,
@@ -450,8 +455,6 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
         local_s_mask=BitVec(n, s_mask),
         local_z_mask=BitVec(n, z_mask),
     )
-    sf.validate()
-    return sf
 
 
 def logical_zero_support(sf: StandardFormCode) -> list[tuple[BitVec, complex]]:

@@ -144,15 +144,21 @@ def find_transversal_phases(sf: StandardFormCode, k: int) -> PhaseSolutionSet:
     """Solve for every phase vector passing :func:`logical_phase_action`.
 
     The congruences sum(x_i * p_i) = 0 mod 2**k over all codeword supports x
-    form a linear system over the residue ring Z_{2**k}; it is solved exactly
-    by diagonalization with odd-unit pivots (the ring is local, so minimum
-    2-adic valuation entries can always pivot).
+    form a linear system over the residue ring Z_{2**k}.  It is solved on one
+    row 2**(|T|-1) * x_T per set T of 1..k check rows, x_T their AND: the XOR
+    of rows b_i over S is the sum over nonempty T in S of (-2)**(|T|-1) * x_T,
+    Moebius inversion gives the converse and terms with |T| > k vanish mod
+    2**k, so both row sets span one module.  The solve is a diagonalization
+    with odd-unit pivots (the ring is local, so minimum 2-adic valuation
+    entries can always pivot).
     """
     if k < 1:
         raise RangeError(f"denominator exponent must be >= 1, got {k}")
     n = sf.n
-    gens = _kernel_mod_power_of_two(span_ints(sf.a_x.row_ints()), n, k)
-    generators = tuple(DyadicPhaseVector(k, vec) for vec, _ in gens)
+    graded = ((acc, len(subset) - 1)
+              for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << n) - 1))
+    gens = _kernel_mod_power_of_two(graded, n, k)
+    generators = tuple(DyadicPhaseVector._exact(k, vec) for vec, _ in gens)
     orders = tuple(order for _, order in gens)
     phases = tuple(
         DyadicPhase(g.masked_sum(sf.s.bits), k) for g in generators
@@ -161,13 +167,17 @@ def find_transversal_phases(sf: StandardFormCode, k: int) -> PhaseSolutionSet:
 
 
 def _kernel_mod_power_of_two(
-    masks: Iterable[int], n: int, k: int
+    weighted: Iterable[tuple[int, int]], n: int, k: int
 ) -> list[tuple[tuple[int, ...], int]]:
     """Generators (vector, additive order) of {p : A p = 0 mod 2**k}, where
-    row i of the 0/1 matrix A is the bit mask ``masks[i]`` (below 2**n).
+    row i of A is 2**e * mask for the i-th pair (mask, e) of ``weighted``:
+    a 0/1 row below 2**n and an exponent 0 <= e < k.
 
     Each row is one int of n lanes, each 2k + 1 bits wide, with entry j in
-    lane j; the column transform V is kept as one packed int per column.
+    lane n - 1 - j: pivoted columns are the top lanes and zero in every row
+    left to pivot, so those rows shrink as the solve goes on and the pivot
+    column's entry is the row shifted down, with no mask.  The column
+    transform V is kept as one packed int per column, entry j in lane j.
     Lanes hold residues below q = 2**k.  A row operation x - f*y becomes
     (x + f*(Q - y)) & MASK, where Q holds q in every lane and MASK keeps the
     low k bits of each: a lane of x + f*(q - y) is at most
@@ -182,7 +192,10 @@ def _kernel_mod_power_of_two(
     tests keep as this solver's oracle: in row-major order, the first entry
     of least 2-adic valuation among the rows and columns not yet pivoted.
     That valuation is the least t with bit t set in some lane, and the
-    entry's column is the lowest lane of its row with bit t set.  After a
+    entry's column is that of the highest lane of its row with bit t set.  Row
+    operations by a pivot of valuation v leave every entry divisible by
+    2**v, so the least valuation never falls: the search resumes at the
+    last one and takes the first live row with its bit set.  After a
     pivot's row operations its column is zero off the pivot, so its column
     operations only clear the pivot row and update V.  The same pivots,
     swaps and operations give the same generators in the same order.
@@ -193,58 +206,54 @@ def _kernel_mod_power_of_two(
     ones = ((1 << (n * width)) - 1) // ((1 << width) - 1)
     mask, qpat = ones * qm, ones * q
     bits = [ones << t for t in range(k)]
-    # Spread each mask's bits to the lane bases by joining its binary digits.
+    # Spread each mask's bits, lowest first, to the lane bases: join its digits.
     gap = "0" * (width - 1)
-    rows = [int(gap.join(bin(x)[2:]), 2) for x in masks]
+    rows = [int(gap.join(bin(x)[:1:-1].ljust(n, "0")), 2) << e for x, e in weighted]
     live = [i for i, x in enumerate(rows) if x]  # unpivoted nonzero rows, in order
     size = next((b for b in (1, 2, 4, 8) if 8 * b > 2 * k), (2 * k + 8) // 8)  # V lane bytes
     vones = ((1 << (8 * n * size)) - 1) // ((1 << (8 * size)) - 1)
     vmask, vqpat = vones * qm, vones * q
     vcols = [1 << (8 * j * size) for j in range(n)]
     piv_vals: list[int] = []
-    r = 0
+    val = r = 0
     while live and r < n:
-        seen = 0
-        for i in live:
-            seen |= rows[i]
-            if seen & bits[0]:
-                break  # valuation 0 is the least there is
-        val = next(t for t, bit in enumerate(bits) if seen & bit)
-        bi = next(i for i in live if rows[i] & bits[val])
-        hit = rows[bi] & bits[val]
-        bj = ((hit & -hit).bit_length() - 1) // width
+        while (bi := next((i for i in live if rows[i] & bits[val]), None)) is None:
+            val += 1  # the least valuation never falls
+        bj = n - 1 - ((rows[bi] & bits[val]).bit_length() - 1) // width
         rows[r], rows[bi] = rows[bi], rows[r]
         if live[0] == r:
             del live[0]
         else:
             live.remove(bi)  # row r was zero and now sits at bi
+        shift = (n - 1 - r) * width  # lane r: the top one a live row can use
         if bj != r:
-            lo, hi = r * width, bj * width
+            lo = (n - 1 - bj) * width
             for i in [r] + live:
                 x = rows[i]
-                d = ((x >> lo) ^ (x >> hi)) & qm
+                d = ((x >> lo) ^ (x >> shift)) & qm
                 if d:
-                    rows[i] = x ^ (d << lo) ^ (d << hi)
+                    rows[i] = x ^ (d << lo) ^ (d << shift)
             vcols[r], vcols[bj] = vcols[bj], vcols[r]
-        shift = r * width
         prow = rows[r]
-        prow = (prow * pow(((prow >> shift) & qm) >> val, -1, q)) & mask
-        neg = qpat - prow
+        prow = (prow * pow((prow >> shift) >> val, -1, q)) & mask
+        neg = (qpat >> (r * width)) - prow
+        kept = []
         for i in live:
             x = rows[i]
-            entry = (x >> shift) & qm
+            entry = x >> shift
             if entry:
-                rows[i] = (x + (entry >> val) * neg) & mask
-        live = [i for i in live if rows[i]]
+                x = rows[i] = (x + (entry >> val) * neg) & mask
+            if x:
+                kept.append(i)
+        live = kept
         vneg = vqpat - vcols[r]
-        rest = prow >> (shift + width)
-        j = r + 1
-        while rest:
-            entry = rest & qm
-            if entry:
-                vcols[j] = (vcols[j] + (entry >> val) * vneg) & vmask
-            rest >>= width
-            j += 1
+        rest = prow ^ (1 << (shift + val))
+        while rest:  # the nonzero lanes, top (lowest column) first
+            lo = (rest.bit_length() - 1) // width * width
+            entry = rest >> lo
+            rest ^= entry << lo
+            j = n - 1 - lo // width
+            vcols[j] = (vcols[j] + (entry >> val) * vneg) & vmask
         piv_vals.append(val)
         r += 1
     gens = [(_lanes((vcols[i] << (k - val)) & vmask, n, size), 1 << val)

@@ -68,16 +68,28 @@ class DyadicPhaseVector(Record):
         if top >= q or min(p, default=0) < 0:
             p = tuple(x % q for x in p)
             top = max(p, default=0)
+        self._fill(k, p, top.bit_length())
+
+    @classmethod
+    def _exact(cls, k: int, p: tuple[int, ...]) -> "DyadicPhaseVector":
+        """The vector of a tuple of ints already in [0, 2**k), unchecked."""
+        vec = cls.__new__(cls)
+        vec._fill(k, p, k)
+        return vec
+
+    def _fill(self, k: int, p: tuple[int, ...], width: int) -> None:
+        """Set the fields; planes of the bits below ``width``, zero top ones dropped."""
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "p", p)
         planes = []
-        width = top.bit_length()
         for base in range(0, width, 8):
             # One byte per qubit, last qubit first, so bit i lands at bit i.
             chunk = bytes(reversed(p)) if width <= 8 else bytes(
                 (x >> base) & 255 for x in reversed(p))
             for b in range(min(8, width - base)):
                 planes.append(int(chunk.translate(_DIGITS[b]), 2))
+        while planes and not planes[-1]:
+            planes.pop()
         object.__setattr__(self, "planes", tuple(planes))
 
     @classmethod

@@ -277,20 +277,21 @@ class TestFindGates:
         assert data["count"] == 32
         assert all(len(g["p"]) == 7 for g in data["generators"])
 
-    # sha256 of the `find-gates --out` report, recorded with the list-of-lists
-    # solver (tests/test_gates.py::dense_kernel), and the m = 7 and 8 cases
-    # with the packed solver and json.dumps before the report writer: a
-    # change to the generators, their order or the report layout breaks them.
+    # sha256 of the `find-gates --out` report.  The k = 1 cases were recorded
+    # with the list-of-lists solver (tests/test_gates.py::dense_kernel) fed
+    # the 2**m codeword supports, the rest with it fed the graded rows
+    # 2**(|T|-1) * x_T the solver takes: a change to the generators, their
+    # order or the report layout breaks them.
     GOLDEN = {
-        ("construct", 7, 3): "56a43b99b85e1f7ce213d531634895f56b1163753b8414c064c5c76b44e52869",
-        ("construct", 8, 7): "57bd6b777fe7adf6691a95d76a3f4bd57f8b29828a49f69dd73a36789bcef01c",
+        ("construct", 7, 3): "d64730cf33c481e424cd173cb830ccbcbfa3aba00eeba13f7b75c71bc6c00621",
+        ("construct", 8, 7): "997ec5a93293105c5be167a340b9f7d1e4dbe12079002505b626bdbfa9f123fc",
         ("construct", 5, 1): "e1d93d5aea42cfc62432b6b750c469105a6f85afbc5b3ff64df8269312031503",
-        ("construct", 5, 3): "bf60d81affb20329372a239d188b2aa88080614a1a12e65e0fdde65a5556d656",
-        ("construct", 5, 4): "28bc85063a25b45b75fdc1f9516f34328a1f19db702beafcaf0fa36db745c59c",
+        ("construct", 5, 3): "8d5b6067a94f5b2b8ad8ab37d715469018ab9346cea85bbbb566a7b78bef0f67",
+        ("construct", 5, 4): "02071443fe0fcdebd256265c40f18d830221bda3a0b30ee45096fddad2671670",
         ("construct", 6, 1): "8540e34e883f7e16210d2a688fb170a43f3520dbc8b63b4c4bddaef8bbbe5752",
-        ("construct", 6, 3): "626f1184b70671887f6e3a7e737e80792c96453e1c3487bc30eafb432e4038c0",
-        ("construct", 6, 5): "2d48d27aaa36a33a5366b0cd44dfc61ca3279239a6e20743d35a9898f5f1d539",
-        ("scrambled", 6, 3): "b7590b450e57ec3b3c9631dea3b9d8b87ceffa7641eb43857233251aa64d09e2",
+        ("construct", 6, 3): "bf0b2a6f5b90ddc46585c3c9d44ed0fd30c8e0114fce6a9e2b27db121b1cf0fe",
+        ("construct", 6, 5): "0100129badcfcab6dc0cd238c36592d85ebfb103dc2af70b49915e505850398d",
+        ("scrambled", 6, 3): "5996f0404b2c04d6f6b531ca6680b31e940dc76c6e362be0ae21c0f9833fcfc5",
     }
 
     @pytest.mark.parametrize("source,m,k", sorted(GOLDEN), ids=lambda v: str(v))

@@ -319,6 +319,40 @@ class TestStandardForm:
             assert states_proportional(apply_pauli(state, z_r), state) == pytest.approx(1)
 
 
+class TestStandardFormHoldsWithoutRecheck:
+    """``to_standard_form`` does not re-run ``StandardFormCode.validate``:
+    ``StabilizerCode.validate`` and the reduction establish every check it
+    makes, on the certificate corpus and on random valid codes alike."""
+
+    @staticmethod
+    def corpus():
+        for m in range(3, 11):  # what `construct --m` writes, read back
+            yield f"construct-{m}", code_from_json(code_to_json(subdual_css(m).to_stabilizer_code()))
+        for m in (5, 6, 10):
+            base = subdual_css(m).to_stabilizer_code()
+            s_mask = random.Random(55).getrandbits(base.n)
+            yield f"scrambled-{m}", scrambled(base, random.Random(m), permute_qubits=True)
+            yield f"bare-{m}", scrambled(base, random.Random(m), permute_qubits=True,
+                                         drop_logicals=True)
+            yield f"sign-flipped-{m}", scrambled(base, random.Random(m), sign_flips=True)
+            yield f"s-conjugated-{m}", scrambled(base, random.Random(m), permute_qubits=True,
+                                                 s_mask=s_mask)
+            yield f"s-conjugated-bare-{m}", scrambled(base, random.Random(m), s_mask=s_mask,
+                                                      drop_logicals=True)
+        yield "five-qubit", five_qubit_code()
+        yield "y-pair", StabilizerCode(2, (PauliOp.from_label("+YY"),))
+        yield "textbook-steane", textbook_steane()
+
+    def test_certificate_corpus(self):
+        for name, code in self.corpus():
+            to_standard_form(code).validate()
+
+    def test_random_valid_codes(self):
+        rng = random.Random(63)
+        for _ in range(200):
+            to_standard_form(random_valid_code(rng)).validate()
+
+
 class TestOneReductionOfSignedZRows:
     """``validate`` reduces the signed pure-Z rows (sign as bit n) once, and
     standard form reads B's reduction, the X-frame mask and the Z block off

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 
 import pytest
 
@@ -17,6 +18,7 @@ from korth.gates import (
     verify_korth_necessity,
 )
 from korth.gf2 import BitMat, BitVec, null_space, span_enumerate, span_ints
+from korth.ortho import row_products
 from korth.phases import DyadicPhase, DyadicPhaseVector
 
 from conftest import (
@@ -176,9 +178,21 @@ class TestFindTransversalPhases:
             find_transversal_phases(subdual_css(3), 0)
 
 
-def packed_matches_dense(masks: list[int], n: int, k: int) -> None:
-    rows = [[(mask >> j) & 1 for j in range(n)] for mask in masks]
-    assert gates._kernel_mod_power_of_two(masks, n, k) == dense_kernel(rows, n, k)
+def packed_matches_dense(masks: list[int], n: int, k: int,
+                         exponents: list[int] | None = None) -> None:
+    """The packed solver equals the oracle on rows 2**exponents[i] * masks[i]
+    (all exponents 0 when none are given)."""
+    exponents = exponents or [0] * len(masks)
+    rows = [[((mask >> j) & 1) << e for j in range(n)] for mask, e in zip(masks, exponents)]
+    packed = gates._kernel_mod_power_of_two(zip(masks, exponents), n, k)
+    assert packed == dense_kernel(rows, n, k)
+
+
+def graded_rows(a_x: list[int], n: int, k: int) -> tuple[list[int], list[int]]:
+    """The masks x_T and exponents |T| - 1 of the graded system, for every
+    set T of 1..k rows of ``a_x``, in ``row_products`` order."""
+    products = list(row_products(a_x, k, (1 << n) - 1))
+    return [acc for _, acc in products], [len(subset) - 1 for subset, _ in products]
 
 
 class TestPackedSolverAgainstDense:
@@ -217,6 +231,75 @@ class TestPackedSolverAgainstDense:
             masks = list(span_ints(sf.a_x.row_ints()))
             for k in sorted({1, 2, 3, m - 1, m}):
                 packed_matches_dense(masks, sf.n, k)
+
+    def test_graded_rows_of_random_checks(self, rng):
+        # Weighted rows 2**(|T|-1) * x_T, with exponents up to k - 1 at k = m + 2.
+        for _ in range(150):
+            m = rng.randint(1, 8)
+            n = rng.randint(1, 20)
+            k = rng.randint(1, m + 2)
+            a_x = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(m)]
+            masks, exponents = graded_rows(a_x, n, k)
+            packed_matches_dense(masks, n, k, exponents)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 40])
+    def test_graded_rows_of_the_subdual_family(self, k):
+        for m in (3, 4, 5):
+            a_x = subdual_css(m).a_x.row_ints()
+            n = (1 << m) - 1
+            masks, exponents = graded_rows(a_x, n, k)
+            packed_matches_dense(masks, n, k, exponents)
+
+
+class TestGradedSolveAgainstSpanSolve:
+    """The graded system and the 2**m codeword supports have one solution
+    module: the same count and orders, and each side's generators solve the
+    other side's system."""
+
+    @staticmethod
+    def codes(rng):
+        for m in (3, 4, 5, 6):
+            canonical = subdual_css(m)
+            yield canonical
+            yield to_standard_form(
+                scrambled(canonical.to_stabilizer_code(), rng, permute_qubits=True))
+        for _ in range(8):
+            n = rng.randint(3, 16)
+            yield random_css_sf(rng, n, rng.randint(1, min(n - 1, 5)))
+
+    def test_same_module(self, rng):
+        for sf in self.codes(rng):
+            a_x, n = sf.a_x.row_ints(), sf.n
+            for k in range(1, sf.m + 2):
+                q = 1 << k
+                graded = find_transversal_phases(sf, k)
+                span = gates._kernel_mod_power_of_two(
+                    ((mask, 0) for mask in span_ints(a_x)), n, k)
+                assert graded.count() == math.prod(order for _, order in span)
+                assert sorted(graded.orders) == sorted(order for _, order in span)
+                for gen in graded.generators:
+                    assert logical_phase_action(sf, gen).ok
+                masks, exponents = graded_rows(a_x, n, k)
+                for vec, _ in span:
+                    theta = DyadicPhaseVector(k, vec)
+                    assert all((theta.masked_sum(mask) << e) % q == 0
+                               for mask, e in zip(masks, exponents))
+
+
+class TestExactPhaseVectors:
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_solver_generators_match_checked_construction(self, m, rng):
+        sf = subdual_css(m)
+        for k in sorted({1, 2, 3, m - 1, m, m + 1}):
+            for gen in find_transversal_phases(sf, k).generators:
+                checked = DyadicPhaseVector(k, gen.p)
+                assert (gen.k, gen.p, gen.planes) == (checked.k, checked.p, checked.planes)
+                for _ in range(8):
+                    mask = rng.getrandbits(sf.n)
+                    assert gen.masked_sum(mask) == checked.masked_sum(mask)
+
+    def test_zero_vector_has_no_planes(self):
+        assert DyadicPhaseVector._exact(3, (0, 0)).planes == DyadicPhaseVector(3, (0, 0)).planes == ()
 
 
 class TestKorthNecessity:
