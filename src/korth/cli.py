@@ -265,6 +265,9 @@ def _cmd_distance(args) -> int:
 def _cmd_search_min(args) -> int:
     from . import search
 
+    if args.m_min > args.m_max:
+        raise KorthError(f"the row-count range is empty: --m-min {args.m_min} "
+                         f"exceeds --m-max {args.m_max}")
     m_range = tuple(range(args.m_min, args.m_max + 1))
     space = search.SearchSpace(
         k=args.k,

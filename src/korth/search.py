@@ -5,22 +5,27 @@ values (distinct nonzero columns for free) that have full row rank.  Each
 value has a fingerprint, one bit per row subset T with |T| <= k, set when T
 lies inside its support, so a subset is k-orthogonal exactly when its
 fingerprints XOR to zero: with the fixed columns' XOR b, F.x = b over
-GF(2) for x its indicator over the L free values.  Per row count, one of two engines
-serves every box, the cheaper by closed-form costs (``_choose_engine``):
+GF(2) for x its indicator over the L free values.  Three engines serve the
+boxes:
 
-- the linear engine walks the 2**D solutions from a kernel basis in closed
-  form (``_kernel``), keeping the weights the boxes need;
-- the walk visits subsets depth first and stops s columns short of a full
-  subset: one lookup in a table of every XOR of s fingerprints closes the
-  block of subsets extending the prefix (s <= 3, see ``_tail_size``); the
-  fingerprints and tables are built once, for the first box walked.
+- the flat engine decides every box with n <= 2**(k+1) in closed form
+  (``_flat_hits``): its hits are the minimum-weight words of RM(m-k-1, m);
+- per row count, the cheaper of the other two by closed-form costs
+  (``_choose_engine``) serves the rest:
+  - the linear engine walks the 2**D solutions from a kernel basis in
+    closed form (``_kernel``), keeping the weights the boxes need;
+  - the walk visits subsets depth first and stops s columns short of a
+    full subset: one lookup in a table of every XOR of s fingerprints
+    closes the block of subsets extending the prefix (s <= 3, see
+    ``_tail_size``); the fingerprints and tables are built once, for the
+    first box walked.
 
 Each hit is ranked from its packed column values by basis insertion
-(``_rank``); only a full-rank hit becomes a matrix, re-verified with
-:func:`is_k_orthogonal` before it is reported as a witness.  Per box,
-``subsets`` counts the subsets decided (a block per lookup, all C(L, f) at
-once for f free columns in the linear engine), and ``mode`` says what
-``candidates`` and ``hits`` mean:
+(``_rank``) as it is found; only a full-rank hit becomes a matrix,
+re-verified with :func:`is_k_orthogonal` before it is reported as a
+witness.  Per box, ``subsets`` counts the subsets decided (a block per
+lookup, all C(L, f) at once for f free columns in the flat and linear
+engines), and ``mode`` says what ``candidates`` and ``hits`` mean:
 
 - ``"slow"``, a box of at most ``_EXACT_COUNT_LIMIT`` subsets: the exact
   number of full-rank subsets in the box (:func:`full_rank_count`), and
@@ -45,12 +50,15 @@ import math
 import time
 from functools import reduce
 from itertools import combinations
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import RangeError
-from .gf2 import BitMat, span_ints
-from .ortho import is_k_orthogonal, row_products
 from .record import Record
+
+# gf2 and ortho are imported where they are used: a search whose boxes are
+# all flat and hold no witness runs neither.
+if TYPE_CHECKING:
+    from .gf2 import BitMat
 
 __all__ = [
     "SearchSpace",
@@ -74,7 +82,7 @@ _PER_LOOKUP = 4
 # Per tail XOR, the index tuples producing it.
 _TailTable = dict[int, list[tuple[int, ...]]]
 # What every box at one row count chooses from; see _box_columns.
-_Columns = tuple[tuple[int, ...], list[int], dict, Optional[dict]]
+_Columns = tuple[tuple[int, ...], int, dict, Optional[dict]]
 
 
 class SearchSpace(Record):
@@ -106,6 +114,8 @@ class SearchWitness(Record):
     __slots__ = ("m", "n", "columns")
 
     def matrix(self) -> BitMat:
+        from .gf2 import BitMat
+
         return BitMat.from_columns(self.m, self.columns)
 
 
@@ -178,6 +188,8 @@ def subset_parity_table(m: int, k: int) -> list[int]:
     T is contained in the support of v; a column multiset is k-orthogonal
     iff its fingerprints XOR to zero.
     """
+    from .ortho import row_products
+
     # Row i of the value rows holds the values with bit i set, so the AND walk
     # yields, per subset T, the values whose support contains T.  Zipping the
     # products' digits, last subset first, transposes them into fingerprints;
@@ -218,6 +230,51 @@ def _rank(values: tuple[int, ...]) -> int:
     return len(basis)
 
 
+def _flat(n: int, k: int) -> bool:
+    """Whether the flat engine decides the boxes of n columns."""
+    return n <= 1 << (k + 1)
+
+
+def _gaussian(m: int, j: int) -> int:
+    """[m choose j]_2, the number of j-dimensional subspaces of GF(2)**m."""
+    num = den = 1
+    for i in range(j):
+        num *= (1 << (m - i)) - 1
+        den *= (1 << (i + 1)) - 1
+    return num // den
+
+
+def _flat_hits(m: int, n: int, k: int, base: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """The hit count of a box with n <= 2**(k+1) columns, and those of its
+    hits that can have full rank, each without the fixed columns.
+
+    A hit with a zero point added when n is odd is a word of RM(m-k-1, m):
+    the code has minimum weight 2**(k+1), only even weights, and its words
+    of weight 2**(k+1) are the indicators of (k+1)-flats (MacWilliams &
+    Sloane, ch. 13).  So there are no hits below n = 2**(k+1) - 1; there the
+    hits are the (k+1)-dimensional subspaces less 0, and at n = 2**(k+1) the
+    (k+1)-flats off 0, which span k+2 dimensions.  A hit has full rank only
+    when it spans all m; under "orbit" it must also hold every e_i, which
+    leaves every nonzero value at m = k+1 and the odd-weight values at m = k+2.
+    """
+    top = 1 << (k + 1)
+    if n < top - 1:
+        return 0, []
+    span = k + 1 if n == top - 1 else k + 2
+    if base:
+        count = int(m == span)
+    else:
+        count = _gaussian(m, k + 1) * (1 if n == top - 1 else (1 << (m - k - 1)) - 1)
+    if m != span:
+        return count, []
+    values = [v for v in range(1, 1 << m) if v not in base]
+    if n == top - 1:
+        return count, [tuple(values)]
+    # The complement of the hyperplane a.v = 0; only a = all-ones holds every e_i.
+    normals = [(1 << m) - 1] if base else range(1, 1 << m)
+    return count, [tuple(v for v in values if (a & v).bit_count() & 1) for a in normals]
+
+
 def _tail_size(length: int, free: int) -> int:
     """Columns one lookup closes: up to three of the ``free`` ones, fewer while
     their table of C(length, s) entries would pass ``_TAIL_ENTRY_LIMIT``."""
@@ -241,8 +298,8 @@ def _tail_table(fps: list[int], s: int) -> _TailTable:
 
 def _scan_range(
     values: list[int], fps: list[int], tails: dict[int, _TailTable], n: int, acc: int,
-    deadline: Optional[float], limit: Optional[int],
-) -> tuple[int, list[tuple[int, ...]], bool]:
+    deadline: Optional[float], limit: Optional[int], take: Callable[[tuple[int, ...]], None],
+) -> tuple[int, int, bool]:
     """Scan the n-subsets of ``values`` in lexicographic order.
 
     ``acc`` is the fixed columns' fingerprint XOR, and a hit holds only the
@@ -253,18 +310,20 @@ def _scan_range(
     The deadline is checked once per block.  Where the limit falls inside a
     block of s > 1 columns, the walk goes on column by column, and the last
     column is cut at the limit.  At most ``limit`` subsets are visited.
-    Returns the visited count, the fingerprint hits, and whether the scan
-    completed within the deadline and the limit.
+    Each fingerprint hit goes to ``take`` as it is found, so the deadline
+    bounds that work too.  Returns the visited count, the number of hits,
+    and whether the scan completed within the deadline and the limit.
     """
     if n == 0:
-        return 1, [()] if acc == 0 else [], True
+        if acc == 0:
+            take(())
+        return 1, int(acc == 0), True
     length = len(values)
-    hits: list[tuple[int, ...]] = []
-    visited = 0
+    found = visited = 0
     chosen: list[int] = []
 
     def rec(indices: range, depth: int, acc: int) -> bool:
-        nonlocal visited
+        nonlocal found, visited
         size = n - depth
         table = tails.get(size)
         if table is not None:
@@ -277,7 +336,8 @@ def _scan_range(
                 visited += block
                 for tail in table.get(acc, ()):
                     if tail[0] in indices:
-                        hits.append(tuple(chosen) + tuple(values[i] for i in tail))
+                        found += 1
+                        take(tuple(chosen) + tuple(values[i] for i in tail))
                 if limit is not None and visited >= limit:
                     return False
                 return deadline is None or time.monotonic() <= deadline
@@ -290,7 +350,7 @@ def _scan_range(
         return True
 
     complete = rec(range(length - n + 1), 0, acc)
-    return visited, hits, complete
+    return visited, found, complete
 
 
 def _choose_engine(walk: int, dim: int) -> bool:
@@ -298,11 +358,27 @@ def _choose_engine(walk: int, dim: int) -> bool:
     return (1 << dim) // _PER_LOOKUP <= walk
 
 
+def _walk_lookups(length: int, frees: list[int], stop: int) -> int:
+    """The walk's tail lookups over boxes of ``frees`` free columns, one per
+    prefix of free - s indices below length - s, summed largest first and
+    only until they reach ``stop``, which is then returned."""
+    terms = [(length - s, free - s) for free in frees for s in [_tail_size(length, free)]]
+    terms.sort(key=lambda term: abs(2 * term[1] - term[0]))  # C(top, pick) falls off top / 2
+    total = 0
+    for top, pick in terms:
+        if total >= stop:
+            break
+        total += math.comb(top, pick)
+    return min(total, stop)
+
+
 def _kernel(m: int, k: int, base: tuple[int, ...]) -> tuple[list[int], int]:
     """A basis of the x with F.x = 0 and one x with F.x = b, bit v of x selecting
     value v: the monomials x_U, |U| <= m-k-1 (x_U x_T has even weight
     2**(m - |T u U|) for 1 <= |T| <= k), and 0; with the identity columns fixed,
     the x_U, |U| >= 2, and 1 + x_0 + ... + x_{m-1}, which vanish on each e_i, and 1."""
+    from .ortho import row_products
+
     full = (1 << (1 << m)) - 2 - sum(1 << v for v in base)  # the free values
     # The m single rows come first.
     products = [acc for _, acc in row_products(_value_rows(m), m - k - 1, full)]
@@ -312,88 +388,116 @@ def _kernel(m: int, k: int, base: tuple[int, ...]) -> tuple[list[int], int]:
 
 
 def _box_columns(m: int, k: int, prune: str, n_max: int, budget: _Budget) -> tuple[_Columns, str]:
-    """What every box at ``m`` chooses from (the fixed columns, the other values,
-    a cache for their fingerprints and tail tables, and the linear engine's
-    solutions by weight, or None), and a line naming the engine and its costs."""
+    """What every box at ``m`` chooses from (the fixed columns, the number of
+    other values, a cache for those values, their fingerprints and tail
+    tables, and the linear engine's solutions by weight, or None), and a line
+    naming the engines and their costs."""
     # Under "orbit", every full-rank candidate is row-space equivalent to one
     # containing the identity columns; k-orthogonality only sees the row space.
     base = tuple(1 << i for i in range(m)) if prune == "orbit" else ()
-    values = [v for v in range(1, 1 << m) if v not in base]
-    frees = [n - len(base) for n in range(m, min(n_max, (1 << m) - 1) + 1)]
-    # The walk looks up once per prefix of free - s indices below L - s,
-    # and decides at most the subsets a cap leaves.
-    walk = sum(math.comb(len(values) - s, free - s)
-               for free in frees for s in [_tail_size(len(values), free)])
-    walk = walk if budget.remaining() is None else min(walk, budget.remaining())
-    dim = sum(math.comb(m, t) for t in range(m - k))  # the monomials of _kernel, less
-    if base:  # the m conditions x(e_i) = 0, or at degree 0 the one the constant meets
-        dim -= m if m - k > 1 else 1
-    linear, solutions = _choose_engine(walk, dim), None
-    if linear:
-        kernel, particular = _kernel(m, k, base)
-        solutions = {free: [] for free in frees}
-        low = [x ^ particular for x in span_ints(kernel[:16])]
-        blocks, deadline = 1 << max(len(kernel) - 16, 0), budget.deadline
-        start = time.monotonic() if deadline is not None and blocks > 1 else None
-        for i, high in enumerate(span_ints(kernel[16:])):
-            if i and deadline is not None:
-                # Each of the i blocks so far took (now - start) / i: the walk
-                # takes over once the blocks - i left would pass the deadline.
-                # A block has run since start, so the divisor is positive; the
-                # block count is compared as an int, since it may pass a float.
-                now = time.monotonic()
-                if blocks - i > (deadline - now) * i / (now - start):
-                    solutions = None
-                    break
-            for x in low:
-                x ^= high
-                found = solutions.get(x.bit_count())
-                if found is not None:
-                    found.append(x)
-    engine = (f"m={m}: {'walk' if solutions is None else 'linear'} engine, "
-              f"D={dim}: 2**{dim}/{_PER_LOOKUP} {'<=' if linear else '>'} {walk} walk lookups"
-              + ("; the span would pass the deadline" if linear and solutions is None else ""))
-    return (base, values, {}, solutions), engine
+    length = (1 << m) - 1 - len(base)
+    sizes = range(m, min(n_max, (1 << m) - 1) + 1)
+    frees = [n - len(base) for n in sizes if not _flat(n, k)]
+    engines, solutions = [], None
+    if len(frees) < len(sizes):
+        engines.append(f"flat engine for n <= {1 << (k + 1)} (RM({m - k - 1}, {m}) has minimum "
+                       f"weight {1 << (k + 1)}, met only by its {k + 1}-flats)")
+    if frees:
+        dim = sum(math.comb(m, t) for t in range(m - k))  # the monomials of _kernel, less
+        if base:  # the m conditions x(e_i) = 0, or at degree 0 the one the constant meets
+            dim -= m if m - k > 1 else 1
+        # The walk decides at most the subsets a cap leaves, and its cost
+        # only matters up to the linear engine's.
+        stop, remaining = (1 << dim) // _PER_LOOKUP, budget.remaining()
+        walk = _walk_lookups(length, frees, stop if remaining is None else min(stop, remaining))
+        linear = _choose_engine(walk, dim)
+        if linear:
+            from .gf2 import span_ints
+
+            kernel, particular = _kernel(m, k, base)
+            solutions = {free: [] for free in frees}
+            low = [x ^ particular for x in span_ints(kernel[:16])]
+            blocks, deadline = 1 << max(len(kernel) - 16, 0), budget.deadline
+            start = time.monotonic() if deadline is not None and blocks > 1 else None
+            for i, high in enumerate(span_ints(kernel[16:])):
+                if i and deadline is not None:
+                    # Each of the i blocks so far took (now - start) / i: the walk
+                    # takes over once the blocks - i left would pass the deadline.
+                    # A block has run since start, so the divisor is positive; the
+                    # block count is compared as an int, since it may pass a float.
+                    now = time.monotonic()
+                    if blocks - i > (deadline - now) * i / (now - start):
+                        solutions = None
+                        break
+                for x in low:
+                    x ^= high
+                    found = solutions.get(x.bit_count())
+                    if found is not None:
+                        found.append(x)
+        cost = (f"at least 2**{dim}/{_PER_LOOKUP}" if linear
+                else f"2**{dim}/{_PER_LOOKUP} > {walk}")
+        engines.append(f"{'walk' if solutions is None else 'linear'} engine, D={dim}: "
+                       f"{cost} walk lookups"
+                       + ("; the span would pass the deadline" if linear and solutions is None else ""))
+    return (base, length, {}, solutions), f"m={m}: " + "; ".join(engines)
 
 
 def _scan_box(m: int, n: int, k: int, columns: _Columns, prune: str, budget: _Budget) -> BoxResult:
-    base, values, cache, solutions = columns
+    base, length, cache, solutions = columns
     if prune == "orbit":
         mode, candidates = "fast-orbit", None
-    elif math.comb(len(values), n) <= _EXACT_COUNT_LIMIT:
+    elif math.comb(length, n) <= _EXACT_COUNT_LIMIT:
         mode, candidates = "slow", full_rank_count(m, n)
     else:
         mode, candidates = "fast", None
     free = n - len(base)
-    total, limit = math.comb(len(values), free), budget.remaining()
-    if solutions is not None and (limit is None or limit >= total):  # a cut box is walked
-        hits = [tuple(v for v in values if x >> v & 1) for x in solutions[free]]
+    total, limit = math.comb(length, free), budget.remaining()
+    kept: list[tuple[int, ...]] = []  # the full-rank hits, fixed columns first
+
+    def take(hit: tuple[int, ...]) -> None:
+        cols = base + hit
+        if _rank(cols) == m:
+            kept.append(cols)
+
+    whole = limit is None or limit >= total  # a box a cap cuts is walked
+    if whole and _flat(n, k):
+        count, hits = _flat_hits(m, n, k, base)
+        for hit in hits:
+            take(hit)
         visited, complete = total, True
     else:
-        if "fps" not in cache:  # the first box walked at this row count
-            table = subset_parity_table(m, k)
-            cache["fps"] = [table[v] for v in values]
-        sizes = {1, _tail_size(len(values), free)} if free else set()
-        for s in sizes - cache.keys():
-            cache[s] = _tail_table(cache["fps"], s)
-        # Each e_i has one fingerprint bit, {i}'s, bit i: base XORs to 2**len(base) - 1.
-        visited, hits, complete = _scan_range(
-            values, cache["fps"], {s: cache[s] for s in sizes}, free,
-            (1 << len(base)) - 1, budget.deadline, limit,
-        )
+        if "values" not in cache:
+            cache["values"] = [v for v in range(1, 1 << m) if v not in base]
+        values = cache["values"]
+        if whole and solutions is not None:
+            for x in solutions[free]:
+                take(tuple(v for v in values if x >> v & 1))
+            count, visited, complete = len(solutions[free]), total, True
+        else:
+            if "fps" not in cache:  # the first box walked at this row count
+                table = subset_parity_table(m, k)
+                cache["fps"] = [table[v] for v in values]
+            sizes = {1, _tail_size(length, free)} if free else set()
+            for s in sizes - cache.keys():
+                cache[s] = _tail_table(cache["fps"], s)
+            # Each e_i has one fingerprint bit, {i}'s, bit i: base XORs to 2**len(base) - 1.
+            visited, count, complete = _scan_range(
+                values, cache["fps"], {s: cache[s] for s in sizes}, free,
+                (1 << len(base)) - 1, budget.deadline, limit, take,
+            )
     complete = budget.charge(visited) and complete
-    full_rank = 0
     witnesses = []
-    raw_hits = sorted(base + hit for hit in hits)
-    for cols in raw_hits:
-        cols = tuple(sorted(cols))
-        if _rank(cols) == m:
-            full_rank += 1
+    if kept:
+        from .gf2 import BitMat
+        from .ortho import is_k_orthogonal
+
+        for cols in sorted(kept):
+            cols = tuple(sorted(cols))
             if is_k_orthogonal(BitMat.from_columns(m, cols), k).holds:
                 witnesses.append(SearchWitness(m, n, cols))
     return BoxResult(
         m=m, n=n, subsets=visited, candidates=candidates,
-        hits=full_rank if mode == "slow" else len(raw_hits),
+        hits=len(kept) if mode == "slow" else count,
         witnesses=tuple(witnesses), complete=complete, mode=mode,
     )
 

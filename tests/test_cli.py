@@ -235,24 +235,34 @@ class TestSearchMin:
         assert digest == self.GOLDEN[k, m_min, m_max, n_max, prune]
 
     def test_verbose_names_the_engine_per_row_count(self, tmp_path, capsys):
-        argv = ["search-min", "--k", "2", "--m-min", "3", "--m-max", "5", "--n-max", "6",
+        # Above the k=1 floor of 4 columns: the flat engine serves n <= 4 only.
+        argv = ["search-min", "--k", "1", "--m-min", "3", "--m-max", "5", "--n-max", "6",
                 "--out"]
         quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
         status, _, err = run(capsys, *argv, str(quiet))
-        assert status == 0 and err == ""
+        assert status == 1 and err == ""
         status, _, err = run(capsys, "--verbose", *argv, str(loud))
-        assert status == 0
+        assert status == 1
         assert err.splitlines()[:3] == [
-            "search-min m=3: linear engine, D=1: 2**1/4 <= 15 walk lookups",
-            "search-min m=4: linear engine, D=5: 2**5/4 <= 298 walk lookups",
-            "search-min m=5: walk engine, D=16: 2**16/4 > 3654 walk lookups",
+            "search-min m=3: flat engine for n <= 4 (RM(1, 3) has minimum weight 4, "
+            "met only by its 2-flats); linear engine, D=4: at least 2**4/4 walk lookups",
+            "search-min m=4: flat engine for n <= 4 (RM(2, 4) has minimum weight 4, "
+            "met only by its 2-flats); walk engine, D=11: 2**11/4 > 286 walk lookups",
+            "search-min m=5: walk engine, D=26: 2**26/4 > 3654 walk lookups",
         ]
-        assert err.splitlines()[3].startswith("search-min: exit 0 in ")
+        assert err.splitlines()[3].startswith("search-min: exit 1 in ")
         # The engine lines stay out of the report.
         reports = [json.loads(p.read_text()) for p in (quiet, loud)]
         for report in reports:
             del report["elapsed_seconds"]
         assert reports[0] == reports[1]
+
+
+    def test_empty_row_count_range_names_both_flags(self, capsys):
+        status, out, err = run(capsys, "search-min", "--k", "2", "--m-min", "5", "--m-max", "3",
+                               "--n-max", "6")
+        assert status == 2 and out == ""
+        assert err == "error: the row-count range is empty: --m-min 5 exceeds --m-max 3\n"
 
 
 class TestStandardFormCommand:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -360,10 +361,11 @@ class TestTailLookup:
         assert calls <= 245_517 // 10
 
     def test_walk_checks_deadline_once_per_block(self, monkeypatch):
-        # The twin of the test above on row counts the walk still serves.
+        # The twin of the test above on row counts the walk still serves:
+        # above the k=1 floor, so no box at m=5 is flat.
         calls = _count_clock(monkeypatch)
         rep = minimality_search(
-            SearchSpace(k=2, m_range=(5,), n_max=6, budget_seconds=1e9), prune="none")
+            SearchSpace(k=1, m_range=(5,), n_max=6, budget_seconds=1e9), prune="none")
         assert rep.complete and rep.engines[0].startswith("m=5: walk engine")
         # One check per three-column block: 378 + 3,276 of them.  Closing only
         # the last column by lookup would check C(30, 4) + C(30, 5) = 169,911.
@@ -372,8 +374,9 @@ class TestTailLookup:
     def test_linear_engine_reads_the_clock_per_box(self, monkeypatch):
         calls = _count_clock(monkeypatch)
         rep = minimality_search(
-            SearchSpace(k=3, m_range=(5,), n_max=12, budget_seconds=1e9), prune="orbit")
-        assert rep.complete and rep.engines[0].startswith("m=5: linear engine")
+            SearchSpace(k=2, m_range=(5,), n_max=12, budget_seconds=1e9), prune="orbit")
+        # The flat engine takes n <= 8, the linear engine n = 9..12.
+        assert rep.complete and "; linear engine, D=11:" in rep.engines[0]
         # The start, the deadline, one charge for each of the 8 boxes, the end.
         assert calls[0] <= 11
 
@@ -417,6 +420,11 @@ def _force_engine(monkeypatch, linear: bool):
     monkeypatch.setattr(search, "_choose_engine", lambda *args: linear)
 
 
+def _without_flat(monkeypatch):
+    """Send the boxes the flat engine takes to the other two."""
+    monkeypatch.setattr(search, "_flat", lambda n, k: False)
+
+
 class TestLinearEngineAgainstWalk:
     """The linear engine against the walk as oracle, box by box."""
 
@@ -432,6 +440,7 @@ class TestLinearEngineAgainstWalk:
             assert line.startswith("m=5: walk")
             return
         space = SearchSpace(k=k, m_range=(m,), n_max=n_max)
+        _without_flat(monkeypatch)
         _force_engine(monkeypatch, True)
         linear = minimality_search(space, prune=prune)
         assert linear.engines[0].startswith(f"m={m}: linear")
@@ -458,6 +467,7 @@ class TestLinearEngineAgainstWalk:
     ])
     def test_caps(self, k, m_range, n_max, prune, cap, monkeypatch):
         space = SearchSpace(k=k, m_range=m_range, n_max=n_max, budget_subsets=cap)
+        _without_flat(monkeypatch)
         _force_engine(monkeypatch, True)
         linear = minimality_search(space, prune=prune)
         assert all(" linear engine" in e for e in linear.engines)
@@ -465,10 +475,12 @@ class TestLinearEngineAgainstWalk:
         _force_engine(monkeypatch, False)
         assert minimality_search(space, prune=prune).boxes == linear.boxes
 
-    def test_benchmark_orbit_scan_takes_the_linear_engine(self):
+    def test_benchmark_orbit_scan_takes_the_flat_engine(self):
+        # Every box lies below the k=3 floor of 15 columns.
         rep = minimality_search(SearchSpace(k=3, m_range=(4, 5), n_max=14), prune="orbit")
-        assert [e.split(",")[0] for e in rep.engines] == [
-            "m=4: linear engine", "m=5: linear engine"]
+        assert rep.engines == tuple(
+            f"m={m}: flat engine for n <= 16 (RM({m - 4}, {m}) has minimum weight 16, "
+            "met only by its 4-flats)" for m in (4, 5))
 
     def test_cap_keeps_the_walks_prefix_of_hits(self):
         # Inside the (4, 8) box the cap keeps some of its 15 witnesses.
@@ -499,6 +511,7 @@ class TestClosedFormKernel:
         oracle = null_space(BitMat.from_columns(rows, [table[v] for v in values] + [b])).row_ints()
         assert any(x >> length for x in oracle)  # F.x = b is solvable
         dims = []
+        _without_flat(monkeypatch)
         monkeypatch.setattr(search, "_choose_engine", lambda walk, dim: dims.append(dim))
         line = search._box_columns(m, k, prune, m, search._Budget(None, None))[1]
         assert dims == [len(oracle) - 1] and f" D={len(oracle) - 1}:" in line
@@ -522,31 +535,61 @@ class TestEngineBudgets:
 
     @pytest.mark.parametrize("budget", [{"budget_seconds": 1.0}, {"budget_subsets": 1_000}])
     def test_m7_returns_promptly_and_incomplete(self, budget):
-        # 2**64 solutions, and about 2**66 walk lookups up to n = 17.
+        # Above the k=1 floor: 2**120 solutions, and about 2**66 walk lookups
+        # up to n = 17.
         start = time.monotonic()
-        rep = minimality_search(SearchSpace(k=3, m_range=(7,), n_max=17, **budget))
+        rep = minimality_search(SearchSpace(k=1, m_range=(7,), n_max=17, **budget))
         assert time.monotonic() - start < 10
         assert not rep.complete and rep.boxes[6].subsets > 0
         assert all(b.skipped == "budget exhausted" for b in rep.boxes[7:])
 
     def test_deadline_in_the_span_hands_over_to_the_walk(self):
         # 2**22 solutions take about a second: at the pace of the first
-        # blocks, the span would pass the deadline.
+        # blocks, the span for the one box above the floor, n = 17, would
+        # pass the deadline.
         rep = minimality_search(
-            SearchSpace(k=3, m_range=(6,), n_max=16, budget_seconds=0.1))
+            SearchSpace(k=3, m_range=(6,), n_max=17, budget_seconds=0.1))
         assert rep.engines == (
-            "m=6: walk engine, D=22: 2**22/4 <= 31350099501766 walk lookups; "
+            "m=6: flat engine for n <= 16 (RM(2, 6) has minimum weight 16, met only by "
+            "its 4-flats); walk engine, D=22: at least 2**22/4 walk lookups; "
             "the span would pass the deadline",)
         assert not rep.complete and rep.elapsed_seconds < 5
 
     def test_span_that_cannot_finish_leaves_the_budget_to_the_walk(self):
-        # D = 299: 2**283 blocks of 2**16 solutions.  Spinning until the
-        # deadline left the walk 4,084 subsets.
+        # D = 4,083: 2**4067 blocks of 2**16 solutions.  Summing every walk
+        # cost (12,269 binomials of up to 1,231 digits) left the walk 4,084
+        # subsets and a 1,320-character engine line; the sum now stops at the
+        # largest term, and each hit is ranked inside the walk's deadline.
         start = time.monotonic()
-        rep = minimality_search(SearchSpace(k=8, m_range=(12,), n_max=40, budget_seconds=1.0))
+        rep = minimality_search(SearchSpace(k=1, m_range=(12,), n_max=4095, budget_seconds=1.0))
         assert time.monotonic() - start < 1.5
-        assert rep.engines[0].startswith("m=12: walk engine, D=299")
+        assert rep.engines == ("m=12: walk engine, D=4083: at least 2**4083/4 walk lookups; "
+                               "the span would pass the deadline",)
         assert not rep.complete and sum(b.subsets for b in rep.boxes) > 4_084
+
+    def test_bounded_walk_sum_keeps_the_engine(self, monkeypatch):
+        # The sum stops once it reaches 2**D/4 or the cap's remaining subsets;
+        # the engine must be the one the whole sum would pick.
+        seen = []
+        monkeypatch.setattr(search, "_choose_engine", lambda walk, dim: seen.append((walk, dim)))
+        picks = []
+        for m in range(2, 10):
+            for k in range(1, m):
+                for prune, n_max, cap in itertools.product(
+                        ("none", "orbit"), {m, 1 << (m - 1), (1 << m) - 1}, (None, 10, 10**6)):
+                    base = m if prune == "orbit" else 0
+                    length = (1 << m) - 1 - base
+                    frees = [n - base for n in range(m, n_max + 1) if not search._flat(n, k)]
+                    if not frees:
+                        continue
+                    whole = sum(math.comb(length - s, free - s)
+                                for free in frees for s in [search._tail_size(length, free)])
+                    whole = whole if cap is None else min(whole, cap + 1)
+                    search._box_columns(m, k, prune, n_max, search._Budget(None, cap))
+                    walk, dim = seen.pop()
+                    picks.append((1 << dim) // 4 <= whole)
+                    assert ((1 << dim) // 4 <= walk) == picks[-1], (m, k, prune, n_max, cap)
+        assert len(picks) > 300 and 0 < sum(picks) < len(picks)
 
     def test_m15_set_up_returns_promptly_and_incomplete(self):
         # The fingerprint table of 2**15 values is built before the first
@@ -557,8 +600,11 @@ class TestEngineBudgets:
         assert not rep.complete
 
     def test_cap_bounds_the_walk_cost_and_skips_the_elimination(self):
-        rep = minimality_search(SearchSpace(k=9, m_range=(10,), n_max=10, budget_subsets=10))
-        assert rep.engines == ("m=10: linear engine, D=1: 2**1/4 <= 11 walk lookups",)
+        # Uncapped, the boxes above the floor (n = 9..12) take the linear engine.
+        rep = minimality_search(SearchSpace(k=2, m_range=(5,), n_max=12, budget_subsets=10))
+        assert rep.engines == (
+            "m=5: flat engine for n <= 8 (RM(2, 5) has minimum weight 8, met only by "
+            "its 3-flats); walk engine, D=16: 2**16/4 > 11 walk lookups",)
         assert not rep.complete
 
     def test_fingerprint_table_only_for_walked_boxes(self, monkeypatch):
@@ -570,11 +616,89 @@ class TestEngineBudgets:
             return real(m, k)
 
         monkeypatch.setattr(search, "subset_parity_table", counting)
-        # An uncapped linear row count: 1,022 x 1,024 fingerprint bits never built.
-        rep = minimality_search(SearchSpace(k=9, m_range=(10,), n_max=10))
-        assert rep.complete and rep.engines[0].startswith("m=10: linear engine")
+        # An uncapped linear row count: its fingerprints are never built.
+        rep = minimality_search(SearchSpace(k=2, m_range=(5,), n_max=12), prune="orbit")
+        assert rep.complete and "; linear engine" in rep.engines[0]
         assert calls == []
         # A walk row count builds its table once, for the first of its boxes.
-        rep = minimality_search(SearchSpace(k=2, m_range=(5,), n_max=6))
+        rep = minimality_search(SearchSpace(k=1, m_range=(5,), n_max=6))
         assert rep.complete and rep.engines[0].startswith("m=5: walk engine")
-        assert calls == [(5, 2)]
+        assert calls == [(5, 1)]
+
+
+def _flat_cases():
+    """(k, m, prune, n_max) for every row count holding a flat box: all k at
+    m <= 6, and k = 4 at m = 7 under orbit (D = 29 without it).  Up to m = 5,
+    n_max goes one column past the flat boxes where there are more; at m = 6
+    and 7 that box would cost every run a span of 2**22 solutions."""
+    cases = [(k, m) for m in range(2, 7) for k in range(1, m) if m <= 1 << (k + 1)]
+    for k, m in cases + [(4, 7)]:
+        for prune in ("none", "orbit"):
+            if (k, m, prune) == (4, 7, "none"):
+                continue
+            n_max = min((1 << (k + 1)) + (m <= 5), (1 << m) - 1)
+            if (k, m, prune) == (2, 6, "none"):
+                n_max = 6  # the walk makes 6.2e7 lookups up to n = 8
+            yield k, m, prune, n_max
+
+
+class TestFlatEngine:
+    """Boxes with n <= 2**(k+1) in closed form: the minimum-weight words of
+    RM(m-k-1, m)."""
+
+    @pytest.mark.parametrize("k,m,prune,n_max", list(_flat_cases()))
+    def test_matches_the_walk_and_the_linear_engine(self, k, m, prune, n_max, monkeypatch):
+        base = tuple(1 << i for i in range(m)) if prune == "orbit" else ()
+        frees = [n - len(base) for n in range(m, n_max + 1)]
+        # Each oracle engine runs where it takes about a second at most.
+        engines = [linear for linear, cheap in (
+            (True, len(search._kernel(m, k, base)[0]) <= 22),
+            (False, search._walk_lookups((1 << m) - 1 - len(base), frees, 10**6) < 10**6),
+        ) if cheap]
+        assert engines
+        flat = minimality_search(SearchSpace(k=k, m_range=(m,), n_max=n_max), prune=prune)
+        assert flat.complete and flat.engines[0].startswith(f"m={m}: flat engine for n <= ")
+        # Caps that cut the last box after one subset, and that end on it.
+        total = sum(b.subsets for b in flat.boxes)
+        caps = [None, total - flat.boxes[-1].subsets, total - 1]
+        flats = {cap: minimality_search(
+            SearchSpace(k=k, m_range=(m,), n_max=n_max, budget_subsets=cap), prune=prune).boxes
+            for cap in caps}
+        _without_flat(monkeypatch)
+        for linear in engines:
+            _force_engine(monkeypatch, linear)
+            for cap in caps:
+                space = SearchSpace(k=k, m_range=(m,), n_max=n_max, budget_subsets=cap)
+                assert minimality_search(space, prune=prune).boxes == flats[cap], (linear, cap)
+
+    def test_raw_hits_in_closed_form(self):
+        # [5 choose 3]_2 = 155 subspaces at n = 7 and 3 * 155 flats off 0 at
+        # n = 8; only m = k+2 = 4 has full-rank hits there: 15 witnesses.
+        rep = minimality_search(SearchSpace(k=2, m_range=(4, 5), n_max=8))
+        assert [(b.m, b.n, b.mode, b.hits, len(b.witnesses)) for b in rep.boxes if b.n >= 7] == [
+            (4, 7, "slow", 0, 0), (4, 8, "slow", 15, 15),
+            (5, 7, "fast", 155, 0), (5, 8, "fast", 465, 0)]
+
+    @pytest.mark.parametrize("prune,witnesses", [
+        ("orbit", {(4, 15): 1, (5, 16): 1}),
+        ("none", {(4, 15): 1, (5, 16): 31}),
+    ])
+    def test_k3_floor_to_m14(self, prune, witnesses):
+        # Every row count a full-rank matrix of at most 14 columns can have.
+        rep = minimality_search(SearchSpace(k=3, m_range=tuple(range(4, 15)), n_max=16), prune=prune)
+        assert rep.complete and rep.elapsed_seconds < 1
+        assert {(b.m, b.n): len(b.witnesses) for b in rep.boxes if b.witnesses} == witnesses
+        for w in rep.witnesses:
+            assert sweep_rank(w.columns) == w.m and is_k_orthogonal(w.matrix(), 3).holds
+
+    def test_all_flat_row_count_builds_nothing(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("built for a flat row count")
+
+        for name in ("subset_parity_table", "_tail_table", "_kernel", "_walk_lookups"):
+            monkeypatch.setattr(search, name, unreachable)
+        # 2**16 values and R = 39,202 fingerprint rows at k = 8.
+        rep = minimality_search(SearchSpace(k=8, m_range=(16,), n_max=20, budget_seconds=3))
+        assert rep.complete and not rep.witnesses and rep.elapsed_seconds < 1
+        assert rep.engines == ("m=16: flat engine for n <= 512 (RM(7, 16) has minimum "
+                               "weight 512, met only by its 9-flats)",)
