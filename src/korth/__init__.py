@@ -27,10 +27,9 @@ _EXPORTS = {
         "gates": "ControlledPhaseReport GateDescriptor PhaseActionResult PhaseSolutionSet "
                  "controlled_phase_action find_transversal_phases logical_phase_action "
                  "phase_quantization_exponent verify_korth_necessity",
-        "gf2": "BitMat BitVec and_product covered_columns_count format_matrix_text in_rowspan "
-               "null_space parse_matrix_text rank span_enumerate",
-        "ortho": "OrthogonalityReport OrthogonalityWitness is_k_orthogonal isolate_column "
-                 "max_orthogonality",
+        "gf2": "BitMat BitVec and_product format_matrix_text in_rowspan null_space "
+               "parse_matrix_text rank",
+        "ortho": "OrthogonalityReport OrthogonalityWitness is_k_orthogonal isolate_column",
         "phases": "DyadicPhase DyadicPhaseVector",
         "search": "SearchReport SearchSpace SearchWitness minimality_search",
     }.items()

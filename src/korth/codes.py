@@ -460,7 +460,7 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
 def logical_zero_support(sf: StandardFormCode) -> list[tuple[BitVec, complex]]:
     """Basis-state expansion of the logical zero state.
 
-    Returns 2**m pairs aligned with ``span_enumerate(a_x)``: the support
+    Returns 2**m pairs aligned with ``span_ints(a_x.row_ints())``: the support
     strings and the exact fourth-root-of-unity coefficient each one carries.
     For CSS codes every coefficient is +1.
     """

@@ -23,8 +23,6 @@ __all__ = [
     "RowSpace",
     "orthogonal_rows",
     "span_ints",
-    "span_enumerate",
-    "covered_columns_count",
     "in_rowspan",
     "solve",
     "parse_matrix_text",
@@ -383,26 +381,6 @@ def span_ints(rows: Sequence[int]) -> Iterator[int]:
     for i in range(1, 1 << len(rows)):
         acc ^= rows[(i & -i).bit_length() - 1]
         yield acc
-
-
-def span_enumerate(M: BitMat) -> list[BitVec]:
-    """All XOR combinations of the rows, in the order of :func:`span_ints`.
-
-    Yields 2**nrows entries; when the rows are dependent each span element
-    appears 2**(nrows - rank) times, so pass an independent basis if distinct
-    values are wanted.
-    """
-    return [BitVec(M.ncols, v) for v in span_ints(M.row_ints())]
-
-
-def covered_columns_count(M: BitMat, q: int) -> int:
-    """Number of columns with at least one 1 among the first ``q`` rows."""
-    if not 1 <= q <= M.nrows:
-        raise RangeError(f"q={q} outside 1..{M.nrows}")
-    acc = 0
-    for r in M.rows[:q]:
-        acc |= r.bits
-    return acc.bit_count()
 
 
 def in_rowspan(v: BitVec, M: BitMat) -> bool:

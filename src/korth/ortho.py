@@ -21,7 +21,6 @@ __all__ = [
     "OrthogonalityReport",
     "row_products",
     "is_k_orthogonal",
-    "max_orthogonality",
     "isolate_column",
 ]
 
@@ -68,16 +67,6 @@ def is_k_orthogonal(a_x: BitMat, k: int, r: BitVec | None = None) -> Orthogonali
                 k, False, OrthogonalityWitness(len(subset), subset, r)
             )
     return OrthogonalityReport(k, True)
-
-
-def max_orthogonality(a_x: BitMat) -> int:
-    """Largest level at which ``a_x`` certifies as k-orthogonal, capped at
-    the row count (subset checks above it are vacuous): one less than the
-    size of the first row subset whose product has odd weight."""
-    for subset, acc in row_products(a_x.row_ints(), a_x.nrows, (1 << a_x.ncols) - 1):
-        if acc.bit_count() & 1:
-            return len(subset) - 1
-    return a_x.nrows
 
 
 def isolate_column(a_x: BitMat, q: int) -> BitMat:

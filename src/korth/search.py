@@ -21,11 +21,12 @@ boxes:
     first box walked.
 
 Each hit is ranked from its packed column values by basis insertion
-(``_rank``) as it is found; only a full-rank hit becomes a matrix,
-re-verified with :func:`is_k_orthogonal` before it is reported as a
-witness.  Per box, ``subsets`` counts the subsets decided (a block per
-lookup, all C(L, f) at once for f free columns in the flat and linear
-engines), and ``mode`` says what ``candidates`` and ``hits`` mean:
+(``_rank``) as it is found; only a full-rank hit becomes a matrix, at once
+re-verified with :func:`is_k_orthogonal`, so the deadline bounds that work,
+before it is reported as a witness.  Per box, ``subsets`` counts the
+subsets decided (a block per lookup, all C(L, f) at once for f free columns
+in the flat and linear engines), and ``mode`` says what ``candidates`` and
+``hits`` mean:
 
 - ``"slow"``, a box of at most ``_EXACT_COUNT_LIMIT`` subsets: the exact
   number of full-rank subsets in the box (:func:`full_rank_count`), and
@@ -35,13 +36,12 @@ engines), and ``mode`` says what ``candidates`` and ``hits`` mean:
   identity columns fixed and only the other n - m columns varied;
 - ``"skip"``: not scanned, for the reason in ``skipped``.
 
-A subset cap stops the scan at the subset that takes the running total past
-the cap: the scan decides the first ``cap - used_before + 1`` subsets of
-the box it stops in, in lexicographic order (the walk serves such a box),
-marks that box incomplete and skips the later boxes.  The deadline is
-checked per box, per block of the walk and per 2**16 solutions of the
-linear engine, which hands over to the walk once the solutions left would,
-at the pace so far, pass it.  A search runs in the calling process.
+The deadline is the one budget.  It is checked per box, per block of the
+walk and per 2**16 solutions of the linear engine, which hands over to the
+walk once the solutions left would, at the pace so far, pass it.  The box
+in which it passes is marked incomplete and the later boxes are skipped; a
+walked box keeps what it decided, the lexicographic prefix of whole blocks.
+A search runs in the calling process.
 """
 
 from __future__ import annotations
@@ -87,12 +87,12 @@ _Columns = tuple[tuple[int, ...], int, dict, Optional[dict]]
 
 class SearchSpace(Record):
     """Parameter boxes to scan: row counts in ``m_range``, columns up to
-    ``n_max``, with optional wall-clock or subset budgets."""
+    ``n_max``, with an optional wall-clock budget."""
 
-    __slots__ = ("k", "m_range", "n_max", "budget_seconds", "budget_subsets")
+    __slots__ = ("k", "m_range", "n_max", "budget_seconds")
 
     def __init__(self, k: int, m_range: tuple[int, ...], n_max: int,
-                 budget_seconds: Optional[float] = None, budget_subsets: Optional[int] = None):
+                 budget_seconds: Optional[float] = None):
         if k < 1:
             raise RangeError(f"orthogonality level must be >= 1, got {k}")
         if n_max < 1:
@@ -102,10 +102,9 @@ class SearchSpace(Record):
         top = max(m_range)  # no box holds more distinct nonzero columns
         if n_max.bit_length() > top:  # n_max > 2**top - 1, without the power
             raise RangeError(f"n_max must be <= 2**{top}-1, got {n_max}")
-        for name, value in (("budget_seconds", budget_seconds), ("budget_subsets", budget_subsets)):
-            if value is not None and not value >= 0:  # rejects NaN too
-                raise RangeError(f"{name} must be nonnegative, got {value}")
-        Record.__init__(self, k, m_range, n_max, budget_seconds, budget_subsets)
+        if budget_seconds is not None and not budget_seconds >= 0:  # rejects NaN too
+            raise RangeError(f"budget_seconds must be nonnegative, got {budget_seconds}")
+        Record.__init__(self, k, m_range, n_max, budget_seconds)
 
 
 class SearchWitness(Record):
@@ -297,22 +296,19 @@ def _tail_table(fps: list[int], s: int) -> _TailTable:
 
 
 def _scan_range(
-    values: list[int], fps: list[int], tails: dict[int, _TailTable], n: int, acc: int,
-    deadline: Optional[float], limit: Optional[int], take: Callable[[tuple[int, ...]], None],
+    values: list[int], fps: list[int], table: _TailTable, s: int, n: int, acc: int,
+    deadline: Optional[float], take: Callable[[tuple[int, ...]], None],
 ) -> tuple[int, int, bool]:
     """Scan the n-subsets of ``values`` in lexicographic order.
 
     ``acc`` is the fixed columns' fingerprint XOR, and a hit holds only the
-    other columns.  ``tails`` maps a tail size s to its :func:`_tail_table`:
-    s = 1 and at most one larger s.  Once s columns are left to choose, one
-    lookup closes the block of every subset extending the prefix: a tail
-    tuple found there is a hit when its first index is in the block's range.
-    The deadline is checked once per block.  Where the limit falls inside a
-    block of s > 1 columns, the walk goes on column by column, and the last
-    column is cut at the limit.  At most ``limit`` subsets are visited.
-    Each fingerprint hit goes to ``take`` as it is found, so the deadline
-    bounds that work too.  Returns the visited count, the number of hits,
-    and whether the scan completed within the deadline and the limit.
+    other columns.  Once ``s`` columns are left to choose, one lookup in
+    ``table``, the :func:`_tail_table` of s columns, closes the block of
+    every subset extending the prefix: a tail tuple found there is a hit
+    when its first index is in the block's range.  The deadline is checked
+    once per block.  Each fingerprint hit goes to ``take`` as it is found,
+    so the deadline bounds that work too.  Returns the visited count, the
+    number of hits, and whether the scan completed within the deadline.
     """
     if n == 0:
         if acc == 0:
@@ -324,23 +320,14 @@ def _scan_range(
 
     def rec(indices: range, depth: int, acc: int) -> bool:
         nonlocal found, visited
-        size = n - depth
-        table = tails.get(size)
-        if table is not None:
-            if size == 1 and limit is not None:
-                indices = indices[: limit - visited]
-            # Hockey stick: C(length-1-i, size-1) summed over the range.
-            block = (math.comb(length - indices.start, size)
-                     - math.comb(length - indices.stop, size))
-            if limit is None or block <= limit - visited:
-                visited += block
-                for tail in table.get(acc, ()):
-                    if tail[0] in indices:
-                        found += 1
-                        take(tuple(chosen) + tuple(values[i] for i in tail))
-                if limit is not None and visited >= limit:
-                    return False
-                return deadline is None or time.monotonic() <= deadline
+        if n - depth == s:
+            # Hockey stick: C(length-1-i, s-1) summed over the range.
+            visited += math.comb(length - indices.start, s) - math.comb(length - indices.stop, s)
+            for tail in table.get(acc, ()):
+                if tail[0] in indices:
+                    found += 1
+                    take(tuple(chosen) + tuple(values[i] for i in tail))
+            return deadline is None or time.monotonic() <= deadline
         for i in indices:
             chosen.append(values[i])
             ok = rec(range(i + 1, length - n + depth + 2), depth + 1, acc ^ fps[i])
@@ -387,7 +374,8 @@ def _kernel(m: int, k: int, base: tuple[int, ...]) -> tuple[list[int], int]:
     return products[m:] + [reduce(int.__xor__, products[:m], full)] * (m - k > 1), full
 
 
-def _box_columns(m: int, k: int, prune: str, n_max: int, budget: _Budget) -> tuple[_Columns, str]:
+def _box_columns(m: int, k: int, prune: str, n_max: int,
+                 deadline: Optional[float]) -> tuple[_Columns, str]:
     """What every box at ``m`` chooses from (the fixed columns, the number of
     other values, a cache for those values, their fingerprints and tail
     tables, and the linear engine's solutions by weight, or None), and a line
@@ -406,10 +394,8 @@ def _box_columns(m: int, k: int, prune: str, n_max: int, budget: _Budget) -> tup
         dim = sum(math.comb(m, t) for t in range(m - k))  # the monomials of _kernel, less
         if base:  # the m conditions x(e_i) = 0, or at degree 0 the one the constant meets
             dim -= m if m - k > 1 else 1
-        # The walk decides at most the subsets a cap leaves, and its cost
-        # only matters up to the linear engine's.
-        stop, remaining = (1 << dim) // _PER_LOOKUP, budget.remaining()
-        walk = _walk_lookups(length, frees, stop if remaining is None else min(stop, remaining))
+        # The walk's cost only matters up to the linear engine's.
+        walk = _walk_lookups(length, frees, (1 << dim) // _PER_LOOKUP)
         linear = _choose_engine(walk, dim)
         if linear:
             from .gf2 import span_ints
@@ -417,7 +403,7 @@ def _box_columns(m: int, k: int, prune: str, n_max: int, budget: _Budget) -> tup
             kernel, particular = _kernel(m, k, base)
             solutions = {free: [] for free in frees}
             low = [x ^ particular for x in span_ints(kernel[:16])]
-            blocks, deadline = 1 << max(len(kernel) - 16, 0), budget.deadline
+            blocks = 1 << max(len(kernel) - 16, 0)
             start = time.monotonic() if deadline is not None and blocks > 1 else None
             for i, high in enumerate(span_ints(kernel[16:])):
                 if i and deadline is not None:
@@ -442,7 +428,8 @@ def _box_columns(m: int, k: int, prune: str, n_max: int, budget: _Budget) -> tup
     return (base, length, {}, solutions), f"m={m}: " + "; ".join(engines)
 
 
-def _scan_box(m: int, n: int, k: int, columns: _Columns, prune: str, budget: _Budget) -> BoxResult:
+def _scan_box(m: int, n: int, k: int, columns: _Columns, prune: str,
+              deadline: Optional[float]) -> BoxResult:
     base, length, cache, solutions = columns
     if prune == "orbit":
         mode, candidates = "fast-orbit", None
@@ -451,54 +438,54 @@ def _scan_box(m: int, n: int, k: int, columns: _Columns, prune: str, budget: _Bu
     else:
         mode, candidates = "fast", None
     free = n - len(base)
-    total, limit = math.comb(length, free), budget.remaining()
-    kept: list[tuple[int, ...]] = []  # the full-rank hits, fixed columns first
+    visited = total = math.comb(length, free)
+    flat, complete = _flat(n, k), True
+    count, hits = _flat_hits(m, n, k, base) if flat else (0, [])
+    if hits or not flat:  # a flat box without hits loads neither module
+        from .gf2 import BitMat
+        from .ortho import is_k_orthogonal
+    full_rank = 0
+    kept: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (fixed columns first, sorted)
 
     def take(hit: tuple[int, ...]) -> None:
+        """Rank a hit, and re-verify a full-rank one independently of the
+        fingerprints that found it."""
+        nonlocal full_rank
         cols = base + hit
         if _rank(cols) == m:
-            kept.append(cols)
+            full_rank += 1
+            ordered = tuple(sorted(cols))
+            if is_k_orthogonal(BitMat.from_columns(m, ordered), k).holds:
+                kept.append((cols, ordered))
 
-    whole = limit is None or limit >= total  # a box a cap cuts is walked
-    if whole and _flat(n, k):
-        count, hits = _flat_hits(m, n, k, base)
-        for hit in hits:
-            take(hit)
-        visited, complete = total, True
-    else:
+    for hit in hits:
+        take(hit)
+    if not flat:
         if "values" not in cache:
             cache["values"] = [v for v in range(1, 1 << m) if v not in base]
         values = cache["values"]
-        if whole and solutions is not None:
+        if solutions is not None:
             for x in solutions[free]:
                 take(tuple(v for v in values if x >> v & 1))
-            count, visited, complete = len(solutions[free]), total, True
+            count = len(solutions[free])
         else:
             if "fps" not in cache:  # the first box walked at this row count
                 table = subset_parity_table(m, k)
                 cache["fps"] = [table[v] for v in values]
-            sizes = {1, _tail_size(length, free)} if free else set()
-            for s in sizes - cache.keys():
+            s = _tail_size(length, free)
+            if s not in cache:
                 cache[s] = _tail_table(cache["fps"], s)
             # Each e_i has one fingerprint bit, {i}'s, bit i: base XORs to 2**len(base) - 1.
             visited, count, complete = _scan_range(
-                values, cache["fps"], {s: cache[s] for s in sizes}, free,
-                (1 << len(base)) - 1, budget.deadline, limit, take,
+                values, cache["fps"], cache[s], s, free, (1 << len(base)) - 1, deadline, take,
             )
-    complete = budget.charge(visited) and complete
-    witnesses = []
-    if kept:
-        from .gf2 import BitMat
-        from .ortho import is_k_orthogonal
-
-        for cols in sorted(kept):
-            cols = tuple(sorted(cols))
-            if is_k_orthogonal(BitMat.from_columns(m, cols), k).holds:
-                witnesses.append(SearchWitness(m, n, cols))
+    if complete and deadline is not None:
+        complete = time.monotonic() <= deadline
     return BoxResult(
         m=m, n=n, subsets=visited, candidates=candidates,
-        hits=len(kept) if mode == "slow" else count,
-        witnesses=tuple(witnesses), complete=complete, mode=mode,
+        hits=full_rank if mode == "slow" else count,
+        witnesses=tuple(SearchWitness(m, n, cols) for _, cols in sorted(kept)),
+        complete=complete, mode=mode,
     )
 
 
@@ -514,40 +501,19 @@ def _skip_reason(m: int, n: int, k: int) -> Optional[str]:
     return None
 
 
-class _Budget:
-    def __init__(self, seconds: Optional[float], subsets: Optional[int]):
-        self.deadline = None if seconds is None else time.monotonic() + seconds
-        self.subset_cap = subsets
-        self.used = 0
-        self.exhausted = False
-
-    def remaining(self) -> Optional[int]:
-        """Subsets the next scan may visit: up to and including the one that
-        takes the running total past the cap."""
-        return None if self.subset_cap is None else self.subset_cap - self.used + 1
-
-    def charge(self, amount: int) -> bool:
-        """Account for visited subsets; True while within budget."""
-        self.used += amount
-        if self.subset_cap is not None and self.used > self.subset_cap:
-            self.exhausted = True
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.exhausted = True
-        return not self.exhausted
-
-
 def minimality_search(space: SearchSpace, prune: str = "none") -> SearchReport:
     """Scan every (m, n) box for full-rank k-orthogonal candidates.
 
-    Skipped boxes record the sound reason for the exclusion; a budget abort
-    marks the affected box (and hence the report) incomplete.  Witnesses are
-    independently re-verified before being reported.
+    Skipped boxes record the sound reason for the exclusion; the deadline
+    marks the box it passes in (and hence the report) incomplete.
+    Witnesses are independently re-verified before being reported.
     """
     if prune not in ("none", "orbit"):
         raise RangeError(f"unknown prune mode {prune!r}")
     k = space.k
     start = time.monotonic()
-    budget = _Budget(space.budget_seconds, space.budget_subsets)
+    deadline = None if space.budget_seconds is None else start + space.budget_seconds
+    exhausted = False
     notes = []
     floor = (1 << (k + 1)) - 1
     if space.n_max >= floor:
@@ -562,13 +528,14 @@ def minimality_search(space: SearchSpace, prune: str = "none") -> SearchReport:
             reason = _skip_reason(m, n, k)
             if reason is not None:
                 boxes.append(BoxResult(m=m, n=n, skipped=reason, mode="skip"))
-            elif budget.exhausted:
+            elif exhausted:
                 boxes.append(BoxResult(m=m, n=n, complete=False, mode="skip",
                                        skipped="budget exhausted"))
             else:
                 if m not in columns:
-                    columns[m] = _box_columns(m, k, prune, space.n_max, budget)
-                boxes.append(_scan_box(m, n, k, columns[m][0], prune, budget))
+                    columns[m] = _box_columns(m, k, prune, space.n_max, deadline)
+                boxes.append(_scan_box(m, n, k, columns[m][0], prune, deadline))
+                exhausted = not boxes[-1].complete
     return SearchReport(k=k, prune=prune, boxes=tuple(boxes),
                         elapsed_seconds=time.monotonic() - start, notes=tuple(notes),
                         engines=tuple(engine for _, engine in columns.values()))

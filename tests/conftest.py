@@ -19,7 +19,9 @@ import pytest
 
 from korth.codes import PauliOp, StabilizerCode, StandardFormCode, css_standard_form
 from korth.gates import PhaseSolutionSet
-from korth.gf2 import BitMat, BitVec, null_space
+from korth.errors import RangeError
+from korth.gf2 import BitMat, BitVec, null_space, span_ints
+from korth.ortho import row_products
 from korth.phases import DyadicPhaseVector
 
 # ---------------------------------------------------------------------------
@@ -45,6 +47,36 @@ def mul_vec(M: BitMat, v: BitVec) -> BitVec:
     for i, r in enumerate(M.rows):
         bits |= ((r.bits & v.bits).bit_count() & 1) << i
     return BitVec(M.nrows, bits)
+
+
+def span_enumerate(M: BitMat) -> list[BitVec]:
+    """All XOR combinations of the rows, in the order of ``span_ints``.
+
+    Yields 2**nrows entries; when the rows are dependent each span element
+    appears 2**(nrows - rank) times, so pass an independent basis if distinct
+    values are wanted.
+    """
+    return [BitVec(M.ncols, v) for v in span_ints(M.row_ints())]
+
+
+def covered_columns_count(M: BitMat, q: int) -> int:
+    """Number of columns with at least one 1 among the first ``q`` rows."""
+    if not 1 <= q <= M.nrows:
+        raise RangeError(f"q={q} outside 1..{M.nrows}")
+    acc = 0
+    for r in M.rows[:q]:
+        acc |= r.bits
+    return acc.bit_count()
+
+
+def max_orthogonality(a_x: BitMat) -> int:
+    """Largest level at which ``a_x`` certifies as k-orthogonal, capped at
+    the row count (subset checks above it are vacuous): one less than the
+    size of the first row subset whose product has odd weight."""
+    for subset, acc in row_products(a_x.row_ints(), a_x.nrows, (1 << a_x.ncols) - 1):
+        if acc.bit_count() & 1:
+            return len(subset) - 1
+    return a_x.nrows
 
 
 def frame_conjugate(sf: StandardFormCode, op: PauliOp) -> PauliOp:

@@ -11,12 +11,12 @@ import numpy as np
 from korth.codes import css_standard_form, to_standard_form
 from korth.families import subdual_css
 from korth.gates import find_transversal_phases, logical_phase_action
-from korth.gf2 import BitMat, BitVec, and_product, covered_columns_count, null_space, span_enumerate
+from korth.gf2 import BitMat, BitVec, and_product, null_space
 from korth.ortho import is_k_orthogonal
 from korth.phases import DyadicPhaseVector
 
-from conftest import (frame_conjugate, groups_equal, mat_from_rows, random_css_sf,
-                      random_full_rank, scrambled)
+from conftest import (covered_columns_count, frame_conjugate, groups_equal, mat_from_rows,
+                      random_css_sf, random_full_rank, scrambled, span_enumerate)
 
 DEFAULT_SEED = 20240817
 

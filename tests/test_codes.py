@@ -21,7 +21,7 @@ from korth.codes import (
 from korth import gf2
 from korth.errors import InvalidCodeError
 from korth.families import hamming_parity_check, subdual_css
-from korth.gf2 import BitMat, BitVec, rank, span_enumerate
+from korth.gf2 import BitMat, BitVec, rank
 from korth.phases import DyadicPhaseVector
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     groups_equal,
     pauli_group_member,
     scrambled,
+    span_enumerate,
     sparse_logical_zero,
     spans_equal,
     states_proportional,

@@ -14,9 +14,9 @@ from korth.distance import (
 )
 from korth.errors import InvalidCodeError
 from korth.families import hamming_parity_check, minimal_korth_matrix, subdual_css
-from korth.gf2 import BitMat, BitVec, null_space, span_enumerate
+from korth.gf2 import BitMat, BitVec, null_space
 
-from conftest import bitmat, np_matrix, oracle_in_span
+from conftest import bitmat, np_matrix, oracle_in_span, span_enumerate
 
 
 def brute_min_logical(check: BitMat, other: BitMat) -> int:

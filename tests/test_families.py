@@ -10,10 +10,10 @@ from korth.families import (
     subdual_css,
     subdual_parts,
 )
-from korth.gf2 import BitMat, BitVec, in_rowspan, rank, span_enumerate
-from korth.ortho import is_k_orthogonal, max_orthogonality
+from korth.gf2 import BitMat, BitVec, in_rowspan, rank
+from korth.ortho import is_k_orthogonal
 
-from conftest import mat_from_rows, spans_equal, textbook_steane
+from conftest import mat_from_rows, max_orthogonality, span_enumerate, spans_equal, textbook_steane
 
 # The 4x15 minimal tri-orthogonal matrix, frozen row by row.
 MINIMAL_4x15 = [

@@ -17,7 +17,7 @@ from korth.gates import (
     phase_quantization_exponent,
     verify_korth_necessity,
 )
-from korth.gf2 import BitMat, BitVec, null_space, span_enumerate, span_ints
+from korth.gf2 import BitMat, BitVec, null_space, span_ints
 from korth.ortho import row_products
 from korth.phases import DyadicPhase, DyadicPhaseVector
 
@@ -29,6 +29,7 @@ from conftest import (
     five_qubit_code,
     random_css_sf,
     scrambled,
+    span_enumerate,
     sparse_logical_zero,
     states_proportional,
 )

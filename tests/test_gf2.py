@@ -12,17 +12,15 @@ from korth.gf2 import (
     BitVec,
     _eliminate,
     and_product,
-    covered_columns_count,
     format_matrix_text,
     in_rowspan,
     null_space,
     parse_matrix_text,
     rank,
     solve,
-    span_enumerate,
 )
 
-from conftest import bitmat, mul_vec, np_matrix, oracle_rank
+from conftest import bitmat, covered_columns_count, mul_vec, np_matrix, oracle_rank, span_enumerate
 
 
 def bv(s: str) -> BitVec:

@@ -5,10 +5,10 @@ import pytest
 
 from korth.errors import NoSyndromeError, RangeError
 from korth.families import hamming_parity_check
-from korth.gf2 import BitMat, BitVec, and_product, in_rowspan, rank, span_enumerate
-from korth.ortho import is_k_orthogonal, isolate_column, max_orthogonality
+from korth.gf2 import BitMat, BitVec, and_product, in_rowspan, rank
+from korth.ortho import is_k_orthogonal, isolate_column
 
-from conftest import bitmat, mat_from_rows, random_full_rank
+from conftest import bitmat, mat_from_rows, max_orthogonality, random_full_rank, span_enumerate
 
 
 def brute_k_orthogonal(a_x: BitMat, k: int, r: BitVec | None = None) -> bool:

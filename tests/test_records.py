@@ -63,7 +63,7 @@ EXAMPLES = {
     "DistanceReport": lambda: DistanceReport(3, 3, _V, None, "coset", "weight", True, False),
     "ThreeColumnCheck": lambda: ThreeColumnCheck(True, (0, 1, 2)),
     "SubdualParts": lambda: subdual_parts(3),
-    "SearchSpace": lambda: SearchSpace(3, (4, 5), 14, 1.5, None),
+    "SearchSpace": lambda: SearchSpace(3, (4, 5), 14, 1.5),
     "SearchWitness": lambda: _SEARCH_WITNESS,
     "BoxResult": lambda: _BOX,
     "SearchReport": lambda: SearchReport(2, "orbit", (_BOX,), 0.25, ("capped",), ("linear",)),
@@ -152,8 +152,7 @@ def test_constructor_rejects_missing_unknown_and_repeated_arguments(record):
     (OrthogonalityReport(3, True), "OrthogonalityReport(level=3, holds=True, witness=None)"),
     (BoxResult(4, 5), "BoxResult(m=4, n=5, subsets=0, candidates=None, hits=0, witnesses=(), "
                       "complete=True, skipped=None, mode='fast')"),
-    (SearchSpace(2, (3,), 7), "SearchSpace(k=2, m_range=(3,), n_max=7, budget_seconds=None, "
-                              "budget_subsets=None)"),
+    (SearchSpace(2, (3,), 7), "SearchSpace(k=2, m_range=(3,), n_max=7, budget_seconds=None)"),
 ])
 def test_repr(obj, text):
     assert repr(obj) == text

@@ -1,6 +1,4 @@
-import hashlib
 import itertools
-import json
 import math
 import random
 import time
@@ -173,11 +171,14 @@ class TestMinimalitySearch:
         assert any("full rank impossible" in reason for reason in skipped.values())
         assert rep.complete  # rule-based skips are sound, not incompleteness
 
-    def test_budget_marks_incomplete(self):
+    def test_budget_marks_incomplete(self, monkeypatch):
+        # Every box is flat and reads the clock once, after the start: the
+        # deadline passes in the (3, 4) box.
+        _expire_after(monkeypatch, 3)
         rep = minimality_search(
-            SearchSpace(k=2, m_range=(3, 4, 5), n_max=6, budget_subsets=50)
+            SearchSpace(k=2, m_range=(3, 4, 5), n_max=6, budget_seconds=1e9)
         )
-        assert not rep.complete
+        assert not rep.complete and not rep.boxes[3].complete
         assert any(b.skipped == "budget exhausted" for b in rep.boxes)
 
     def test_orbit_prune_counts(self):
@@ -230,6 +231,15 @@ def _scan_order_prefix(m: int, n: int, k: int, prune: str, visit: int):
     return hits, witnesses
 
 
+def _walk_blocks(length: int, free: int):
+    """The sizes of the walk's blocks over ``free`` of ``length`` values, in
+    scan order: one per prefix of free - s indices below length - s, holding
+    every subset that extends it."""
+    s = search._tail_size(length, free)
+    for prefix in combinations(range(length - s), free - s):
+        yield math.comb(length - 1 - prefix[-1], s) if prefix else math.comb(length, s)
+
+
 class TestSinglePathAgainstBruteForce:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_counts_and_witnesses(self, k):
@@ -257,74 +267,60 @@ class TestSinglePathAgainstBruteForce:
                 assert b.hits == len(witnesses)
                 assert [w.columns for w in b.witnesses] == witnesses
 
-    @pytest.mark.parametrize("k,m,n_max,prune,cap", [
-        # The first three-column block of the (4, 4) box holds C(14, 3) = 364
-        # subsets: caps one short of it, on it, and one past it.
-        (1, 4, 5, "none", 362),
-        (1, 4, 5, "none", 363),
-        (1, 4, 5, "none", 364),
-        (2, 4, 8, "none", 4_000),
-        (1, 4, 9, "orbit", 150),
-        (3, 4, 10, "orbit", 400),
+    @pytest.mark.parametrize("k,m,n_max,prune,cut", [
+        # The clock is read at the start, once per walk block and once per
+        # box.  The (4, 5) box's blocks of three columns read it from read 3
+        # on: cuts after one and two blocks, and inside the (4, 6) box.
+        (1, 4, 5, "none", None),
+        (1, 4, 5, "none", 3),
+        (1, 4, 5, "none", 4),
+        (1, 4, 6, "none", 100),
+        (2, 4, 8, "none", None),
+        # The linear engine decides its boxes whole.
+        (1, 4, 9, "orbit", None),
+        (1, 4, 9, "orbit", 4),
+        (3, 4, 10, "orbit", None),
+        # Seven blocks into the (5, 9) box.
+        (1, 5, 9, "orbit", 15),
         # At m=6, C(63, 3) and C(57, 3) pass the table bound: two-column tails.
-        (1, 6, 6, "none", 20_000),
+        (1, 6, 6, "none", 3),
         (1, 6, 9, "orbit", None),
     ])
-    def test_scan_order_and_caps_match_one_matrix_at_a_time(self, k, m, n_max, prune, cap):
-        rep = minimality_search(
-            SearchSpace(k=k, m_range=(m,), n_max=n_max, budget_subsets=cap), prune=prune)
-        used = 0
+    def test_scan_order_and_caps_match_one_matrix_at_a_time(self, k, m, n_max, prune, cut,
+                                                               monkeypatch):
+        # A box holds the hits and witnesses of the subsets it decided, in
+        # scan order; a walked box the deadline (at clock read ``cut``)
+        # cuts decided the whole blocks it closed.
+        if cut is not None:
+            _expire_after(monkeypatch, cut)
+        rep = minimality_search(SearchSpace(
+            k=k, m_range=(m,), n_max=n_max, budget_seconds=None if cut is None else 1e9),
+            prune=prune)
+        base = m if prune == "orbit" else 0
+        length = (1 << m) - 1 - base
+        reads = 1  # the start
         for b in rep.boxes[m - 1:]:
-            if cap is not None and used > cap:
-                assert b.skipped == "budget exhausted" and not b.complete
+            if b.skipped is not None:
+                assert b.skipped == "budget exhausted" and not b.complete and cut is not None
                 continue
-            total = math.comb((1 << m) - 1 - (m if prune == "orbit" else 0),
-                              b.n - (m if prune == "orbit" else 0))
-            visit = total if cap is None else min(total, cap - used + 1)
-            used += visit
+            free = b.n - base
+            total = math.comb(length, free)
+            walked = free and not search._flat(b.n, k) and "walk engine" in rep.engines[0]
+            blocks = list(_walk_blocks(length, free)) if walked else []
+            visit = total if b.complete or not walked else sum(blocks[:cut - reads])
+            reads += len(blocks) + 1
             hits, witnesses = _scan_order_prefix(m, b.n, k, prune, visit)
             assert b.subsets == visit
             assert b.hits == (len(witnesses) if b.mode == "slow" else hits)
             assert [w.columns for w in b.witnesses] == witnesses
-            assert b.complete == (cap is None or used <= cap)
-        assert rep.complete == (cap is None or used <= cap)
+        assert rep.complete == (cut is None)
 
     def test_full_rank_count_small_boxes(self):
         for m in range(1, 5):
             for n in range(0, (1 << m) + 1):
                 assert full_rank_count(m, n) == sum(1 for _ in enumerate_candidates(m, n))
 
-    def test_subset_cap_stops_inside_a_fast_box(self):
-        # The (5, 5) box visits all C(31, 5) = 169,911 subsets; the cap then
-        # leaves 800,000 - 169,911 + 1 subsets for the (5, 6) box.
-        rep = minimality_search(
-            SearchSpace(k=2, m_range=(5,), n_max=6, budget_subsets=800_000)
-        )
-        box = next(b for b in rep.boxes if b.n == 6)
-        assert box.mode == "fast"
-        assert box.subsets == 630_090
-        assert not box.complete
-        assert not rep.complete
-
-    # sha256 of the sorted-key JSON of the report dict without
-    # `elapsed_seconds`: the cap cuts a slow box and a fast box.
-    CAPPED_GOLDEN = {
-        ((3, 4, 5), 50): "4a0e842c5ef103f1828e863ff595dd4eac2e815c6a110a3f48ad946e9fab1877",
-        ((5,), 800_000): "c9ab9bc4bcd857a74615dc66c25e474cdd7493df8b3a763b31e45b1ff321f7a1",
-    }
-
-    @pytest.mark.parametrize("m_range,cap", sorted(CAPPED_GOLDEN), ids=lambda v: str(v))
-    def test_capped_report_digest(self, m_range, cap):
-        report = minimality_search(
-            SearchSpace(k=2, m_range=m_range, n_max=6, budget_subsets=cap)
-        ).to_dict()
-        del report["elapsed_seconds"]
-        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == self.CAPPED_GOLDEN[m_range, cap]
-
     def test_negative_budgets_rejected(self):
-        with pytest.raises(RangeError):
-            SearchSpace(k=1, m_range=(2,), n_max=3, budget_subsets=-1)
         with pytest.raises(RangeError):
             SearchSpace(k=1, m_range=(2,), n_max=3, budget_seconds=-0.5)
         with pytest.raises(RangeError):
@@ -377,8 +373,8 @@ class TestTailLookup:
             SearchSpace(k=2, m_range=(5,), n_max=12, budget_seconds=1e9), prune="orbit")
         # The flat engine takes n <= 8, the linear engine n = 9..12.
         assert rep.complete and "; linear engine, D=11:" in rep.engines[0]
-        # The start, the deadline, one charge for each of the 8 boxes, the end.
-        assert calls[0] <= 11
+        # The start, one check after each of the 8 boxes, the end.
+        assert calls[0] <= 10
 
     def test_m8_capped_scan_builds_no_table_above_the_bound(self, monkeypatch):
         entries = []
@@ -390,14 +386,17 @@ class TestTailLookup:
             return table
 
         monkeypatch.setattr(search, "_tail_table", recording)
+        # The start and the flat (8, 8) box read the clock once each: the
+        # deadline passes at the second block of the (8, 9) box.
+        _expire_after(monkeypatch, 4)
         tracemalloc.start()
         try:
             rep = minimality_search(
-                SearchSpace(k=3, m_range=(8,), n_max=12, budget_subsets=1_000))
+                SearchSpace(k=2, m_range=(8,), n_max=9, budget_seconds=1e9))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.boxes[7].subsets == 1_001 and not rep.complete
+        assert rep.boxes[8].subsets == 247 + 246 and not rep.complete
         # C(255, 2) = 32,385 and C(255, 3) = 2,731,135 pass the bound: one column.
         assert entries == [255]
         assert peak < 2_000_000
@@ -413,6 +412,19 @@ def _count_clock(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=counting))
     return calls
+
+
+def _expire_after(monkeypatch, reads: int) -> None:
+    """Let the search's deadline pass at its ``reads``-th clock read under a
+    budget of at least ``reads`` seconds: read i returns i before it, and a
+    time past any such deadline from it on."""
+    calls = [0]
+
+    def ticking():
+        calls[0] += 1
+        return float(calls[0]) if calls[0] < reads else 1e300
+
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=ticking))
 
 
 def _force_engine(monkeypatch, linear: bool):
@@ -436,7 +448,7 @@ class TestLinearEngineAgainstWalk:
         if (k, m) == (1, 5):
             # 2**26 / 4 against 11,698,194 walk lookups (2**21 / 4 against
             # 10,906 under orbit): the walk serves it, so nothing to compare.
-            line = search._box_columns(m, k, prune, 12, search._Budget(None, None))[1]
+            line = search._box_columns(m, k, prune, 12, None)[1]
             assert line.startswith("m=5: walk")
             return
         space = SearchSpace(k=k, m_range=(m,), n_max=n_max)
@@ -449,46 +461,12 @@ class TestLinearEngineAgainstWalk:
         assert walk.engines[0].startswith(f"m={m}: walk")
         assert linear.boxes == walk.boxes
 
-    @pytest.mark.parametrize("k,m_range,n_max,prune,cap", [
-        # k=3, m=5 under orbit: the (5, 8) box ends at 2,952 subsets; caps on
-        # that boundary, one past it, and inside the (5, 9) box.
-        (3, (5,), 12, "orbit", 2_952),
-        (3, (5,), 12, "orbit", 2_953),
-        (3, (5,), 12, "orbit", 10_000),
-        # The (4, 8) box, from 15,808 subsets on, holds the 15 witnesses.
-        (2, (4,), 8, "none", 15_808),
-        (2, (4,), 8, "none", 15_809),
-        (2, (4,), 8, "none", 19_000),
-        # Hits in every box from n=5; the (4, 8) box ends at 562 subsets.
-        (1, (4,), 12, "orbit", 562),
-        (1, (4,), 12, "orbit", 563),
-        (1, (4,), 12, "orbit", 800),
-        (2, (3, 4), 6, "none", 50),
-    ])
-    def test_caps(self, k, m_range, n_max, prune, cap, monkeypatch):
-        space = SearchSpace(k=k, m_range=m_range, n_max=n_max, budget_subsets=cap)
-        _without_flat(monkeypatch)
-        _force_engine(monkeypatch, True)
-        linear = minimality_search(space, prune=prune)
-        assert all(" linear engine" in e for e in linear.engines)
-        assert not linear.complete
-        _force_engine(monkeypatch, False)
-        assert minimality_search(space, prune=prune).boxes == linear.boxes
-
     def test_benchmark_orbit_scan_takes_the_flat_engine(self):
         # Every box lies below the k=3 floor of 15 columns.
         rep = minimality_search(SearchSpace(k=3, m_range=(4, 5), n_max=14), prune="orbit")
         assert rep.engines == tuple(
             f"m={m}: flat engine for n <= 16 (RM({m - 4}, {m}) has minimum weight 16, "
             "met only by its 4-flats)" for m in (4, 5))
-
-    def test_cap_keeps_the_walks_prefix_of_hits(self):
-        # Inside the (4, 8) box the cap keeps some of its 15 witnesses.
-        rep = minimality_search(
-            SearchSpace(k=2, m_range=(4,), n_max=8, budget_subsets=19_000))
-        box = rep.boxes[7]
-        assert box.subsets == 19_000 - 15_808 + 1 and not box.complete
-        assert 0 < len(box.witnesses) < 15
 
 
 class TestClosedFormKernel:
@@ -513,7 +491,7 @@ class TestClosedFormKernel:
         dims = []
         _without_flat(monkeypatch)
         monkeypatch.setattr(search, "_choose_engine", lambda walk, dim: dims.append(dim))
-        line = search._box_columns(m, k, prune, m, search._Budget(None, None))[1]
+        line = search._box_columns(m, k, prune, m, None)[1]
         assert dims == [len(oracle) - 1] and f" D={len(oracle) - 1}:" in line
 
         kernel, particular = search._kernel(m, k, base)
@@ -531,12 +509,12 @@ class TestClosedFormKernel:
 
 
 class TestEngineBudgets:
-    """Both budgets bound the engine choice and the linear engine's span."""
+    """The deadline bounds the linear engine's span and the walk's work."""
 
-    @pytest.mark.parametrize("budget", [{"budget_seconds": 1.0}, {"budget_subsets": 1_000}])
+    @pytest.mark.parametrize("budget", [{"budget_seconds": 1.0}, {"budget_seconds": 0}])
     def test_m7_returns_promptly_and_incomplete(self, budget):
         # Above the k=1 floor: 2**120 solutions, and about 2**66 walk lookups
-        # up to n = 17.
+        # up to n = 17.  Even a zero budget decides the first block.
         start = time.monotonic()
         rep = minimality_search(SearchSpace(k=1, m_range=(7,), n_max=17, **budget))
         assert time.monotonic() - start < 10
@@ -568,15 +546,15 @@ class TestEngineBudgets:
         assert not rep.complete and sum(b.subsets for b in rep.boxes) > 4_084
 
     def test_bounded_walk_sum_keeps_the_engine(self, monkeypatch):
-        # The sum stops once it reaches 2**D/4 or the cap's remaining subsets;
-        # the engine must be the one the whole sum would pick.
+        # The sum stops once it reaches 2**D/4; the engine must be the one
+        # the whole sum would pick.
         seen = []
         monkeypatch.setattr(search, "_choose_engine", lambda walk, dim: seen.append((walk, dim)))
         picks = []
         for m in range(2, 10):
             for k in range(1, m):
-                for prune, n_max, cap in itertools.product(
-                        ("none", "orbit"), {m, 1 << (m - 1), (1 << m) - 1}, (None, 10, 10**6)):
+                for prune, n_max in itertools.product(
+                        ("none", "orbit"), {m, 1 << (m - 1), (1 << m) - 1}):
                     base = m if prune == "orbit" else 0
                     length = (1 << m) - 1 - base
                     frees = [n - base for n in range(m, n_max + 1) if not search._flat(n, k)]
@@ -584,12 +562,11 @@ class TestEngineBudgets:
                         continue
                     whole = sum(math.comb(length - s, free - s)
                                 for free in frees for s in [search._tail_size(length, free)])
-                    whole = whole if cap is None else min(whole, cap + 1)
-                    search._box_columns(m, k, prune, n_max, search._Budget(None, cap))
+                    search._box_columns(m, k, prune, n_max, None)
                     walk, dim = seen.pop()
                     picks.append((1 << dim) // 4 <= whole)
-                    assert ((1 << dim) // 4 <= walk) == picks[-1], (m, k, prune, n_max, cap)
-        assert len(picks) > 300 and 0 < sum(picks) < len(picks)
+                    assert ((1 << dim) // 4 <= walk) == picks[-1], (m, k, prune, n_max)
+        assert len(picks) > 100 and 0 < sum(picks) < len(picks)
 
     def test_m15_set_up_returns_promptly_and_incomplete(self):
         # The fingerprint table of 2**15 values is built before the first
@@ -599,12 +576,13 @@ class TestEngineBudgets:
         assert time.monotonic() - start < 1.5
         assert not rep.complete
 
-    def test_cap_bounds_the_walk_cost_and_skips_the_elimination(self):
-        # Uncapped, the boxes above the floor (n = 9..12) take the linear engine.
-        rep = minimality_search(SearchSpace(k=2, m_range=(5,), n_max=12, budget_subsets=10))
-        assert rep.engines == (
-            "m=5: flat engine for n <= 8 (RM(2, 5) has minimum weight 8, met only by "
-            "its 3-flats); walk engine, D=16: 2**16/4 > 11 walk lookups",)
+    def test_witnesses_are_verified_inside_the_deadline(self):
+        # The deadline passes in the (5, 7) box, where the walk keeps
+        # thousands of witnesses a second: re-verified once the walk had
+        # stopped, they kept the search running for 0.75-1.23 s.
+        start = time.monotonic()
+        rep = minimality_search(SearchSpace(k=1, m_range=(5,), n_max=9, budget_seconds=0.5))
+        assert time.monotonic() - start < 0.5 + 0.2
         assert not rep.complete
 
     def test_fingerprint_table_only_for_walked_boxes(self, monkeypatch):
@@ -616,7 +594,7 @@ class TestEngineBudgets:
             return real(m, k)
 
         monkeypatch.setattr(search, "subset_parity_table", counting)
-        # An uncapped linear row count: its fingerprints are never built.
+        # A linear row count: its fingerprints are never built.
         rep = minimality_search(SearchSpace(k=2, m_range=(5,), n_max=12), prune="orbit")
         assert rep.complete and "; linear engine" in rep.engines[0]
         assert calls == []
@@ -658,18 +636,11 @@ class TestFlatEngine:
         assert engines
         flat = minimality_search(SearchSpace(k=k, m_range=(m,), n_max=n_max), prune=prune)
         assert flat.complete and flat.engines[0].startswith(f"m={m}: flat engine for n <= ")
-        # Caps that cut the last box after one subset, and that end on it.
-        total = sum(b.subsets for b in flat.boxes)
-        caps = [None, total - flat.boxes[-1].subsets, total - 1]
-        flats = {cap: minimality_search(
-            SearchSpace(k=k, m_range=(m,), n_max=n_max, budget_subsets=cap), prune=prune).boxes
-            for cap in caps}
         _without_flat(monkeypatch)
         for linear in engines:
             _force_engine(monkeypatch, linear)
-            for cap in caps:
-                space = SearchSpace(k=k, m_range=(m,), n_max=n_max, budget_subsets=cap)
-                assert minimality_search(space, prune=prune).boxes == flats[cap], (linear, cap)
+            space = SearchSpace(k=k, m_range=(m,), n_max=n_max)
+            assert minimality_search(space, prune=prune).boxes == flat.boxes, linear
 
     def test_raw_hits_in_closed_form(self):
         # [5 choose 3]_2 = 155 subspaces at n = 7 and 3 * 155 flats off 0 at
