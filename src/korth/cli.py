@@ -3,16 +3,23 @@
 Exit status: 0 on success/PASS, 1 when a verification ran and failed (a gate
 check fails, an orthogonality check fails, or a minimality search finds a
 witness), 2 on usage or input errors.  JSON reports carry ``"schema": 1``.
+
+The command line is read from one table, :data:`COMMANDS`, by a short
+parser that keeps the standard library's option-parsing rules (flag
+prefixes, ``--flag=value``, negative numbers as values, the same error
+phrases), and files are opened with :func:`open`.  Neither the standard
+parser (with gettext and locale) nor the path classes are imported: their
+import and first use cost every command more start-up than this parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
-from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from .errors import KorthError
 
@@ -39,8 +46,22 @@ def _parse_phase_list(spec: str, n: int, k: int) -> DyadicPhaseVector:
     return DyadicPhaseVector(k, tuple(values))
 
 
+def _path(name: str) -> str:
+    """``name`` normalised as a POSIX path object prints it, so that files
+    and error messages stay as they were: "." parts and repeated or
+    trailing slashes dropped, a leading "//" kept, and "" read as "."."""
+    root = "//" if name[:2] == "//" and name[2:3] != "/" else "/" if name[:1] == "/" else ""
+    return root + "/".join(part for part in name.split("/") if part not in ("", ".")) or "."
+
+
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with open(_path(path), encoding="utf-8") as f:
+        return f.read()
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(_path(path), "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -48,7 +69,7 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
     text = report.json_text(payload)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -67,9 +88,9 @@ def _cmd_construct(args) -> int:
     sf = families.subdual_css(args.m)
     _emit(codes.code_to_json_dict(sf.to_stabilizer_code()), args.out)
     if args.ax:
-        Path(args.ax).write_text(format_matrix_text(sf.a_x), encoding="utf-8")
+        _write_text(args.ax, format_matrix_text(sf.a_x))
     if args.az:
-        Path(args.az).write_text(format_matrix_text(sf.a_z), encoding="utf-8")
+        _write_text(args.az, format_matrix_text(sf.a_z))
     return 0
 
 
@@ -311,83 +332,225 @@ def _cmd_reduce_degenerate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="korth",
-        description="Stabilizer codes with transversal phase gates: "
-        "construct, certify, measure, search.",
-    )
-    parser.add_argument("--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# The command table: each subcommand's handler, help line and flags.  A flag
+# is (name, type, default, choices, help): the default REQUIRED marks one
+# that must be given, and the type None one that takes no value.  One
+# parser, the usage lines and -h/--help read it.
+REQUIRED = object()
 
-    p = sub.add_parser("construct", help="build the sub-dual CSS code for m check rows")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", help="write the JSON code descriptor here")
-    p.add_argument("--ax", help="write A_X in matrix text format")
-    p.add_argument("--az", help="write A_Z in matrix text format")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("standard-form", help="reduce a JSON code to standard form")
-    p.add_argument("--code", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_standard_form)
+def _flag(name: str, convert: Optional[type] = str, default: object = None,
+          choices: Optional[tuple[str, ...]] = None, help: str = "") -> tuple:
+    return name, convert, default, choices, help
 
-    p = sub.add_parser("check-orth", help="certify k-orthogonality of a matrix")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", help="restriction bit string (defaults to all ones)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_check_orth)
 
-    p = sub.add_parser("find-gates", help="solve for all transversal phase vectors")
-    p.add_argument("--code", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_find_gates)
+_TOP = (_flag("--verbose", None, False,
+              help="report the exit status, time and loaded modules on stderr"),)
+_HELP = _flag("-h", None, help="show this help message and exit")
+COMMANDS = {
+    "construct": (_cmd_construct, "build the sub-dual CSS code for m check rows", (
+        _flag("--m", int, REQUIRED),
+        _flag("--out", help="write the JSON code descriptor here"),
+        _flag("--ax", help="write A_X in matrix text format"),
+        _flag("--az", help="write A_Z in matrix text format"),
+    )),
+    "standard-form": (_cmd_standard_form, "reduce a JSON code to standard form", (
+        _flag("--code", default=REQUIRED),
+        _flag("--out"),
+    )),
+    "check-orth": (_cmd_check_orth, "certify k-orthogonality of a matrix", (
+        _flag("--matrix", default=REQUIRED),
+        _flag("--k", int, REQUIRED),
+        _flag("--r", help="restriction bit string (defaults to all ones)"),
+        _flag("--out"),
+    )),
+    "find-gates": (_cmd_find_gates, "solve for all transversal phase vectors", (
+        _flag("--code", default=REQUIRED),
+        _flag("--k", int, REQUIRED),
+        _flag("--out"),
+    )),
+    "verify-gate": (_cmd_verify_gate, "verify a transversal (controlled) phase gate", (
+        _flag("--code", default=REQUIRED),
+        _flag("--gate", help="JSON gate descriptor {k, controls, p}"),
+        _flag("--k", int),
+        _flag("--p", help="'all-ones' or comma-separated exponents"),
+        _flag("--controls", int, 0),
+        _flag("--out"),
+    )),
+    "distance": (_cmd_distance, "exact CSS distances", (
+        _flag("--code"),
+        _flag("--ax"),
+        _flag("--az"),
+        _flag("--weight-cap", int),
+        _flag("--out"),
+    )),
+    "search-min": (_cmd_search_min, "exhaustive k-orthogonality minimality search", (
+        _flag("--k", int, REQUIRED),
+        _flag("--m-min", int, REQUIRED),
+        _flag("--m-max", int, REQUIRED),
+        _flag("--n-max", int, REQUIRED),
+        _flag("--budget-seconds", float),
+        _flag("--prune", default="none", choices=("none", "orbit")),
+        _flag("--out"),
+    )),
+    "reduce-degenerate": (_cmd_reduce_degenerate,
+                          "aggregate phases onto degeneracy class representatives", (
+        _flag("--code", default=REQUIRED),
+        _flag("--k", int, REQUIRED),
+        _flag("--p", default=REQUIRED),
+        _flag("--out"),
+    )),
+}
+_DESCRIPTION = "Stabilizer codes with transversal phase gates: construct, certify, measure, search."
 
-    p = sub.add_parser("verify-gate", help="verify a transversal (controlled) phase gate")
-    p.add_argument("--code", required=True)
-    p.add_argument("--gate", help="JSON gate descriptor {k, controls, p}")
-    p.add_argument("--k", type=int)
-    p.add_argument("--p", help="'all-ones' or comma-separated exponents")
-    p.add_argument("--controls", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify_gate)
 
-    p = sub.add_parser("distance", help="exact CSS distances")
-    p.add_argument("--code")
-    p.add_argument("--ax")
-    p.add_argument("--az")
-    p.add_argument("--weight-cap", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_distance)
+def _spelled(flag: tuple) -> str:
+    """A flag as usage and help show it: its name, then its value's name."""
+    name, convert, _, choices, _ = flag
+    if convert is None:
+        return name
+    return f"{name} {'{' + ','.join(choices) + '}' if choices else name[2:].replace('-', '_').upper()}"
 
-    p = sub.add_parser("search-min", help="exhaustive k-orthogonality minimality search")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m-min", type=int, required=True)
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--prune", choices=("none", "orbit"), default="none")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_search_min)
 
-    p = sub.add_parser("reduce-degenerate",
-                       help="aggregate phases onto degeneracy class representatives")
-    p.add_argument("--code", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_reduce_degenerate)
-    return parser
+def _usage(command: Optional[str]) -> str:
+    flags = _TOP if command is None else COMMANDS[command][2]
+    parts = [f"korth {command or ''}".rstrip(), "[-h]"]
+    parts += [_spelled(f) if f[2] is REQUIRED else f"[{_spelled(f)}]" for f in flags]
+    if command is None:
+        parts.append("{" + ",".join(COMMANDS) + "} ...")
+    return " ".join(parts)
+
+
+def _fail(command: Optional[str], message: str) -> NoReturn:
+    """A usage error, in the standard parser's words: exit status 2."""
+    prog = f"korth {command or ''}".rstrip()
+    sys.stderr.write(f"usage: {_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(command: Optional[str]) -> NoReturn:
+    """Help on stdout, in fixed columns: exit status 0."""
+    lines = [f"usage: {_usage(command)}", ""]
+    if command is None:
+        lines += [_DESCRIPTION, "", "commands:"]
+        lines += [f"  {name:<22}{spec[1]}" for name, spec in COMMANDS.items()]
+    else:
+        lines.append(COMMANDS[command][1])
+    lines += ["", "options:"]
+    for flag in (("-h, --help", *_HELP[1:]), *(_TOP if command is None else COMMANDS[command][2])):
+        default = flag[2]
+        note = ("(required)" if default is REQUIRED else "" if default is None or default is False
+                else f"(default: {default})")
+        left, text = _spelled(flag), f"{flag[4]} {note}".strip()
+        left = f"  {left:<22}" if len(left) < 22 else f"  {left}\n{'':24}"  # a long one on its own line
+        lines.append(f"{left}{text}".rstrip())
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _kind(token: str, names: tuple[str, ...], command: Optional[str]
+          ) -> Optional[tuple[Optional[str], Optional[str]]]:
+    """What the standard parser makes of one token: None for a value, else
+    the flag it names (None for an unknown one) and the value given after
+    "=" (or None).  A flag may be a unique prefix of a name, and -h takes
+    what follows it as its value.  A token that starts with "-" and names no flag is a value
+    only when it is a negative number or holds a space."""
+    if token in names:
+        return token, None
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    flag, eq, value = token.partition("=")
+    if eq and flag in names:
+        return flag, value
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(flag)]
+        value = value if eq else None
+    else:
+        matches, value = (["-h"], token[2:]) if token[:2] == "-h" else ([], None)
+    if len(matches) > 1:
+        _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse(command: Optional[str], tokens: list[str], extras: list[str]) -> tuple[dict, int]:
+    """Read ``tokens`` against the flags of ``command``, or of the top
+    level for None, as the standard parser does; unknown flags and stray
+    values go to ``extras``.  Returns the values by flag name and the index
+    where reading stopped: the first value at the top level (the
+    subcommand), else the first "--", after which every token is stray."""
+    flags = {flag[0]: flag for flag in (_TOP if command is None else COMMANDS[command][2])}
+    kinds = []  # every token is classified before any is taken
+    for token in tokens:
+        if token == "--":
+            break
+        kinds.append(_kind(token, ("-h", "--help", *flags), command))
+    values = {name: flag[2] for name, flag in flags.items()}
+    i = 0
+    while i < len(kinds) and (command is not None or kinds[i] is not None):
+        token, kind = tokens[i], kinds[i]
+        i += 1
+        if kind is None or kind[0] is None:
+            extras.append(token)
+            continue
+        name, value = kind
+        _, convert, _, choices, _ = flags.get(name, _HELP)
+        if convert is None:
+            rest = value.lstrip("h") if name == "-h" and value else value  # -hh repeats -h
+            if rest is not None and (rest or not value):
+                shown = name if name in flags else "-h/--help"
+                _fail(command, f"argument {shown}: ignored explicit argument {rest!r}")
+            if name not in flags:
+                _help(command)
+            value = True
+        else:
+            if value is None:
+                if i == len(kinds) or kinds[i] is not None:
+                    _fail(command, f"argument {name}: expected one argument")
+                value, i = tokens[i], i + 1
+            try:
+                value = convert(value)
+            except ValueError:
+                _fail(command, f"argument {name}: invalid {convert.__name__} value: {value!r}")
+            if choices and value not in choices:
+                _fail(command, f"argument {name}: invalid choice: {value!r} "
+                               f"(choose from {', '.join(map(repr, choices))})")
+        values[name] = value  # the last occurrence wins
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return values, i
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read a command line from :data:`COMMANDS` as the standard parser
+    would: the subcommand's flags by their names with dashes as
+    underscores, plus ``verbose``, ``subcommand`` and ``func``.  Raises
+    SystemExit: 0 after -h/--help, 2 after a usage error."""
+    argv, extras = list(argv), []
+    top, i = _parse(None, argv, extras)  # --verbose comes before the subcommand
+    if argv[i:] in ([], ["--"]):
+        _fail(None, "the following arguments are required: subcommand")
+    command, rest = argv[i], argv[i + 1:]
+    if command not in COMMANDS:
+        _fail(None, f"argument subcommand: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, COMMANDS))})")
+    values, i = _parse(command, rest, extras)
+    extras += rest[i:]
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(verbose=top["--verbose"], subcommand=command, func=COMMANDS[command][0],
+                           **{name[2:].replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     start = time.perf_counter()
     try:
         status = args.func(args)

@@ -8,7 +8,6 @@ carry the violating string and residue.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Iterable, Optional
 
 from .codes import StandardFormCode, degeneracy_classes, is_css
@@ -158,7 +157,7 @@ def find_transversal_phases(sf: StandardFormCode, k: int) -> PhaseSolutionSet:
     graded = ((acc, len(subset) - 1)
               for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << n) - 1))
     gens = _kernel_mod_power_of_two(graded, n, k)
-    generators = tuple(DyadicPhaseVector._exact(k, vec) for vec, _ in gens)
+    generators = tuple(vec for vec, _ in gens)
     orders = tuple(order for _, order in gens)
     phases = tuple(
         DyadicPhase(g.masked_sum(sf.s.bits), k) for g in generators
@@ -168,7 +167,7 @@ def find_transversal_phases(sf: StandardFormCode, k: int) -> PhaseSolutionSet:
 
 def _kernel_mod_power_of_two(
     weighted: Iterable[tuple[int, int]], n: int, k: int
-) -> list[tuple[tuple[int, ...], int]]:
+) -> list[tuple[DyadicPhaseVector, int]]:
     """Generators (vector, additive order) of {p : A p = 0 mod 2**k}, where
     row i of A is 2**e * mask for the i-th pair (mask, e) of ``weighted``:
     a 0/1 row below 2**n and an exponent 0 <= e < k.
@@ -185,8 +184,9 @@ def _kernel_mod_power_of_two(
     so no lane ever carries into the next.  V's lanes hold the same residues
     but are 8, 16, 32 or 64 bits wide, the least of those with room for
     2k + 1 bits (whole bytes of room past k = 31): elimination never reads
-    them, and each generator then comes off its column with one
-    ``int.to_bytes`` and one ``memoryview.cast``.
+    them, and each generator then comes off its column's bytes from one
+    ``int.to_bytes``: its exponents by one ``memoryview.cast``, its bit
+    planes by slicing.
 
     The pivot rule is unchanged from the list-of-lists diagonalisation the
     tests keep as this solver's oracle: in row-major order, the first entry
@@ -256,21 +256,10 @@ def _kernel_mod_power_of_two(
             vcols[j] = (vcols[j] + (entry >> val) * vneg) & vmask
         piv_vals.append(val)
         r += 1
-    gens = [(_lanes((vcols[i] << (k - val)) & vmask, n, size), 1 << val)
-            for i, val in enumerate(piv_vals) if val > 0]
-    gens += [(_lanes(vcols[j], n, size), q) for j in range(r, n)]
-    return gens
-
-
-_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by lane bytes
-
-
-def _lanes(col: int, n: int, size: int) -> tuple[int, ...]:
-    """The n lanes of ``size`` bytes each packed in ``col``, lowest first."""
-    raw = col.to_bytes(n * size, "little")
-    if size in _LANE_FORMATS and sys.byteorder == "little":
-        return tuple(memoryview(raw).cast(_LANE_FORMATS[size]))
-    return tuple(int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
+    cols = [((vcols[i] << (k - val)) & vmask, 1 << val) for i, val in enumerate(piv_vals) if val > 0]
+    cols += [(vcols[j], q) for j in range(r, n)]
+    return [(DyadicPhaseVector._exact(k, col.to_bytes(n * size, "little"), size), order)
+            for col, order in cols]
 
 
 def _graded_violation(

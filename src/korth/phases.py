@@ -6,12 +6,14 @@ No floating point is used anywhere; every angle comparison is a congruence.
 from __future__ import annotations
 
 import operator
+import sys
 
 from .errors import DimensionError, RangeError
 from .record import Record
 
 __all__ = ["DyadicPhase", "DyadicPhaseVector"]
 
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by lane bytes
 # _DIGITS[b] maps a byte to the ASCII digit of its bit b.
 _DIGITS = tuple(bytes(48 + ((v >> b) & 1) for v in range(256)) for b in range(8))
 
@@ -68,25 +70,32 @@ class DyadicPhaseVector(Record):
         if top >= q or min(p, default=0) < 0:
             p = tuple(x % q for x in p)
             top = max(p, default=0)
-        self._fill(k, p, top.bit_length())
+        width, last_first = top.bit_length(), p[::-1]
+        self._fill(k, p, width, [bytes(last_first) if width <= 8 else bytes(
+            (x >> base) & 255 for x in last_first) for base in range(0, width, 8)])
 
     @classmethod
-    def _exact(cls, k: int, p: tuple[int, ...]) -> "DyadicPhaseVector":
-        """The vector of a tuple of ints already in [0, 2**k), unchecked."""
+    def _exact(cls, k: int, raw: bytes, size: int) -> "DyadicPhaseVector":
+        """The vector whose exponent i is lane i of ``raw``, ``size`` bytes
+        little-endian, each already in [0, 2**k): unchecked."""
+        if size in _LANE_FORMATS and sys.byteorder == "little":
+            p = tuple(memoryview(raw).cast(_LANE_FORMATS[size]))
+        else:
+            p = tuple(int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
         vec = cls.__new__(cls)
-        vec._fill(k, p, k)
+        # Byte j of every lane, last lane first, is raw[j::size] reversed.
+        vec._fill(k, p, k, [raw[j::size][::-1] for j in range((k + 7) // 8)])
         return vec
 
-    def _fill(self, k: int, p: tuple[int, ...], width: int) -> None:
-        """Set the fields; planes of the bits below ``width``, zero top ones dropped."""
+    def _fill(self, k: int, p: tuple[int, ...], width: int, chunks: list[bytes]) -> None:
+        """Set the fields.  ``chunks[j]`` holds byte j of every exponent, one
+        byte per qubit, last qubit first, so bit i lands at bit i; the planes
+        are the bits below ``width``, zero top ones dropped."""
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "p", p)
         planes = []
-        for base in range(0, width, 8):
-            # One byte per qubit, last qubit first, so bit i lands at bit i.
-            chunk = bytes(reversed(p)) if width <= 8 else bytes(
-                (x >> base) & 255 for x in reversed(p))
-            for b in range(min(8, width - base)):
+        for j, chunk in enumerate(chunks):
+            for b in range(min(8, width - 8 * j)):
                 planes.append(int(chunk.translate(_DIGITS[b]), 2))
         while planes and not planes[-1]:
             planes.pop()

@@ -36,11 +36,12 @@ in the flat and linear engines), and ``mode`` says what ``candidates`` and
   identity columns fixed and only the other n - m columns varied;
 - ``"skip"``: not scanned, for the reason in ``skipped``.
 
-The deadline is the one budget.  It is checked per box, per block of the
-walk and per 2**16 solutions of the linear engine, which hands over to the
-walk once the solutions left would, at the pace so far, pass it.  The box
-in which it passes is marked incomplete and the later boxes are skipped; a
-walked box keeps what it decided, the lexicographic prefix of whole blocks.
+The deadline is the one budget.  It is checked before each box, per block
+of the walk and per 2**16 solutions of the linear engine, which hands over
+to the walk once the solutions left would, at the pace so far, pass it.  A
+box is incomplete only when the walk left subsets in it undecided: it
+keeps what it decided, the lexicographic prefix of whole blocks.  Once the
+deadline has passed, the boxes not yet begun are skipped as incomplete.
 A search runs in the calling process.
 """
 
@@ -479,8 +480,6 @@ def _scan_box(m: int, n: int, k: int, columns: _Columns, prune: str,
             visited, count, complete = _scan_range(
                 values, cache["fps"], cache[s], s, free, (1 << len(base)) - 1, deadline, take,
             )
-    if complete and deadline is not None:
-        complete = time.monotonic() <= deadline
     return BoxResult(
         m=m, n=n, subsets=visited, candidates=candidates,
         hits=full_rank if mode == "slow" else count,
@@ -504,8 +503,8 @@ def _skip_reason(m: int, n: int, k: int) -> Optional[str]:
 def minimality_search(space: SearchSpace, prune: str = "none") -> SearchReport:
     """Scan every (m, n) box for full-rank k-orthogonal candidates.
 
-    Skipped boxes record the sound reason for the exclusion; the deadline
-    marks the box it passes in (and hence the report) incomplete.
+    Skipped boxes record the sound reason for the exclusion; a box the
+    deadline cuts or skips (and hence the report) is incomplete.
     Witnesses are independently re-verified before being reported.
     """
     if prune not in ("none", "orbit"):
@@ -513,7 +512,7 @@ def minimality_search(space: SearchSpace, prune: str = "none") -> SearchReport:
     k = space.k
     start = time.monotonic()
     deadline = None if space.budget_seconds is None else start + space.budget_seconds
-    exhausted = False
+    scanned = exhausted = False
     notes = []
     floor = (1 << (k + 1)) - 1
     if space.n_max >= floor:
@@ -528,14 +527,18 @@ def minimality_search(space: SearchSpace, prune: str = "none") -> SearchReport:
             reason = _skip_reason(m, n, k)
             if reason is not None:
                 boxes.append(BoxResult(m=m, n=n, skipped=reason, mode="skip"))
-            elif exhausted:
-                boxes.append(BoxResult(m=m, n=n, complete=False, mode="skip",
-                                       skipped="budget exhausted"))
             else:
+                # One clock read per box: the start's serves the first one.
+                if scanned and not exhausted and deadline is not None:
+                    exhausted = time.monotonic() > deadline
+                if exhausted:
+                    boxes.append(BoxResult(m=m, n=n, complete=False, mode="skip",
+                                           skipped="budget exhausted"))
+                    continue
                 if m not in columns:
                     columns[m] = _box_columns(m, k, prune, space.n_max, deadline)
                 boxes.append(_scan_box(m, n, k, columns[m][0], prune, deadline))
-                exhausted = not boxes[-1].complete
+                scanned, exhausted = True, not boxes[-1].complete
     return SearchReport(k=k, prune=prune, boxes=tuple(boxes),
                         elapsed_seconds=time.monotonic() - start, notes=tuple(notes),
                         engines=tuple(engine for _, engine in columns.values()))

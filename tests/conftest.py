@@ -9,6 +9,7 @@ claims can be checked against actual quantum states.
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import random
 from itertools import combinations
@@ -17,6 +18,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 import pytest
 
+from korth.cli import (
+    _cmd_check_orth, _cmd_construct, _cmd_distance, _cmd_find_gates, _cmd_reduce_degenerate,
+    _cmd_search_min, _cmd_standard_form, _cmd_verify_gate,
+)
 from korth.codes import PauliOp, StabilizerCode, StandardFormCode, css_standard_form
 from korth.gates import PhaseSolutionSet
 from korth.errors import RangeError
@@ -101,6 +106,82 @@ def all_solutions(sol: PhaseSolutionSet) -> list[tuple[int, ...]]:
             for t in range(order)
         ]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the argparse parser the CLI used before its command table: the reference
+# ``korth.cli.parse_args`` must agree with on every command line
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="korth",
+        description="Stabilizer codes with transversal phase gates: "
+        "construct, certify, measure, search.",
+    )
+    parser.add_argument("--verbose", action="store_true")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p = sub.add_parser("construct", help="build the sub-dual CSS code for m check rows")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--out", help="write the JSON code descriptor here")
+    p.add_argument("--ax", help="write A_X in matrix text format")
+    p.add_argument("--az", help="write A_Z in matrix text format")
+    p.set_defaults(func=_cmd_construct)
+
+    p = sub.add_parser("standard-form", help="reduce a JSON code to standard form")
+    p.add_argument("--code", required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_standard_form)
+
+    p = sub.add_parser("check-orth", help="certify k-orthogonality of a matrix")
+    p.add_argument("--matrix", required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--r", help="restriction bit string (defaults to all ones)")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_check_orth)
+
+    p = sub.add_parser("find-gates", help="solve for all transversal phase vectors")
+    p.add_argument("--code", required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_find_gates)
+
+    p = sub.add_parser("verify-gate", help="verify a transversal (controlled) phase gate")
+    p.add_argument("--code", required=True)
+    p.add_argument("--gate", help="JSON gate descriptor {k, controls, p}")
+    p.add_argument("--k", type=int)
+    p.add_argument("--p", help="'all-ones' or comma-separated exponents")
+    p.add_argument("--controls", type=int, default=0)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_verify_gate)
+
+    p = sub.add_parser("distance", help="exact CSS distances")
+    p.add_argument("--code")
+    p.add_argument("--ax")
+    p.add_argument("--az")
+    p.add_argument("--weight-cap", type=int, default=None)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_distance)
+
+    p = sub.add_parser("search-min", help="exhaustive k-orthogonality minimality search")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m-min", type=int, required=True)
+    p.add_argument("--m-max", type=int, required=True)
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--budget-seconds", type=float, default=None)
+    p.add_argument("--prune", choices=("none", "orbit"), default="none")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_search_min)
+
+    p = sub.add_parser("reduce-degenerate",
+                       help="aggregate phases onto degeneracy class representatives")
+    p.add_argument("--code", required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--p", required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_reduce_degenerate)
+    return parser
 
 
 # ---------------------------------------------------------------------------

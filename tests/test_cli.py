@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -8,16 +9,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from contextlib import redirect_stderr, redirect_stdout
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import korth
-from korth.cli import main
+from korth.cli import COMMANDS, REQUIRED, _path, main, parse_args
 from korth.codes import (
     PauliOp, StabilizerCode, code_from_json, code_to_json, is_css, to_standard_form,
 )
 from korth.families import subdual_css
 from korth.gf2 import format_matrix_text, parse_matrix_text
 
-from conftest import five_qubit_code, scrambled, spans_equal
+from conftest import build_parser, five_qubit_code, scrambled, spans_equal
 
 
 def run(capsys, *argv):
@@ -463,7 +467,8 @@ class TestLoadedLayers:
              "before = set(sys.modules)\n"
              "from korth.cli import main\n"
              "status = main(sys.argv[1:])\n"
-             "heavy = {'dataclasses', 'inspect'} & (set(sys.modules) - before)\n"
+             "heavy = {'argparse', 'dataclasses', 'gettext', 'inspect', 'locale'} "
+             "& (set(sys.modules) - before)\n"
              "assert not heavy, f'loaded {sorted(heavy)}'\n"
              "print(*sorted(m for m in sys.modules if m.startswith('korth')), file=sys.stderr)\n"
              "sys.exit(status)\n")
@@ -503,6 +508,21 @@ class TestLoadedLayers:
         loaded = proc.stderr.splitlines()[-1].split()
         assert loaded == ["korth"] + [f"korth.{m}" for m in sorted(["cli", "errors", *layers.split()])]
 
+    @pytest.mark.parametrize("argv, status", [
+        ("search-min --k 3 --m-min 4 --m-max 5 --n-max 14 --prune orbit", 0),
+        ("verify-gate --code code.json --k 3 --p all-ones", 0),
+    ], ids=["search-min", "verify-gate"])
+    def test_no_site_preloads_and_no_parser_modules(self, files, argv, status):
+        # Under -S nothing is preloaded, so every module the command needs shows.
+        probe = ("import sys\n"
+                 "from korth.cli import main\n"
+                 "status = main(sys.argv[1:])\n"
+                 "heavy = {'argparse', 'gettext', 'locale', 'shutil', 'pathlib'} & set(sys.modules)\n"
+                 "assert not heavy, f'loaded {sorted(heavy)}'\n"
+                 "sys.exit(status)\n")
+        proc = self.spawn(files, "-S", "-c", probe, *argv.split())
+        assert proc.returncode == status, proc.stderr
+
     def test_import_korth_loads_no_layer(self, tmp_path):
         proc = self.spawn(tmp_path, "-c", "import sys, korth; "
                           "print(*sorted(m for m in sys.modules if m.startswith('korth')))")
@@ -532,6 +552,128 @@ class TestUsage:
         assert status == 2 and out == ""
         assert err.startswith("usage: ") and "Traceback" not in err
         assert "unrecognized arguments: --strategy weight" in err
+
+
+def _outcome(parse, argv: list[str]) -> tuple[int, dict[str, str] | None]:
+    """The exit status and, on success, the repr of every parsed field
+    (repr, so that nan equals nan)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return exc.code, None
+    return 0, {name: repr(value) for name, value in vars(args).items()}
+
+
+_VALUES = st.sampled_from(["3", "0", "12", "+3", "3_000", "x", "nan", "inf", "1.5", "-1", "-.5",
+                           "-0", "", "-", "none", "orbit", "all-ones", "1,2", "code.json"])
+
+
+@st.composite
+def _flag_tokens(draw, names: list[str], values: st.SearchStrategy = _VALUES) -> list[str]:
+    """One flag, maybe a prefix of it, maybe with "=value", maybe without its value."""
+    name = draw(st.sampled_from(names))
+    if name.startswith("--") and draw(st.integers(0, 3)) == 0:
+        name = name[:draw(st.integers(3, len(name)))]
+    form = draw(st.sampled_from(["value", "value", "value", "equals", "bare"]))
+    if form == "equals":
+        return [f"{name}={draw(values)}"]
+    return [name] if form == "bare" else [name, draw(values)]
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """Mostly a command with its required flags, among other flags, unknown
+    ones, stray values and now and then -h, in any order."""
+    argv = draw(st.lists(st.sampled_from(["--verbose", "--verb", "--bogus"]), max_size=2))
+    command = draw(st.sampled_from([*COMMANDS, "bogus"]))
+    argv.append(command)
+    flags = COMMANDS.get(command, COMMANDS["search-min"])[2]
+    own = [flag[0] for flag in flags]
+    others = ["--verbose", "--strategy", "--threads", "-x", "--ou", "--code", "--k", "--m-min"]
+    groups = [draw(_flag_tokens([name], st.sampled_from(["3", "+3", "3_000", "-1", "c.json"])))
+              for name, _, default, _, _ in flags if default is REQUIRED and draw(st.integers(0, 7))]
+    groups += draw(st.lists(st.one_of(_flag_tokens(own), _flag_tokens(own), _flag_tokens(others),
+                                      _VALUES.map(lambda v: [v])), max_size=4))
+    if draw(st.integers(0, 5)) == 0:
+        groups.append([draw(st.sampled_from(["-h", "--help", "--he"]))])
+    for group in draw(st.permutations(groups)):
+        argv += group
+    return argv
+
+
+class TestParserAgainstArgparse:
+    """The command-table parser accepts and rejects what argparse did."""
+
+    REFERENCE = build_parser()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_command_lines())
+    def test_same_outcome(self, argv):
+        assert _outcome(parse_args, argv) == _outcome(self.REFERENCE.parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [
+        "construct --m=3", "construct --m 3 --m 4", "--verbose construct --m -1",
+        "search-min --k 3 --m-min 4 --m-max 5 --n-max 14 --pr orbit --budget-seconds -.5",
+        "search-min --k 3 --m-min 4 --m-max 5 --n-max 14 --budget-seconds nan",
+        "search-min --k +3 --m-min 3_000 --m-max 4 --n-max 1", "verify-gate --code c --out= --k 3",
+        "distance --weight-cap -2 --o=-x", "--verb --verbose check-orth --matrix m --k 2 --r 1",
+    ])
+    def test_accepts(self, argv):
+        status, fields = _outcome(parse_args, argv.split())
+        assert status == 0 and fields == _outcome(self.REFERENCE.parse_args, argv.split())[1]
+
+    @pytest.mark.parametrize("argv, message", [
+        ("", "the following arguments are required: subcommand"),
+        ("bogus", "argument subcommand: invalid choice: 'bogus'"),
+        ("construct --m 3 --verbose", "unrecognized arguments: --verbose"),
+        ("--bogus construct --m 3 --zz 1", "unrecognized arguments: --bogus --zz 1"),
+        ("search-min --k 3", "the following arguments are required: --m-min, --m-max, --n-max"),
+        ("search-min --k x", "argument --k: invalid int value: 'x'"),
+        ("search-min --budget-seconds y", "argument --budget-seconds: invalid float value: 'y'"),
+        ("search-min --prune all", "argument --prune: invalid choice: 'all'"),
+        ("construct --out", "argument --out: expected one argument"),
+        ("construct --out --m 3", "argument --out: expected one argument"),
+        ("construct --m -1e5", "argument --m: expected one argument"),
+        ("search-min --m 3", "ambiguous option: --m could match --m-min, --m-max"),
+        ("--verbose=1 construct", "argument --verbose: ignored explicit argument '1'"),
+        ("construct --m 3 -hx", "argument -h/--help: ignored explicit argument 'x'"),
+        ("construct --m 3 -- --ax a", "unrecognized arguments: -- --ax a"),
+    ])
+    def test_rejects(self, argv, message, capsys):
+        assert _outcome(self.REFERENCE.parse_args, argv.split())[0] == 2
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        command = argv.split()[0] if argv.split()[:1] in (["construct"], ["search-min"]) else None
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: korth ") and captured.out == ""
+        prog = "korth" if command is None or "unrecognized" in message else f"korth {command}"
+        assert error.startswith(f"{prog}: error: {message}")
+
+
+class TestHelp:
+    def test_top_level_names_every_command(self, capsys):
+        for flag in ("-h", "--help", "--he"):
+            status, out, err = run(capsys, flag)
+            assert status == 0 and err == "" and out.startswith("usage: korth ")
+            assert len(COMMANDS) == 8 and all(f"\n  {name} " in out for name in COMMANDS)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_names_every_flag(self, command, capsys):
+        status, out, err = run(capsys, command, "-h")
+        assert status == 0 and err == "" and out.startswith(f"usage: korth {command} ")
+        for flag in COMMANDS[command][2]:
+            assert f"\n  {flag[0]} " in out
+
+    def test_help_before_a_bad_flag_wins_and_after_one_loses(self, capsys):
+        assert main(["search-min", "-h", "--k", "x"]) == 0
+        assert main(["search-min", "--k", "x", "-h"]) == 2
+
+
+class TestPaths:
+    @given(st.text(alphabet="/.a", max_size=8))
+    def test_paths_as_pathlib_made_them(self, name):
+        assert _path(name) == str(Path(name))
 
 
 class TestBadInput:

@@ -186,7 +186,7 @@ def packed_matches_dense(masks: list[int], n: int, k: int,
     exponents = exponents or [0] * len(masks)
     rows = [[((mask >> j) & 1) << e for j in range(n)] for mask, e in zip(masks, exponents)]
     packed = gates._kernel_mod_power_of_two(zip(masks, exponents), n, k)
-    assert packed == dense_kernel(rows, n, k)
+    assert [(vec.p, order) for vec, order in packed] == dense_kernel(rows, n, k)
 
 
 def graded_rows(a_x: list[int], n: int, k: int) -> tuple[list[int], list[int]]:
@@ -282,7 +282,7 @@ class TestGradedSolveAgainstSpanSolve:
                     assert logical_phase_action(sf, gen).ok
                 masks, exponents = graded_rows(a_x, n, k)
                 for vec, _ in span:
-                    theta = DyadicPhaseVector(k, vec)
+                    theta = DyadicPhaseVector(k, vec.p)
                     assert all((theta.masked_sum(mask) << e) % q == 0
                                for mask, e in zip(masks, exponents))
 
@@ -299,8 +299,18 @@ class TestExactPhaseVectors:
                     mask = rng.getrandbits(sf.n)
                     assert gen.masked_sum(mask) == checked.masked_sum(mask)
 
+    @pytest.mark.parametrize("k", [1, 3, 4, 8, 9, 16, 31, 32, 40])
+    def test_lanes_of_every_width_match_checked_construction(self, k, rng):
+        # The solver's lanes are 1, 2, 4 or 8 bytes wide, or 2k + 8 bits past k = 31.
+        size = next((b for b in (1, 2, 4, 8) if 8 * b > 2 * k), (2 * k + 8) // 8)
+        for n in (1, 7, 20):
+            p = tuple(rng.getrandbits(k) for _ in range(n))
+            raw = b"".join(x.to_bytes(size, "little") for x in p)
+            exact, checked = DyadicPhaseVector._exact(k, raw, size), DyadicPhaseVector(k, p)
+            assert (exact.k, exact.p, exact.planes) == (checked.k, checked.p, checked.planes)
+
     def test_zero_vector_has_no_planes(self):
-        assert DyadicPhaseVector._exact(3, (0, 0)).planes == DyadicPhaseVector(3, (0, 0)).planes == ()
+        assert DyadicPhaseVector._exact(3, bytes(2), 1).planes == DyadicPhaseVector(3, (0, 0)).planes == ()
 
 
 class TestKorthNecessity:

@@ -172,14 +172,30 @@ class TestMinimalitySearch:
         assert rep.complete  # rule-based skips are sound, not incompleteness
 
     def test_budget_marks_incomplete(self, monkeypatch):
-        # Every box is flat and reads the clock once, after the start: the
-        # deadline passes in the (3, 4) box.
+        # Every box is flat and decided whole.  The start serves the first
+        # box and each later one reads the clock once before it begins: the
+        # deadline passes at the read before the (3, 5) box.
         _expire_after(monkeypatch, 3)
         rep = minimality_search(
             SearchSpace(k=2, m_range=(3, 4, 5), n_max=6, budget_seconds=1e9)
         )
-        assert not rep.complete and not rep.boxes[3].complete
-        assert any(b.skipped == "budget exhausted" for b in rep.boxes)
+        box = rep.boxes[3]
+        assert (box.m, box.n, box.complete, box.subsets) == (3, 4, True, math.comb(7, 4))
+        later = [b for b in rep.boxes[4:] if b.m <= b.n]
+        assert len(later) == 7 and all(b.skipped == "budget exhausted" and not b.complete
+                                       for b in later)
+        assert not rep.complete
+
+    def test_deadline_after_a_decided_box_skips_the_next(self, monkeypatch):
+        # The linear engine decides the (4, 6) box whole, all C(11, 2)
+        # subsets; the deadline passes at the read before the (4, 7) box.
+        _expire_after(monkeypatch, 4)
+        rep = minimality_search(
+            SearchSpace(k=1, m_range=(4,), n_max=9, budget_seconds=1e9), prune="orbit")
+        box = rep.boxes[5]
+        assert (box.m, box.n, box.complete, box.subsets) == (4, 6, True, math.comb(11, 2))
+        assert [b.skipped for b in rep.boxes[6:]] == ["budget exhausted"] * 3
+        assert not rep.complete
 
     def test_orbit_prune_counts(self):
         # with the identity anchored, the (3, 7) box has C(4, 4) = 1 subset
