@@ -4,18 +4,18 @@ Exit status: 0 on success/PASS, 1 when a verification ran and failed (a gate
 check fails, an orthogonality check fails, or a minimality search finds a
 witness), 2 on usage or input errors.  JSON reports carry ``"schema": 1``.
 
-The command line is read from one table, :data:`COMMANDS`, by a short
-parser that keeps the standard library's option-parsing rules (flag
-prefixes, ``--flag=value``, negative numbers as values, the same error
-phrases), and files are opened with :func:`open`.  Neither the standard
-parser (with gettext and locale) nor the path classes are imported: their
-import and first use cost every command more start-up than this parser.
+The command line is read from one table, :data:`COMMANDS`.  A line of
+whole flag names, each followed by one value that does not start with "-",
+is read without the standard parser: its import costs every command more
+start-up than the rest of the parse.  The standard parser, built from the
+same table, reads every other line (help, abbreviations, ``--flag=value``,
+negative numbers as values and every usage error).  Files are opened with
+:func:`open`, so the path classes are not imported either.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 import time
 from types import SimpleNamespace
@@ -46,21 +46,13 @@ def _parse_phase_list(spec: str, n: int, k: int) -> DyadicPhaseVector:
     return DyadicPhaseVector(k, tuple(values))
 
 
-def _path(name: str) -> str:
-    """``name`` normalised as a POSIX path object prints it, so that files
-    and error messages stay as they were: "." parts and repeated or
-    trailing slashes dropped, a leading "//" kept, and "" read as "."."""
-    root = "//" if name[:2] == "//" and name[2:3] != "/" else "/" if name[:1] == "/" else ""
-    return root + "/".join(part for part in name.split("/") if part not in ("", ".")) or "."
-
-
 def _read_text(path: str) -> str:
-    with open(_path(path), encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f:
         return f.read()
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(_path(path), "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
 
@@ -334,8 +326,8 @@ def _cmd_reduce_degenerate(args) -> int:
 
 # The command table: each subcommand's handler, help line and flags.  A flag
 # is (name, type, default, choices, help): the default REQUIRED marks one
-# that must be given, and the type None one that takes no value.  One
-# parser, the usage lines and -h/--help read it.
+# that must be given, and the type None one that takes no value.  Both
+# parsers, the usage lines and -h/--help read it.
 REQUIRED = object()
 
 
@@ -421,13 +413,6 @@ def _usage(command: Optional[str]) -> str:
     return " ".join(parts)
 
 
-def _fail(command: Optional[str], message: str) -> NoReturn:
-    """A usage error, in the standard parser's words: exit status 2."""
-    prog = f"korth {command or ''}".rstrip()
-    sys.stderr.write(f"usage: {_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
 def _help(command: Optional[str]) -> NoReturn:
     """Help on stdout, in fixed columns: exit status 0."""
     lines = [f"usage: {_usage(command)}", ""]
@@ -448,102 +433,65 @@ def _help(command: Optional[str]) -> NoReturn:
     raise SystemExit(0)
 
 
-def _kind(token: str, names: tuple[str, ...], command: Optional[str]
-          ) -> Optional[tuple[Optional[str], Optional[str]]]:
-    """What the standard parser makes of one token: None for a value, else
-    the flag it names (None for an unknown one) and the value given after
-    "=" (or None).  A flag may be a unique prefix of a name, and -h takes
-    what follows it as its value.  A token that starts with "-" and names no flag is a value
-    only when it is a negative number or holds a space."""
-    if token in names:
-        return token, None
-    if token[:1] != "-" or len(token) == 1:
-        return None
-    flag, eq, value = token.partition("=")
-    if eq and flag in names:
-        return flag, value
-    if token[1] == "-":
-        matches = [name for name in names if name.startswith(flag)]
-        value = value if eq else None
-    else:
-        matches, value = (["-h"], token[2:]) if token[:2] == "-h" else ([], None)
-    if len(matches) > 1:
-        _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None
-    return None, None
-
-
-def _parse(command: Optional[str], tokens: list[str], extras: list[str]) -> tuple[dict, int]:
-    """Read ``tokens`` against the flags of ``command``, or of the top
-    level for None, as the standard parser does; unknown flags and stray
-    values go to ``extras``.  Returns the values by flag name and the index
-    where reading stopped: the first value at the top level (the
-    subcommand), else the first "--", after which every token is stray."""
-    flags = {flag[0]: flag for flag in (_TOP if command is None else COMMANDS[command][2])}
-    kinds = []  # every token is classified before any is taken
-    for token in tokens:
-        if token == "--":
-            break
-        kinds.append(_kind(token, ("-h", "--help", *flags), command))
-    values = {name: flag[2] for name, flag in flags.items()}
-    i = 0
-    while i < len(kinds) and (command is not None or kinds[i] is not None):
-        token, kind = tokens[i], kinds[i]
-        i += 1
-        if kind is None or kind[0] is None:
-            extras.append(token)
-            continue
-        name, value = kind
-        _, convert, _, choices, _ = flags.get(name, _HELP)
-        if convert is None:
-            rest = value.lstrip("h") if name == "-h" and value else value  # -hh repeats -h
-            if rest is not None and (rest or not value):
-                shown = name if name in flags else "-h/--help"
-                _fail(command, f"argument {shown}: ignored explicit argument {rest!r}")
-            if name not in flags:
-                _help(command)
-            value = True
-        else:
-            if value is None:
-                if i == len(kinds) or kinds[i] is not None:
-                    _fail(command, f"argument {name}: expected one argument")
-                value, i = tokens[i], i + 1
-            try:
-                value = convert(value)
-            except ValueError:
-                _fail(command, f"argument {name}: invalid {convert.__name__} value: {value!r}")
-            if choices and value not in choices:
-                _fail(command, f"argument {name}: invalid choice: {value!r} "
-                               f"(choose from {', '.join(map(repr, choices))})")
-        values[name] = value  # the last occurrence wins
-    missing = [name for name, value in values.items() if value is REQUIRED]
-    if missing:
-        _fail(command, f"the following arguments are required: {', '.join(missing)}")
-    return values, i
-
-
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:
-    """Read a command line from :data:`COMMANDS` as the standard parser
-    would: the subcommand's flags by their names with dashes as
-    underscores, plus ``verbose``, ``subcommand`` and ``func``.  Raises
-    SystemExit: 0 after -h/--help, 2 after a usage error."""
-    argv, extras = list(argv), []
-    top, i = _parse(None, argv, extras)  # --verbose comes before the subcommand
-    if argv[i:] in ([], ["--"]):
-        _fail(None, "the following arguments are required: subcommand")
-    command, rest = argv[i], argv[i + 1:]
-    if command not in COMMANDS:
-        _fail(None, f"argument subcommand: invalid choice: {command!r} "
-                    f"(choose from {', '.join(map(repr, COMMANDS))})")
-    values, i = _parse(command, rest, extras)
-    extras += rest[i:]
-    if extras:
-        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(verbose=top["--verbose"], subcommand=command, func=COMMANDS[command][0],
+    """Read a command line from :data:`COMMANDS`: the subcommand's flags by
+    their names with dashes as underscores, plus ``verbose``, ``subcommand``
+    and ``func``.  A line of whole flag names, each with one value that does
+    not start with "-", is read here; the standard parser reads any other
+    line, and reads such a line the same way.  Raises SystemExit: 0 after
+    -h/--help, 2 after a usage error."""
+    argv = list(argv)
+    verbose = argv[:1] == ["--verbose"]
+    command, *rest = argv[verbose:] or [None]
+    if command not in COMMANDS or len(rest) % 2:
+        return _parse_standard(argv)
+    flags = {flag[0]: flag for flag in COMMANDS[command][2]}
+    values = {name: flag[2] for name, flag in flags.items()}
+    for name, value in zip(rest[::2], rest[1::2]):  # the last occurrence wins
+        if name not in flags or value[:1] == "-":
+            return _parse_standard(argv)
+        _, convert, _, choices, _ = flags[name]
+        try:
+            values[name] = convert(value)
+        except ValueError:
+            return _parse_standard(argv)
+        if choices and values[name] not in choices:
+            return _parse_standard(argv)
+    if any(value is REQUIRED for value in values.values()):
+        return _parse_standard(argv)
+    return SimpleNamespace(verbose=verbose, subcommand=command, func=COMMANDS[command][0],
                            **{name[2:].replace("-", "_"): value for name, value in values.items()})
+
+
+def _parse_standard(argv: list[str]) -> SimpleNamespace:
+    """Read any command line with the standard parser, built from
+    :data:`COMMANDS` with the usage lines and help text above."""
+    import argparse
+
+    class Help(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            _help(self.const)
+
+    def with_flags(parser, command, flags):  # -h/--help, then the table's flags
+        parser.add_argument("-h", "--help", action=Help, nargs=0, const=command,
+                            default=argparse.SUPPRESS)
+        for name, convert, default, choices, _ in flags:
+            if convert is None:
+                parser.add_argument(name, action="store_true")
+            elif default is REQUIRED:
+                parser.add_argument(name, type=convert, choices=choices, required=True)
+            else:
+                parser.add_argument(name, type=convert, choices=choices, default=default)
+        return parser
+
+    top = with_flags(argparse.ArgumentParser(prog="korth", usage=_usage(None), add_help=False),
+                     None, _TOP)
+    subparsers = top.add_subparsers(dest="subcommand", required=True, prog="korth")
+    for command, (handler, _, flags) in COMMANDS.items():
+        parser = subparsers.add_parser(command, prog=f"korth {command}", usage=_usage(command),
+                                       add_help=False)
+        with_flags(parser, command, flags).set_defaults(func=handler)
+    return SimpleNamespace(**vars(top.parse_args(argv)))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the largest k it accepts."""
+
+# The largest phase exponent or orthogonality level k: a modulus 2**k stays
+# a few machine words, and every report prints it in full.
+MAX_K = 64
 
 
 class KorthError(Exception):

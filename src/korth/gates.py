@@ -11,7 +11,7 @@ import math
 from typing import Iterable, Optional
 
 from .codes import StandardFormCode, degeneracy_classes, is_css
-from .errors import CongruenceError, DegenerateCodeError, RangeError, UnsupportedCodeError
+from .errors import MAX_K, CongruenceError, DegenerateCodeError, RangeError, UnsupportedCodeError
 from .gf2 import BitVec, and_product, span_ints
 from .ortho import OrthogonalityReport, is_k_orthogonal, isolate_column, row_products
 from .phases import DyadicPhase, DyadicPhaseVector
@@ -151,8 +151,8 @@ def find_transversal_phases(sf: StandardFormCode, k: int) -> PhaseSolutionSet:
     with odd-unit pivots (the ring is local, so minimum 2-adic valuation
     entries can always pivot).
     """
-    if k < 1:
-        raise RangeError(f"denominator exponent must be >= 1, got {k}")
+    if not 1 <= k <= MAX_K:
+        raise RangeError(f"denominator exponent must be in 1..{MAX_K}, got {k}")
     n = sf.n
     graded = ((acc, len(subset) - 1)
               for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << n) - 1))

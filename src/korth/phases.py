@@ -8,7 +8,7 @@ from __future__ import annotations
 import operator
 import sys
 
-from .errors import DimensionError, RangeError
+from .errors import MAX_K, DimensionError, RangeError
 from .record import Record
 
 __all__ = ["DyadicPhase", "DyadicPhaseVector"]
@@ -29,8 +29,8 @@ class DyadicPhase(Record):
     __slots__ = ("numerator", "k")
 
     def __init__(self, numerator: int, k: int):
-        if k < 1:
-            raise RangeError(f"denominator exponent must be >= 1, got {k}")
+        if not 1 <= k <= MAX_K:
+            raise RangeError(f"denominator exponent must be in 1..{MAX_K}, got {k}")
         num = numerator % (1 << k)
         while num and num % 2 == 0 and k > 1:
             num //= 2
@@ -62,8 +62,8 @@ class DyadicPhaseVector(Record):
     _fields = ("k", "p")  # planes is derived: not compared, hashed or shown
 
     def __init__(self, k: int, p: tuple[int, ...]):
-        if k < 1:
-            raise RangeError(f"denominator exponent must be >= 1, got {k}")
+        if not 1 <= k <= MAX_K:
+            raise RangeError(f"denominator exponent must be in 1..{MAX_K}, got {k}")
         q = 1 << k
         p = tuple(map(operator.index, p))  # exact ints only
         top = max(p, default=0)

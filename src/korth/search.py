@@ -53,7 +53,7 @@ from functools import reduce
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import RangeError
+from .errors import MAX_K, RangeError
 from .record import Record
 
 # gf2 and ortho are imported where they are used: a search whose boxes are
@@ -94,8 +94,8 @@ class SearchSpace(Record):
 
     def __init__(self, k: int, m_range: tuple[int, ...], n_max: int,
                  budget_seconds: Optional[float] = None):
-        if k < 1:
-            raise RangeError(f"orthogonality level must be >= 1, got {k}")
+        if not 1 <= k <= MAX_K:
+            raise RangeError(f"orthogonality level must be in 1..{MAX_K}, got {k}")
         if n_max < 1:
             raise RangeError(f"n_max must be >= 1, got {n_max}")
         if not m_range or min(m_range) < 1:

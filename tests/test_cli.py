@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import korth
-from korth.cli import COMMANDS, REQUIRED, _path, main, parse_args
+from korth import cli
+from korth.cli import COMMANDS, REQUIRED, main, parse_args
 from korth.codes import (
     PauliOp, StabilizerCode, code_from_json, code_to_json, is_css, to_standard_form,
 )
@@ -651,6 +652,95 @@ class TestParserAgainstArgparse:
         assert error.startswith(f"{prog}: error: {message}")
 
 
+_WHOLE_VALUES = ["3", "+3", "3_000", " 3", "\u0663", "", "nan", "1e400", "x", "orbit", "none", "all"]
+
+
+def _whole_value(flag: tuple) -> st.SearchStrategy[str]:
+    """Mostly a value the flag takes, else one of the odd values above."""
+    _, convert, _, choices, _ = flag
+    good = st.sampled_from(choices or {int: ["3", "4"], float: ["0.5"], str: ["c.json"]}[convert])
+    return st.one_of(good, good, st.sampled_from(_WHOLE_VALUES))
+
+
+@st.composite
+def _whole_flag_lines(draw) -> list[str]:
+    """A line of the plain shape: maybe --verbose, a subcommand, then whole
+    flag names of that subcommand, each with one value that does not start
+    with "-"; now and then a required flag left out."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    argv = ["--verbose"] * draw(st.integers(0, 1)) + [command]
+    flags = COMMANDS[command][2]
+    pairs = [[flag[0], draw(_whole_value(flag))]
+             for flag in flags if flag[2] is REQUIRED and draw(st.integers(0, 9))]
+    pairs += draw(st.lists(st.sampled_from(flags).flatmap(
+        lambda flag: _whole_value(flag).map(lambda value: [flag[0], value])), max_size=4))
+    for pair in draw(st.permutations(pairs)):
+        argv += pair
+    return argv
+
+
+def _lines_in_readme() -> list[list[str]]:
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    return [line.split("#")[0].split()[1:]
+            for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("korth ")]
+
+
+class TestWholeFlagLines:
+    """A line of whole flag names with plain values is read without the
+    standard parser, to the same fields the reference parser gives."""
+
+    REFERENCE = build_parser()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_whole_flag_lines())
+    def test_same_outcome_and_no_standard_parser_on_success(self, argv):
+        calls = []
+
+        def recorded(line):
+            calls.append(line)
+            return standard(line)
+
+        standard = cli._parse_standard
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_parse_standard", recorded)
+            outcome = _outcome(parse_args, argv)
+        assert outcome == _outcome(self.REFERENCE.parse_args, argv)
+        if outcome[0] == 0:
+            assert calls == []
+
+    # The command lines CI, the benchmark and README run.
+    LINES = [line.split() for line in (
+        "construct --m 12 --out /tmp/m12.json",
+        "standard-form --code /tmp/m12.json --out /tmp/m12_sf.json",
+        "verify-gate --code /tmp/m12.json --k 11 --p all-ones",
+        "distance --code /tmp/m12.json",
+        "find-gates --code /tmp/m9.json --k 3 --out /tmp/m9_gates.json",
+        "search-min --k 3 --m-min 4 --m-max 6 --n-max 15 --prune orbit --out /tmp/floor.json",
+        "search-min --k 12 --m-min 14 --m-max 14 --n-max 14 --budget-seconds 5 --out /tmp/h.json",
+        "search-min --k 1 --m-min 5 --m-max 5 --n-max 9 --budget-seconds 0.5 --out /tmp/k1m5.json",
+        "verify-gate --code /tmp/m4.json --k 1000000000000 --p all-ones",
+        "search-min --k 1000000000000 --m-min 4 --m-max 4 --n-max 5",
+        "construct --m 10 --out /tmp/w/m10.json --ax /tmp/w/m10.ax --az /tmp/w/m10.az",
+        "verify-gate --code /tmp/w/m10.json --gate /tmp/w/gate10_9.json --out /tmp/w/report2.json",
+        "verify-gate --code /tmp/w/m5.json --k 4 --p all-ones --controls 2 --out /tmp/w/r6.json",
+        "check-orth --matrix /tmp/w/m10.ax --k 10 --out /tmp/w/report9.json",
+        "distance --ax /tmp/w/m8.ax --az /tmp/w/m8.az --out /tmp/w/report7.json",
+        "search-min --k 2 --m-min 3 --m-max 4 --n-max 8 --prune none --out /tmp/w/report3.json",
+    )]
+
+    @pytest.mark.parametrize("argv", LINES + _lines_in_readme(), ids=" ".join)
+    def test_read_without_the_standard_parser(self, argv, monkeypatch):
+        def refused(line):
+            raise AssertionError(f"the standard parser read {line}")
+
+        monkeypatch.setattr(cli, "_parse_standard", refused)
+        assert _outcome(parse_args, argv) == _outcome(self.REFERENCE.parse_args, argv)
+
+    def test_readme_lines_are_found(self):
+        assert len(_lines_in_readme()) >= 10
+
+
 class TestHelp:
     def test_top_level_names_every_command(self, capsys):
         for flag in ("-h", "--help", "--he"):
@@ -670,10 +760,52 @@ class TestHelp:
         assert main(["search-min", "--k", "x", "-h"]) == 2
 
 
-class TestPaths:
-    @given(st.text(alphabet="/.a", max_size=8))
-    def test_paths_as_pathlib_made_them(self, name):
-        assert _path(name) == str(Path(name))
+class TestFileNames:
+    def test_dotted_names_read_and_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        assert run(capsys, "construct", "--m", "3", "--out", "./dir//code.json")[0] == 0
+        status, _, _ = run(capsys, "standard-form", "--code", "./dir//code.json",
+                           "--out", "./dir//r.json")
+        assert status == 0
+        assert json.loads((tmp_path / "dir" / "r.json").read_text())["n"] == 7
+
+
+class TestHugeK:
+    """A k past the library's bound is a usage error, not an attempt at a
+    modulus 2**k: each run gets 1 GB of address space."""
+
+    PROBE = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from korth.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("huge")
+        sf = subdual_css(4)
+        (path / "code.json").write_text(code_to_json(sf.to_stabilizer_code()))
+        for k in (14285, 10 ** 12):
+            (path / f"gate{k}.json").write_text(json.dumps({"k": k, "p": [1] * 15}))
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        "verify-gate --code code.json --k 14285 --p all-ones",
+        "find-gates --code code.json --k 14285",
+        "verify-gate --code code.json --gate gate14285.json",
+        "verify-gate --code code.json --k 1000000000000 --p all-ones",
+        "verify-gate --code code.json --k 1000000000000 --p all-ones --controls 1",
+        "find-gates --code code.json --k 1000000000000",
+        "search-min --k 1000000000000 --m-min 4 --m-max 4 --n-max 5",
+        "verify-gate --code code.json --gate gate1000000000000.json",
+    ])
+    def test_exit_two(self, files, argv):
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv.split()], cwd=files,
+                              env=TestLoadedLayers.ENV, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestBadInput:

@@ -3,8 +3,10 @@ line, or 2 with an ``error:`` line, and never an escaping exception.
 
 Code descriptors, gate files and matrix files start from valid ones and are
 mutated the way hand-edited files go wrong: keys dropped or retyped, Pauli
-letters swapped or replaced, rows truncated.  Numbers stay small, so no
-mutation asks for a huge modulus or qubit count.
+letters swapped or replaced, rows truncated.  Numbers stay small, so each
+run is quick.  A huge k is refused before any work (``TestHugeK`` in
+``test_cli.py`` runs those lines in a memory-capped process); no mutation
+here asks for a huge qubit count.
 """
 
 from __future__ import annotations
