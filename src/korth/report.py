@@ -19,7 +19,9 @@ def json_text(obj) -> str:
     step per value.  Here each list of plain ints (``type(x) is int``, so
     never a bool) or plain strings is one ``join``, and every piece goes to
     one list that is joined once, so no level of nesting copies the text
-    below it.  Dict keys must be strings.
+    below it.  Dict keys must be strings.  An int past the interpreter's
+    limit on digits converted (``sys.get_int_max_str_digits``) is written in
+    full all the same, without lifting that limit.
     """
     out: list[str] = []
     _write_json(obj, "\n", out)
@@ -35,7 +37,7 @@ def _write_json(obj, nl: str, out: list[str]) -> None:
     elif obj is None or obj is True or obj is False:
         out.append(_JSON_CONSTANTS[obj])
     elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+        out.append(_int_text(obj))
     elif isinstance(obj, float):
         out.append(float.__repr__(obj) if math.isfinite(obj) else
                    "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
@@ -47,7 +49,11 @@ def _write_json(obj, nl: str, out: list[str]) -> None:
         kinds = set(map(type, obj))
         if kinds == {int} or kinds == {str}:
             writer = int.__repr__ if kinds == {int} else _quote
-            out += ("[", inner, ("," + inner).join(map(writer, obj)), nl, "]")
+            try:
+                text = ("," + inner).join(map(writer, obj))
+            except ValueError:  # an int past the digit limit
+                text = ("," + inner).join(map(_int_text, obj))
+            out += ("[", inner, text, nl, "]")
             return
         sep = "[" + inner
         for item in obj:
@@ -70,3 +76,13 @@ def _write_json(obj, nl: str, out: list[str]) -> None:
         out.append(nl + "}")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``, also past the digit limit, which ``Decimal`` does not have."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))

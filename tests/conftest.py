@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: ranks and
 null spaces are recomputed with numpy elimination or a plain sweep, the
-minimality scan is checked against brute-force candidate enumeration, and
-code states are simulated as sparse amplitude maps so stabilizer and gate
+minimality scan is checked against brute-force candidate enumeration and
+against the fingerprint walk and the linear span engine, and code states are simulated as sparse amplitude maps so stabilizer and gate
 claims can be checked against actual quantum states.
 """
 
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import random
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -26,8 +28,12 @@ from korth.codes import PauliOp, StabilizerCode, StandardFormCode, css_standard_
 from korth.gates import PhaseSolutionSet
 from korth.errors import RangeError
 from korth.gf2 import BitMat, BitVec, null_space, span_ints
-from korth.ortho import row_products
+from korth.ortho import is_k_orthogonal, row_products
 from korth.phases import DyadicPhaseVector
+from korth.search import (
+    _EXACT_COUNT_LIMIT, BoxResult, SearchSpace, SearchWitness, _skip_reason, _value_rows,
+    full_rank_count, subset_parity_table,
+)
 
 # ---------------------------------------------------------------------------
 # small helpers the library itself does not need
@@ -208,6 +214,124 @@ def enumerate_candidates(m: int, n: int) -> Iterator[BitMat]:
     for cols in combinations(range(1, 1 << m), n):
         if sweep_rank(cols) == m:
             yield BitMat.from_columns(m, cols)
+
+# ---------------------------------------------------------------------------
+# the fingerprint walk and the linear span engine: oracles for the search's
+# closed-form flat engine.  A column subset is k-orthogonal exactly when its
+# fingerprints (``subset_parity_table``) XOR to zero: with the fixed columns'
+# XOR b, F.x = b over GF(2) for x its indicator over the free values.
+
+
+def tail_table(fps: list[int], s: int) -> dict[int, list[tuple[int, ...]]]:
+    """Map each XOR of ``s`` fingerprints to the index tuples producing it, in
+    lexicographic order."""
+    table: dict[int, list[tuple[int, ...]]] = {}
+    for tail in combinations(range(len(fps)), s):
+        acc = 0
+        for i in tail:
+            acc ^= fps[i]
+        table.setdefault(acc, []).append(tail)
+    return table
+
+
+def walk_lookups(length: int, frees: list[int]) -> int:
+    """The walk's tail lookups over boxes of ``frees`` free columns of
+    ``length`` values: one per prefix of free - s indices below length - s."""
+    return sum(math.comb(length - s, free - s) for free in frees for s in [min(free, 3)])
+
+
+def walk_hits(values: list[int], fps: list[int], n: int, acc: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The subsets visited and the hits among the n-subsets of ``values``, in
+    lexicographic order: the fixed columns' fingerprint XOR is ``acc``, and a
+    hit holds only the other columns.  Once s columns are left to choose, one
+    lookup in the table of every XOR of s fingerprints (s <= 3) closes the
+    block of every subset extending the prefix: a tail found there is a hit
+    when its first index is in the block's range."""
+    if n == 0:
+        return 1, [()] if acc == 0 else []
+    length, s = len(values), min(n, 3)
+    table = tail_table(fps, s)
+    visited, hits, chosen = 0, [], []
+
+    def rec(indices: range, depth: int, acc: int) -> None:
+        nonlocal visited
+        if n - depth == s:
+            # Hockey stick: C(length-1-i, s-1) summed over the range.
+            visited += math.comb(length - indices.start, s) - math.comb(length - indices.stop, s)
+            hits.extend(tuple(chosen) + tuple(values[i] for i in tail)
+                        for tail in table.get(acc, ()) if tail[0] in indices)
+            return
+        for i in indices:
+            chosen.append(values[i])
+            rec(range(i + 1, length - n + depth + 2), depth + 1, acc ^ fps[i])
+            chosen.pop()
+
+    rec(range(length - n + 1), 0, acc)
+    return visited, hits
+
+
+def kernel(m: int, k: int, base: tuple[int, ...]) -> tuple[list[int], int]:
+    """A basis of the x with F.x = 0 and one x with F.x = b, bit v of x selecting
+    value v: the monomials x_U, |U| <= m-k-1 (x_U x_T has even weight
+    2**(m - |T u U|) for 1 <= |T| <= k), and 0; with the identity columns fixed,
+    the x_U, |U| >= 2, and 1 + x_0 + ... + x_{m-1}, which vanish on each e_i, and 1."""
+    full = (1 << (1 << m)) - 2 - sum(1 << v for v in base)  # the free values
+    # The m single rows come first.
+    products = [acc for _, acc in row_products(_value_rows(m), m - k - 1, full)]
+    if not base:
+        return [full, *products], 0
+    return products[m:] + [reduce(int.__xor__, products[:m], full)] * (m - k > 1), full
+
+
+def engine_search(space: SearchSpace, prune: str, linear: bool) -> tuple[BoxResult, ...]:
+    """The boxes ``minimality_search(space, prune)`` reports, each decided by
+    the linear engine (the 2**D solutions of F.x = b from ``kernel``, kept by
+    weight) or by the walk instead of in closed form, with every hit ranked
+    by ``sweep_rank`` and every full-rank one re-verified.  No deadline.
+    ``space`` needs only ``k``, ``m_range`` and ``n_max``, so the two engines
+    also run past the floor's bound that ``SearchSpace`` enforces."""
+    k, boxes = space.k, []
+    for m in space.m_range:
+        base = tuple(1 << i for i in range(m)) if prune == "orbit" else ()
+        values = [v for v in range(1, 1 << m) if v not in base]
+        length, solutions, fps = len(values), None, None
+        for n in range(1, space.n_max + 1):
+            reason = _skip_reason(m, n, k)
+            if reason is not None:
+                boxes.append(BoxResult(m=m, n=n, skipped=reason, mode="skip"))
+                continue
+            free = n - len(base)
+            if linear:
+                if solutions is None:
+                    basis, particular = kernel(m, k, base)
+                    solutions = {size - len(base): [] for size in range(m, space.n_max + 1)}
+                    for x in span_ints(basis):
+                        x ^= particular
+                        found = solutions.get(x.bit_count())
+                        if found is not None:
+                            found.append(x)
+                hits = [tuple(v for v in values if x >> v & 1) for x in solutions[free]]
+                subsets = math.comb(length, free)
+            else:
+                if fps is None:
+                    table = subset_parity_table(m, k)
+                    fps = [table[v] for v in values]
+                # Each e_i has one fingerprint bit, {i}'s, bit i: base XORs to 2**len(base) - 1.
+                subsets, hits = walk_hits(values, fps, free, (1 << len(base)) - 1)
+            if prune == "orbit":
+                mode, candidates = "fast-orbit", None
+            elif math.comb(length, n) <= _EXACT_COUNT_LIMIT:
+                mode, candidates = "slow", full_rank_count(m, n)
+            else:
+                mode, candidates = "fast", None
+            ranked = [tuple(sorted(base + hit)) for hit in hits if sweep_rank(base + hit) == m]
+            witnesses = sorted(c for c in ranked if is_k_orthogonal(BitMat.from_columns(m, c), k).holds)
+            boxes.append(BoxResult(
+                m=m, n=n, subsets=subsets, candidates=candidates,
+                hits=len(ranked) if mode == "slow" else len(hits),
+                witnesses=tuple(SearchWitness(m, n, c) for c in witnesses), mode=mode))
+    return tuple(boxes)
+
 
 # ---------------------------------------------------------------------------
 # numpy GF(2) oracles

@@ -207,12 +207,9 @@ class TestSearchMin:
 
     # sha256 of the `search-min --out` report without its `elapsed_seconds`
     # line: the four scans of the benchmark search workload at their tiny
-    # sizes, and two more.  The k = 1 scan (23,023 hits, 14,343 of them
-    # witnesses) and the k = 2 scan at m = 5 (620 hits, none full rank) pin
-    # the hit ranking, recorded while it ran through gf2's elimination.
+    # sizes, and one more.  The k = 2 scan at m = 5 (620 hits, none full
+    # rank) pins the hit count.
     GOLDEN = {
-        ("1", "3", "5", "6", "none"):
-            "4b025cef331a9bd33a9a9cd69230ac84161d159e0a119e960f644b2e65a1935b",
         ("2", "5", "5", "8", "none"):
             "fae63e7250d30b2929fc26972d0000173a10f196b4f72885041a05cf88a434b2",
         ("3", "4", "4", "14", "orbit"):
@@ -239,23 +236,34 @@ class TestSearchMin:
         digest = hashlib.sha256(b"".join(kept)).hexdigest()
         assert digest == self.GOLDEN[k, m_min, m_max, n_max, prune]
 
+    @pytest.mark.parametrize("argv", [
+        *(f"--k {k} --m-min {k + 1} --m-max {k + 2} --n-max {(1 << (k + 1)) + 1}"
+          for k in range(1, 5)),
+        # Once a golden scan: its boxes past n = 4 hold no counterexample.
+        "--k 1 --m-min 3 --m-max 5 --n-max 6 --prune none",
+    ])
+    def test_n_max_past_the_floor_exits_two(self, argv, capsys):
+        k = int(argv.split()[1])
+        status, out, err = run(capsys, "search-min", *argv.split())
+        assert status == 2 and out == ""
+        assert err == (f"error: n_max must be <= 2**{k + 1}: a counterexample to the k={k} "
+                       f"size floor {(1 << (k + 1)) - 1} has fewer columns, "
+                       f"got {argv.split()[7]}\n")
+
     def test_verbose_names_the_engine_per_row_count(self, tmp_path, capsys):
-        # Above the k=1 floor of 4 columns: the flat engine serves n <= 4 only.
-        argv = ["search-min", "--k", "1", "--m-min", "3", "--m-max", "5", "--n-max", "6",
+        # At the k=1 bound of 4 columns, every row count with a box to scan
+        # takes the flat engine; m=5 has none, since full rank needs n >= m.
+        argv = ["search-min", "--k", "1", "--m-min", "3", "--m-max", "5", "--n-max", "4",
                 "--out"]
         quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
         status, _, err = run(capsys, *argv, str(quiet))
         assert status == 1 and err == ""
         status, _, err = run(capsys, "--verbose", *argv, str(loud))
         assert status == 1
-        assert err.splitlines()[:3] == [
-            "search-min m=3: flat engine for n <= 4 (RM(1, 3) has minimum weight 4, "
-            "met only by its 2-flats); linear engine, D=4: at least 2**4/4 walk lookups",
-            "search-min m=4: flat engine for n <= 4 (RM(2, 4) has minimum weight 4, "
-            "met only by its 2-flats); walk engine, D=11: 2**11/4 > 286 walk lookups",
-            "search-min m=5: walk engine, D=26: 2**26/4 > 3654 walk lookups",
-        ]
-        assert err.splitlines()[3].startswith("search-min: exit 1 in ")
+        assert err.splitlines()[:2] == [
+            f"search-min m={m}: flat engine for n <= 4 (RM({m - 2}, {m}) has minimum weight 4, "
+            "met only by its 2-flats)" for m in (3, 4)]
+        assert err.splitlines()[2].startswith("search-min: exit 1 in ")
         # The engine lines stay out of the report.
         reports = [json.loads(p.read_text()) for p in (quiet, loud)]
         for report in reports:
@@ -718,7 +726,9 @@ class TestWholeFlagLines:
         "find-gates --code /tmp/m9.json --k 3 --out /tmp/m9_gates.json",
         "search-min --k 3 --m-min 4 --m-max 6 --n-max 15 --prune orbit --out /tmp/floor.json",
         "search-min --k 12 --m-min 14 --m-max 14 --n-max 14 --budget-seconds 5 --out /tmp/h.json",
-        "search-min --k 1 --m-min 5 --m-max 5 --n-max 9 --budget-seconds 0.5 --out /tmp/k1m5.json",
+        "search-min --k 3 --m-min 4 --m-max 7 --n-max 17 --prune orbit",
+        "search-min --k 9 --m-min 11 --m-max 11 --n-max 1024 --budget-seconds 1 --out /tmp/k9.json",
+        "search-min --k 12 --m-min 15 --m-max 15 --n-max 3000 --out /tmp/k12.json",
         "verify-gate --code /tmp/m4.json --k 1000000000000 --p all-ones",
         "search-min --k 1000000000000 --m-min 4 --m-max 4 --n-max 5",
         "construct --m 10 --out /tmp/w/m10.json --ax /tmp/w/m10.ax --az /tmp/w/m10.az",

@@ -6,7 +6,9 @@ mutated the way hand-edited files go wrong: keys dropped or retyped, Pauli
 letters swapped or replaced, rows truncated.  Numbers stay small, so each
 run is quick.  A huge k is refused before any work (``TestHugeK`` in
 ``test_cli.py`` runs those lines in a memory-capped process); no mutation
-here asks for a huge qubit count.
+here asks for a huge qubit count.  ``search-min`` is run at sizes up to 64
+(k, row counts and n_max) under a half-second budget: exit 0, 1 only with
+a witness in the report, or 2 with an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -166,3 +168,18 @@ def test_mutated_matrix_files(workdir, ax, az, k):
     az_path.write_text(az, encoding="utf-8")
     assert_contract(*run_cli(["check-orth", "--matrix", str(ax_path), "--k", str(k)]))
     assert_contract(*run_cli(["distance", "--ax", str(ax_path), "--az", str(az_path)]))
+
+
+@FUZZ
+@given(k=st.integers(1, 3) | st.integers(0, 64), m_min=st.integers(1, 5) | st.integers(0, 64),
+       m_max=st.integers(0, 64), n_max=st.integers(0, 64), prune=st.sampled_from(("none", "orbit")))
+def test_search_min_at_size(k, m_min, m_max, n_max, prune):
+    status, out, err = run_cli([
+        "search-min", "--k", str(k), "--m-min", str(m_min), "--m-max", str(m_max),
+        "--n-max", str(n_max), "--prune", prune, "--budget-seconds", "0.5"])
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
+    if status == 2:
+        assert err.startswith("error: ")
+    else:
+        assert status == (1 if json.loads(out)["witnesses"] else 0)

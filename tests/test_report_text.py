@@ -5,6 +5,7 @@ memory peak on a large report."""
 from __future__ import annotations
 
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -102,6 +103,28 @@ def test_fuzzed_payloads_match_json_dumps(obj):
 ])
 def test_edge_payloads_match_json_dumps(obj):
     assert json_text(obj) == reference(obj)
+
+
+def _unlimited_str(n: int) -> str:
+    """``str(n)`` with the interpreter's digit limit lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("n", [10**5000 + 7, -(10**5000 + 7), 2**15199, 10**4300, 10**30000 - 1],
+                         ids=["1e5000+7", "-1e5000-7", "2^15199", "1e4300", "1e30000-1"])
+def test_int_past_the_digit_limit_written_exactly(n):
+    # find-gates counts and search box sizes can pass the 4,300-digit default.
+    assert json_text(n) == _unlimited_str(n) + "\n"
+    assert json_text({"count": n, "lanes": [1, n, -2]}) == (
+        '{\n  "count": %s,\n  "lanes": [\n    1,\n    %s,\n    -2\n  ]\n}\n'
+        % (_unlimited_str(n), _unlimited_str(n)))
+    with pytest.raises(ValueError):  # the limit itself stays in force
+        str(10**5000)
 
 
 @pytest.mark.parametrize("obj", [[object()], {"a": {1, 2}}, {1: "an int key"}])

@@ -1,12 +1,8 @@
-import itertools
 import math
-import random
 import time
-import tracemalloc
 import types
-from itertools import combinations, islice
+from itertools import combinations
 
-import numpy as np
 import pytest
 
 from korth import search
@@ -15,7 +11,8 @@ from korth.gf2 import BitMat, null_space, rank
 from korth.ortho import is_k_orthogonal
 from korth.search import SearchSpace, full_rank_count, minimality_search, subset_parity_table
 
-from conftest import enumerate_candidates, oracle_rank, sweep_rank
+from conftest import (engine_search, enumerate_candidates, kernel, sweep_rank, tail_table,
+                      walk_hits, walk_lookups)
 
 
 class TestEnumerateCandidates:
@@ -57,41 +54,14 @@ class TestEnumerateCandidates:
 
 
 class TestRankAgainstOracles:
-    """search._rank pivots on the lowest bit; the oracles pivot on the top bit
-    (sweep_rank) and on the first column of a numpy matrix (oracle_rank)."""
-
-    @staticmethod
-    def _value_lists(count: int):
-        rng = random.Random(20261018)
-        for _ in range(count):
-            m, length = rng.randint(1, 8), rng.randint(0, 20)
-            values: list[int] = []
-            for _ in range(length):
-                pick = rng.random()
-                if values and pick < 0.2:
-                    values.append(rng.choice(values))  # a repeat
-                elif len(values) > 1 and pick < 0.4:
-                    a, b = rng.sample(values, 2)
-                    values.append(a ^ b)  # dependent on earlier values
-                elif pick < 0.45:
-                    values.append(0)
-                else:
-                    values.append(rng.randrange(1 << m))
-            yield m, tuple(values)
-
-    def test_matches_sweep_and_numpy(self):
-        for m, values in self._value_lists(5_000):
-            got = search._rank(values)
-            assert got == sweep_rank(values), values
-            matrix = np.array([[v >> i & 1 for i in range(m)] for v in values],
-                              dtype=np.uint8).reshape(len(values), m)
-            assert got == oracle_rank(matrix), values
+    """gf2.rank, which ranks each witness, against the closed-form count of
+    full-rank subsets."""
 
     def test_full_rank_subsets_match_count(self):
         for m in range(1, 5):
             for n in range(0, 1 << m):
                 found = sum(1 for c in combinations(range(1, 1 << m), n)
-                            if search._rank(c) == m)
+                            if rank(BitMat.from_columns(m, c)) == m)
                 assert found == full_rank_count(m, n), (m, n)
 
 
@@ -187,15 +157,48 @@ class TestMinimalitySearch:
         assert not rep.complete
 
     def test_deadline_after_a_decided_box_skips_the_next(self, monkeypatch):
-        # The linear engine decides the (4, 6) box whole, all C(11, 2)
-        # subsets; the deadline passes at the read before the (4, 7) box.
-        _expire_after(monkeypatch, 4)
+        # The (3, 7) box lists one witness and reads the clock before
+        # verifying it (read 6); the deadline passes at the read before the
+        # (4, 4) box.
+        _expire_after(monkeypatch, 7)
         rep = minimality_search(
-            SearchSpace(k=1, m_range=(4,), n_max=9, budget_seconds=1e9), prune="orbit")
-        box = rep.boxes[5]
-        assert (box.m, box.n, box.complete, box.subsets) == (4, 6, True, math.comb(11, 2))
-        assert [b.skipped for b in rep.boxes[6:]] == ["budget exhausted"] * 3
+            SearchSpace(k=2, m_range=(3, 4), n_max=8, budget_seconds=1e9), prune="orbit")
+        box = rep.boxes[6]
+        assert (box.m, box.n, box.complete, box.subsets) == (3, 7, True, 1)
+        assert [w.columns for w in box.witnesses] == [tuple(range(1, 8))]
+        assert [b.skipped for b in rep.boxes[8 + 3:]] == ["budget exhausted"] * 5
         assert not rep.complete
+
+    def test_deadline_cuts_the_witness_listing(self, monkeypatch):
+        # The (4, 8) box lists 15 witnesses, reading the clock before each
+        # from read 6 on: the deadline passes at the third.  The box keeps
+        # the two it verified, and every subset was decided.
+        _expire_after(monkeypatch, 8)
+        rep = minimality_search(SearchSpace(k=2, m_range=(4,), n_max=8, budget_seconds=1e9))
+        box = rep.boxes[-1]
+        assert (box.m, box.n, box.complete, box.subsets) == (4, 8, False, math.comb(15, 8))
+        assert box.mode == "slow" and box.hits == len(box.witnesses) == 2
+        _, witnesses = _brute_force_box(4, 8, 2)
+        assert set(w.columns for w in box.witnesses) < set(witnesses)
+        assert not rep.complete
+
+    def test_search_without_witnesses_reads_the_clock_once_per_box(self, monkeypatch):
+        calls = _count_clock(monkeypatch)
+        rep = minimality_search(
+            SearchSpace(k=2, m_range=(5,), n_max=8, budget_seconds=1e9), prune="orbit")
+        assert rep.complete and not rep.witnesses
+        # The start, one read before each of the (5, 6..8) boxes, the end.
+        assert calls[0] == 5
+
+    def test_n_max_past_the_floor_rejected(self):
+        # A counterexample to the floor 2**(k+1) - 1 has fewer columns.
+        for k in range(1, 7):
+            SearchSpace(k=k, m_range=(k + 2,), n_max=1 << (k + 1))
+            with pytest.raises(RangeError, match=f"size floor {(1 << (k + 1)) - 1} "):
+                SearchSpace(k=k, m_range=(k + 2,), n_max=(1 << (k + 1)) + 1)
+        # The k range is checked first.
+        with pytest.raises(RangeError, match="orthogonality level"):
+            SearchSpace(k=10**12, m_range=(4,), n_max=10**20)
 
     def test_orbit_prune_counts(self):
         # with the identity anchored, the (3, 7) box has C(4, 4) = 1 subset
@@ -231,14 +234,14 @@ def _brute_force_box(m: int, n: int, k: int) -> tuple[int, list[tuple[int, ...]]
     return count, witnesses
 
 
-def _scan_order_prefix(m: int, n: int, k: int, prune: str, visit: int):
-    """The k-orthogonal subsets and full-rank witnesses among the first
-    ``visit`` subsets of a box in scan order (ascending combinations of the
-    values left after the fixed columns), one matrix at a time."""
+def _box_one_matrix_at_a_time(m: int, n: int, k: int, prune: str):
+    """The k-orthogonal subsets of a box and its full-rank witnesses in scan
+    order (ascending combinations of the values left after the fixed
+    columns), one matrix at a time."""
     base = tuple(1 << i for i in range(m)) if prune == "orbit" else ()
     values = [v for v in range(1, 1 << m) if v not in base]
     hits, witnesses = 0, []
-    for free in islice(combinations(values, n - len(base)), visit):
+    for free in combinations(values, n - len(base)):
         cols = tuple(sorted(base + free))
         if is_k_orthogonal(BitMat.from_columns(m, cols), k).holds:
             hits += 1
@@ -247,21 +250,10 @@ def _scan_order_prefix(m: int, n: int, k: int, prune: str, visit: int):
     return hits, witnesses
 
 
-def _walk_blocks(length: int, free: int):
-    """The sizes of the walk's blocks over ``free`` of ``length`` values, in
-    scan order: one per prefix of free - s indices below length - s, holding
-    every subset that extends it."""
-    s = search._tail_size(length, free)
-    for prefix in combinations(range(length - s), free - s):
-        yield math.comb(length - 1 - prefix[-1], s) if prefix else math.comb(length, s)
-
-
 class TestSinglePathAgainstBruteForce:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_counts_and_witnesses(self, k):
-        # k=1 tails share XORs.  Boxes with at most three free columns close
-        # in one lookup at depth 0.
-        space = SearchSpace(k=k, m_range=(2, 3, 4), n_max=15)
+        space = SearchSpace(k=k, m_range=(2, 3, 4), n_max=min(15, 1 << (k + 1)))
         brute = {}
         for prune in ("none", "orbit"):
             report = minimality_search(space, prune=prune)
@@ -284,29 +276,25 @@ class TestSinglePathAgainstBruteForce:
                 assert [w.columns for w in b.witnesses] == witnesses
 
     @pytest.mark.parametrize("k,m,n_max,prune,cut", [
-        # The clock is read at the start, once per walk block and once per
-        # box.  The (4, 5) box's blocks of three columns read it from read 3
-        # on: cuts after one and two blocks, and inside the (4, 6) box.
-        (1, 4, 5, "none", None),
-        (1, 4, 5, "none", 3),
-        (1, 4, 5, "none", 4),
-        (1, 4, 6, "none", 100),
+        (1, 3, 4, "none", None),
+        (1, 4, 4, "orbit", None),
+        (2, 3, 7, "none", None),
         (2, 4, 8, "none", None),
-        # The linear engine decides its boxes whole.
-        (1, 4, 9, "orbit", None),
-        (1, 4, 9, "orbit", 4),
         (3, 4, 10, "orbit", None),
-        # Seven blocks into the (5, 9) box.
-        (1, 5, 9, "orbit", 15),
-        # At m=6, C(63, 3) and C(57, 3) pass the table bound: two-column tails.
-        (1, 6, 6, "none", 3),
-        (1, 6, 9, "orbit", None),
+        # The clock is read at the start, before each later box and before
+        # each listed witness is verified: the (4, 8) box's 15 from read 6 on.
+        (2, 4, 8, "none", 5),
+        (2, 4, 8, "none", 6),
+        (2, 4, 8, "none", 13),
+        (2, 4, 8, "none", 20),
+        (2, 4, 8, "none", 21),
+        (2, 4, 8, "orbit", 6),
+        (2, 4, 8, "orbit", 7),
     ])
-    def test_scan_order_and_caps_match_one_matrix_at_a_time(self, k, m, n_max, prune, cut,
-                                                               monkeypatch):
-        # A box holds the hits and witnesses of the subsets it decided, in
-        # scan order; a walked box the deadline (at clock read ``cut``)
-        # cuts decided the whole blocks it closed.
+    def test_scan_order_and_cuts_match_one_matrix_at_a_time(self, k, m, n_max, prune, cut,
+                                                             monkeypatch):
+        # A box decides every subset at once; a box the deadline (at clock
+        # read ``cut``) cuts keeps the witnesses verified before it.
         if cut is not None:
             _expire_after(monkeypatch, cut)
         rep = minimality_search(SearchSpace(
@@ -314,22 +302,24 @@ class TestSinglePathAgainstBruteForce:
             prune=prune)
         base = m if prune == "orbit" else 0
         length = (1 << m) - 1 - base
-        reads = 1  # the start
+        reads = 0
         for b in rep.boxes[m - 1:]:
+            reads += 1  # the start serves the first box
             if b.skipped is not None:
-                assert b.skipped == "budget exhausted" and not b.complete and cut is not None
+                assert b.skipped == "budget exhausted" and not b.complete and reads >= cut
                 continue
-            free = b.n - base
-            total = math.comb(length, free)
-            walked = free and not search._flat(b.n, k) and "walk engine" in rep.engines[0]
-            blocks = list(_walk_blocks(length, free)) if walked else []
-            visit = total if b.complete or not walked else sum(blocks[:cut - reads])
-            reads += len(blocks) + 1
-            hits, witnesses = _scan_order_prefix(m, b.n, k, prune, visit)
-            assert b.subsets == visit
-            assert b.hits == (len(witnesses) if b.mode == "slow" else hits)
-            assert [w.columns for w in b.witnesses] == witnesses
-        assert rep.complete == (cut is None)
+            hits, witnesses = _box_one_matrix_at_a_time(m, b.n, k, prune)
+            verified = len(witnesses) if cut is None else min(len(witnesses), max(cut - reads - 1, 0))
+            complete = verified == len(witnesses)
+            reads += verified + (not complete)  # a cut box's last read found the deadline past
+            assert b.subsets == math.comb(length, b.n - base)
+            assert b.hits == (verified if b.mode == "slow" else hits)
+            assert b.complete == complete
+            kept = [w.columns for w in b.witnesses]
+            assert len(kept) == verified and set(kept) <= set(witnesses)
+            if b.complete:
+                assert kept == witnesses
+        assert rep.complete == (cut is None or reads < cut)
 
     def test_full_rank_count_small_boxes(self):
         for m in range(1, 5):
@@ -349,73 +339,9 @@ class TestSinglePathAgainstBruteForce:
 
     def test_n_max_beyond_the_largest_box_rejected(self):
         # Past 2**m - 1 columns every box is a skip, one per n up to n_max.
-        SearchSpace(k=2, m_range=(4, 3), n_max=15)
-        with pytest.raises(RangeError, match="n_max"):
-            SearchSpace(k=2, m_range=(4, 3), n_max=16)
-
-
-class TestTailLookup:
-    """One table lookup closes the last columns of each subset block."""
-
-    def test_deadline_checked_once_per_block(self, monkeypatch):
-        calls = 0
-
-        def counting():
-            nonlocal calls
-            calls += 1
-            return time.monotonic()
-
-        monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=counting))
-        rep = minimality_search(
-            SearchSpace(k=3, m_range=(5,), n_max=12, budget_seconds=1e9), prune="orbit")
-        assert rep.complete
-        # Closing only the last column by lookup checked the clock 245,517 times.
-        assert calls <= 245_517 // 10
-
-    def test_walk_checks_deadline_once_per_block(self, monkeypatch):
-        # The twin of the test above on row counts the walk still serves:
-        # above the k=1 floor, so no box at m=5 is flat.
-        calls = _count_clock(monkeypatch)
-        rep = minimality_search(
-            SearchSpace(k=1, m_range=(5,), n_max=6, budget_seconds=1e9), prune="none")
-        assert rep.complete and rep.engines[0].startswith("m=5: walk engine")
-        # One check per three-column block: 378 + 3,276 of them.  Closing only
-        # the last column by lookup would check C(30, 4) + C(30, 5) = 169,911.
-        assert 3_654 < calls[0] <= 169_911 // 10
-
-    def test_linear_engine_reads_the_clock_per_box(self, monkeypatch):
-        calls = _count_clock(monkeypatch)
-        rep = minimality_search(
-            SearchSpace(k=2, m_range=(5,), n_max=12, budget_seconds=1e9), prune="orbit")
-        # The flat engine takes n <= 8, the linear engine n = 9..12.
-        assert rep.complete and "; linear engine, D=11:" in rep.engines[0]
-        # The start, one check after each of the 8 boxes, the end.
-        assert calls[0] <= 10
-
-    def test_m8_capped_scan_builds_no_table_above_the_bound(self, monkeypatch):
-        entries = []
-        real = search._tail_table
-
-        def recording(fps, s):
-            table = real(fps, s)
-            entries.append(sum(1 if isinstance(v, int) else len(v) for v in table.values()))
-            return table
-
-        monkeypatch.setattr(search, "_tail_table", recording)
-        # The start and the flat (8, 8) box read the clock once each: the
-        # deadline passes at the second block of the (8, 9) box.
-        _expire_after(monkeypatch, 4)
-        tracemalloc.start()
-        try:
-            rep = minimality_search(
-                SearchSpace(k=2, m_range=(8,), n_max=9, budget_seconds=1e9))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.boxes[8].subsets == 247 + 246 and not rep.complete
-        # C(255, 2) = 32,385 and C(255, 3) = 2,731,135 pass the bound: one column.
-        assert entries == [255]
-        assert peak < 2_000_000
+        SearchSpace(k=3, m_range=(4, 3), n_max=15)
+        with pytest.raises(RangeError, match=r"n_max must be <= 2\*\*4-1"):
+            SearchSpace(k=3, m_range=(4, 3), n_max=16)
 
 
 def _count_clock(monkeypatch) -> list[int]:
@@ -443,55 +369,13 @@ def _expire_after(monkeypatch, reads: int) -> None:
     monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=ticking))
 
 
-def _force_engine(monkeypatch, linear: bool):
-    """Make every row count take one engine, whatever the cost rule says."""
-    monkeypatch.setattr(search, "_choose_engine", lambda *args: linear)
-
-
-def _without_flat(monkeypatch):
-    """Send the boxes the flat engine takes to the other two."""
-    monkeypatch.setattr(search, "_flat", lambda n, k: False)
-
-
-class TestLinearEngineAgainstWalk:
-    """The linear engine against the walk as oracle, box by box."""
-
-    @pytest.mark.parametrize("k,m", [(k, m) for k in range(1, 5) for m in range(k + 1, 6)])
-    @pytest.mark.parametrize("prune", ["none", "orbit"])
-    def test_every_box_to_m5(self, k, m, prune, monkeypatch):
-        # At m=5 the walk makes up to C(28, 7) lookups per box from n=10 on.
-        n_max = min((1 << m) - 1, 12 if m < 5 else 10)
-        if (k, m) == (1, 5):
-            # 2**26 / 4 against 11,698,194 walk lookups (2**21 / 4 against
-            # 10,906 under orbit): the walk serves it, so nothing to compare.
-            line = search._box_columns(m, k, prune, 12, None)[1]
-            assert line.startswith("m=5: walk")
-            return
-        space = SearchSpace(k=k, m_range=(m,), n_max=n_max)
-        _without_flat(monkeypatch)
-        _force_engine(monkeypatch, True)
-        linear = minimality_search(space, prune=prune)
-        assert linear.engines[0].startswith(f"m={m}: linear")
-        _force_engine(monkeypatch, False)
-        walk = minimality_search(space, prune=prune)
-        assert walk.engines[0].startswith(f"m={m}: walk")
-        assert linear.boxes == walk.boxes
-
-    def test_benchmark_orbit_scan_takes_the_flat_engine(self):
-        # Every box lies below the k=3 floor of 15 columns.
-        rep = minimality_search(SearchSpace(k=3, m_range=(4, 5), n_max=14), prune="orbit")
-        assert rep.engines == tuple(
-            f"m={m}: flat engine for n <= 16 (RM({m - 4}, {m}) has minimum weight 16, "
-            "met only by its 4-flats)" for m in (4, 5))
-
-
 class TestClosedFormKernel:
-    """The linear engine's kernel in closed form against elimination of the
-    fingerprint system [F | b] as oracle."""
+    """The linear oracle engine's kernel in closed form against elimination of
+    the fingerprint system [F | b]."""
 
     @pytest.mark.parametrize("m,k", [(m, k) for m in range(2, 9) for k in range(1, m)])
     @pytest.mark.parametrize("prune", ["none", "orbit"])
-    def test_matches_null_space(self, m, k, prune, monkeypatch):
+    def test_matches_null_space(self, m, k, prune):
         base = tuple(1 << i for i in range(m)) if prune == "orbit" else ()
         values = [v for v in range(1, 1 << m) if v not in base]
         table = subset_parity_table(m, k)
@@ -504,13 +388,7 @@ class TestClosedFormKernel:
         length = len(values)
         oracle = null_space(BitMat.from_columns(rows, [table[v] for v in values] + [b])).row_ints()
         assert any(x >> length for x in oracle)  # F.x = b is solvable
-        dims = []
-        _without_flat(monkeypatch)
-        monkeypatch.setattr(search, "_choose_engine", lambda walk, dim: dims.append(dim))
-        line = search._box_columns(m, k, prune, m, None)[1]
-        assert dims == [len(oracle) - 1] and f" D={len(oracle) - 1}:" in line
-
-        kernel, particular = search._kernel(m, k, base)
+        basis, particular = kernel(m, k, base)
         free = sum(1 << v for v in values)
 
         def by_index(x: int) -> int:
@@ -518,121 +396,49 @@ class TestClosedFormKernel:
             assert x & ~free == 0  # only free values are selected
             return sum(1 << j for j, v in enumerate(values) if x >> v & 1)
 
-        homogeneous = [by_index(x) for x in kernel]
-        assert len(kernel) == len(oracle) - 1 == sweep_rank(homogeneous)
+        homogeneous = [by_index(x) for x in basis]
+        assert len(basis) == len(oracle) - 1 == sweep_rank(homogeneous)
         assert sweep_rank(oracle + homogeneous) == len(oracle)  # the same span
         assert sweep_rank(oracle + [by_index(particular) | 1 << length]) == len(oracle)
 
 
-class TestEngineBudgets:
-    """The deadline bounds the linear engine's span and the walk's work."""
+class TestLinearEngineAgainstWalk:
+    """The two oracle engines against each other, box by box, past the floor
+    too, where boxes hold many more witnesses."""
 
-    @pytest.mark.parametrize("budget", [{"budget_seconds": 1.0}, {"budget_seconds": 0}])
-    def test_m7_returns_promptly_and_incomplete(self, budget):
-        # Above the k=1 floor: 2**120 solutions, and about 2**66 walk lookups
-        # up to n = 17.  Even a zero budget decides the first block.
-        start = time.monotonic()
-        rep = minimality_search(SearchSpace(k=1, m_range=(7,), n_max=17, **budget))
-        assert time.monotonic() - start < 10
-        assert not rep.complete and rep.boxes[6].subsets > 0
-        assert all(b.skipped == "budget exhausted" for b in rep.boxes[7:])
-
-    def test_deadline_in_the_span_hands_over_to_the_walk(self):
-        # 2**22 solutions take about a second: at the pace of the first
-        # blocks, the span for the one box above the floor, n = 17, would
-        # pass the deadline.
-        rep = minimality_search(
-            SearchSpace(k=3, m_range=(6,), n_max=17, budget_seconds=0.1))
-        assert rep.engines == (
-            "m=6: flat engine for n <= 16 (RM(2, 6) has minimum weight 16, met only by "
-            "its 4-flats); walk engine, D=22: at least 2**22/4 walk lookups; "
-            "the span would pass the deadline",)
-        assert not rep.complete and rep.elapsed_seconds < 5
-
-    def test_span_that_cannot_finish_leaves_the_budget_to_the_walk(self):
-        # D = 4,083: 2**4067 blocks of 2**16 solutions.  Summing every walk
-        # cost (12,269 binomials of up to 1,231 digits) left the walk 4,084
-        # subsets and a 1,320-character engine line; the sum now stops at the
-        # largest term, and each hit is ranked inside the walk's deadline.
-        start = time.monotonic()
-        rep = minimality_search(SearchSpace(k=1, m_range=(12,), n_max=4095, budget_seconds=1.0))
-        assert time.monotonic() - start < 1.5
-        assert rep.engines == ("m=12: walk engine, D=4083: at least 2**4083/4 walk lookups; "
-                               "the span would pass the deadline",)
-        assert not rep.complete and sum(b.subsets for b in rep.boxes) > 4_084
-
-    def test_bounded_walk_sum_keeps_the_engine(self, monkeypatch):
-        # The sum stops once it reaches 2**D/4; the engine must be the one
-        # the whole sum would pick.
-        seen = []
-        monkeypatch.setattr(search, "_choose_engine", lambda walk, dim: seen.append((walk, dim)))
-        picks = []
-        for m in range(2, 10):
-            for k in range(1, m):
-                for prune, n_max in itertools.product(
-                        ("none", "orbit"), {m, 1 << (m - 1), (1 << m) - 1}):
-                    base = m if prune == "orbit" else 0
-                    length = (1 << m) - 1 - base
-                    frees = [n - base for n in range(m, n_max + 1) if not search._flat(n, k)]
-                    if not frees:
-                        continue
-                    whole = sum(math.comb(length - s, free - s)
-                                for free in frees for s in [search._tail_size(length, free)])
-                    search._box_columns(m, k, prune, n_max, None)
-                    walk, dim = seen.pop()
-                    picks.append((1 << dim) // 4 <= whole)
-                    assert ((1 << dim) // 4 <= walk) == picks[-1], (m, k, prune, n_max)
-        assert len(picks) > 100 and 0 < sum(picks) < len(picks)
-
-    def test_m15_set_up_returns_promptly_and_incomplete(self):
-        # The fingerprint table of 2**15 values is built before the first
-        # deadline check, so it must take a fraction of the budget.
-        start = time.monotonic()
-        rep = minimality_search(SearchSpace(k=2, m_range=(15,), n_max=15, budget_seconds=0.2))
-        assert time.monotonic() - start < 1.5
-        assert not rep.complete
-
-    def test_witnesses_are_verified_inside_the_deadline(self):
-        # The deadline passes in the (5, 7) box, where the walk keeps
-        # thousands of witnesses a second: re-verified once the walk had
-        # stopped, they kept the search running for 0.75-1.23 s.
-        start = time.monotonic()
-        rep = minimality_search(SearchSpace(k=1, m_range=(5,), n_max=9, budget_seconds=0.5))
-        assert time.monotonic() - start < 0.5 + 0.2
-        assert not rep.complete
-
-    def test_fingerprint_table_only_for_walked_boxes(self, monkeypatch):
-        calls = []
-        real = search.subset_parity_table
-
-        def counting(m, k):
-            calls.append((m, k))
-            return real(m, k)
-
-        monkeypatch.setattr(search, "subset_parity_table", counting)
-        # A linear row count: its fingerprints are never built.
-        rep = minimality_search(SearchSpace(k=2, m_range=(5,), n_max=12), prune="orbit")
-        assert rep.complete and "; linear engine" in rep.engines[0]
-        assert calls == []
-        # A walk row count builds its table once, for the first of its boxes.
-        rep = minimality_search(SearchSpace(k=1, m_range=(5,), n_max=6))
-        assert rep.complete and rep.engines[0].startswith("m=5: walk engine")
-        assert calls == [(5, 1)]
+    @pytest.mark.parametrize("k,m", [(k, m) for k in range(1, 5) for m in range(k + 1, 6)])
+    @pytest.mark.parametrize("prune", ["none", "orbit"])
+    def test_every_box_to_m5(self, k, m, prune):
+        if (k, m, prune) == (1, 5, "none"):
+            # The linear engine would span 2**26 solutions: the walk's hits
+            # against every n-subset's fingerprint XOR instead, up to n = 5.
+            values = list(range(1, 32))
+            table = subset_parity_table(5, 1)
+            fps = [table[v] for v in values]
+            for n in range(1, 6):
+                visited, hits = walk_hits(values, fps, n, 0)
+                assert visited == math.comb(31, n)
+                assert hits == [tuple(values[i] for i in tail) for tail in tail_table(fps, n).get(0, [])]
+            return
+        # At m=5 the walk makes up to C(28, 7) lookups per box from n=10 on.
+        n_max = min((1 << m) - 1, 12 if m < 5 else 10)
+        # SearchSpace refuses an n_max past 2**(k+1).
+        space = types.SimpleNamespace(k=k, m_range=(m,), n_max=n_max)
+        assert engine_search(space, prune, True) == engine_search(space, prune, False)
 
 
 def _flat_cases():
-    """(k, m, prune, n_max) for every row count holding a flat box: all k at
-    m <= 6, and k = 4 at m = 7 under orbit (D = 29 without it).  Up to m = 5,
-    n_max goes one column past the flat boxes where there are more; at m = 6
-    and 7 that box would cost every run a span of 2**22 solutions."""
+    """(k, m, prune, n_max) for every row count with a box to scan: all k at
+    m <= 6, and k = 4 at m = 7 under orbit (D = 29 without it), each with
+    n_max at the floor's bound 2**(k+1) or the last column value."""
     cases = [(k, m) for m in range(2, 7) for k in range(1, m) if m <= 1 << (k + 1)]
     for k, m in cases + [(4, 7)]:
         for prune in ("none", "orbit"):
             if (k, m, prune) == (4, 7, "none"):
                 continue
-            n_max = min((1 << (k + 1)) + (m <= 5), (1 << m) - 1)
+            n_max = min(1 << (k + 1), (1 << m) - 1)
             if (k, m, prune) == (2, 6, "none"):
-                n_max = 6  # the walk makes 6.2e7 lookups up to n = 8
+                n_max = 6  # the walk makes 6.0e6 lookups up to n = 8, and D = 42
             yield k, m, prune, n_max
 
 
@@ -641,22 +447,21 @@ class TestFlatEngine:
     RM(m-k-1, m)."""
 
     @pytest.mark.parametrize("k,m,prune,n_max", list(_flat_cases()))
-    def test_matches_the_walk_and_the_linear_engine(self, k, m, prune, n_max, monkeypatch):
+    def test_matches_the_walk_and_the_linear_engine(self, k, m, prune, n_max):
         base = tuple(1 << i for i in range(m)) if prune == "orbit" else ()
         frees = [n - len(base) for n in range(m, n_max + 1)]
         # Each oracle engine runs where it takes about a second at most.
         engines = [linear for linear, cheap in (
-            (True, len(search._kernel(m, k, base)[0]) <= 22),
-            (False, search._walk_lookups((1 << m) - 1 - len(base), frees, 10**6) < 10**6),
+            (True, len(kernel(m, k, base)[0]) <= 22),
+            (False, walk_lookups((1 << m) - 1 - len(base), frees) < 10**6),
         ) if cheap]
+        assert engines == [True, False] or m > 4
         assert engines
-        flat = minimality_search(SearchSpace(k=k, m_range=(m,), n_max=n_max), prune=prune)
+        space = SearchSpace(k=k, m_range=(m,), n_max=n_max)
+        flat = minimality_search(space, prune=prune)
         assert flat.complete and flat.engines[0].startswith(f"m={m}: flat engine for n <= ")
-        _without_flat(monkeypatch)
         for linear in engines:
-            _force_engine(monkeypatch, linear)
-            space = SearchSpace(k=k, m_range=(m,), n_max=n_max)
-            assert minimality_search(space, prune=prune).boxes == flat.boxes, linear
+            assert engine_search(space, prune, linear) == flat.boxes, linear
 
     def test_raw_hits_in_closed_form(self):
         # [5 choose 3]_2 = 155 subspaces at n = 7 and 3 * 155 flats off 0 at
@@ -682,10 +487,28 @@ class TestFlatEngine:
         def unreachable(*args):
             raise AssertionError("built for a flat row count")
 
-        for name in ("subset_parity_table", "_tail_table", "_kernel", "_walk_lookups"):
+        for name in ("subset_parity_table", "_value_rows"):
             monkeypatch.setattr(search, name, unreachable)
         # 2**16 values and R = 39,202 fingerprint rows at k = 8.
         rep = minimality_search(SearchSpace(k=8, m_range=(16,), n_max=20, budget_seconds=3))
         assert rep.complete and not rep.witnesses and rep.elapsed_seconds < 1
         assert rep.engines == ("m=16: flat engine for n <= 512 (RM(7, 16) has minimum "
                                "weight 512, met only by its 9-flats)",)
+
+    def test_benchmark_orbit_scan_takes_the_flat_engine(self):
+        # Every box lies below the k=3 floor of 15 columns.
+        rep = minimality_search(SearchSpace(k=3, m_range=(4, 5), n_max=14), prune="orbit")
+        assert rep.engines == tuple(
+            f"m={m}: flat engine for n <= 16 (RM({m - 4}, {m}) has minimum weight 16, "
+            "met only by its 4-flats)" for m in (4, 5))
+
+    def test_witness_listing_obeys_the_deadline(self):
+        # The (10, 512) box lists 1,023 witnesses of 512 columns, which take
+        # about 1.6 s to verify; the boxes before it take about 0.05 s.
+        rep = minimality_search(SearchSpace(k=8, m_range=(10,), n_max=512, budget_seconds=0.3))
+        assert rep.elapsed_seconds < 0.3 + 0.2 and not rep.complete
+        box = rep.boxes[-1]
+        assert (box.n, box.complete, box.subsets) == (512, False, math.comb(1023, 512))
+        assert len(box.witnesses) < 1023
+        for w in box.witnesses:
+            assert is_k_orthogonal(w.matrix(), 8).holds
