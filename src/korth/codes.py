@@ -17,9 +17,9 @@ from typing import Sequence
 
 from .errors import DimensionError, InvalidCodeError
 from .gf2 import BitMat, BitVec, RowSpace, orthogonal_rows, rank, solve
-from .phases import DyadicPhaseVector
+from .phases import DyadicPhaseVector, parse_phase_list
 from .record import Record
-from .report import json_text
+from .report import SCHEMA, emit, json_text
 
 __all__ = [
     "PauliOp",
@@ -605,3 +605,55 @@ def code_from_json(text: str) -> StabilizerCode:
     except (ValueError, RecursionError) as exc:  # bad, too deeply nested or too long a number
         raise InvalidCodeError(f"invalid JSON: {exc}") from None
     return code_from_json_dict(data)
+
+
+def load_standard_form(path: str) -> StandardFormCode:
+    """The standard form of the JSON code descriptor in the file ``path``."""
+    with open(path, encoding="utf-8") as f:
+        return to_standard_form(code_from_json(f.read()))
+
+
+def cmd_standard_form(args) -> int:
+    """``korth standard-form``."""
+    sf = load_standard_form(args.code)
+    payload = {
+        "schema": SCHEMA,
+        "command": "standard-form",
+        "n": sf.n,
+        "m": sf.m,
+        "css": is_css(sf),
+        "a_x": [str(r) for r in sf.a_x.rows],
+        "b": [str(r) for r in sf.b.rows],
+        "a_z": [str(r) for r in sf.a_z.rows],
+        "r": str(sf.r),
+        "s": str(sf.s),
+        "x_phases": list(sf.x_phases),
+        "local_s_mask": str(sf.local_s_mask),
+    }
+    emit(payload, args.out)
+    return 0
+
+
+def cmd_reduce_degenerate(args) -> int:
+    """``korth reduce-degenerate``."""
+    sf = load_standard_form(args.code)
+    theta = parse_phase_list(args.p, sf.n, args.k)
+    view, reduced = nondegenerate_reduction(sf, theta)
+    payload = {
+        "schema": SCHEMA,
+        "command": "reduce-degenerate",
+        "classes": [
+            {
+                "indices": list(c.indices),
+                "representative": c.representative,
+                "undetectable": c.undetectable,
+            }
+            for c in view.partition.classes
+        ],
+        "representatives": list(view.representatives),
+        "a_x_reduced": [str(r) for r in view.a_x.rows],
+        "p_reduced": list(reduced.p),
+        "k": reduced.k,
+    }
+    emit(payload, args.out)
+    return 0

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InvalidCodeError, RangeError
-from .gf2 import BitMat, BitVec, RowSpace, orthogonal_rows, span_ints
+from .errors import InvalidCodeError, KorthError, RangeError
+from .gf2 import BitMat, BitVec, RowSpace, orthogonal_rows, parse_matrix_text, span_ints
 from .record import Record
 
 __all__ = ["DistanceReport", "ThreeColumnCheck", "css_distances", "z_distance_floor"]
@@ -152,3 +152,45 @@ def z_distance_floor(a_x: BitMat) -> ThreeColumnCheck:
         if k is not None and k > j:
             return ThreeColumnCheck(True, (i, j, k))
     return ThreeColumnCheck(True, None)
+
+
+def cmd_distance(args) -> int:
+    """``korth distance``: the distances and witnesses on stdout."""
+    if args.code:
+        from .codes import is_css, load_standard_form  # --ax/--az read no code
+
+        sf = load_standard_form(args.code)
+        if not is_css(sf):
+            raise KorthError("distance computation needs a CSS code")
+        a_x, a_z = sf.a_x, sf.a_z
+    else:
+        if not (args.ax and args.az):
+            raise KorthError("distance needs --code or both --ax and --az")
+        with open(args.ax, encoding="utf-8") as f:
+            a_x = parse_matrix_text(f.read())
+        with open(args.az, encoding="utf-8") as f:
+            a_z = parse_matrix_text(f.read())
+    report = css_distances(a_x, a_z, weight_cap=args.weight_cap)
+    if args.out:
+        from .report import SCHEMA, emit  # only a written report loads the writer
+
+        emit({
+            "schema": SCHEMA,
+            "command": "distance",
+            "d_z": report.d_z,
+            "d_x": report.d_x,
+            "exact_z": report.exact_z,
+            "exact_x": report.exact_x,
+            "method_z": report.method_z,
+            "method_x": report.method_x,
+            "witness_z": str(report.witness_z) if report.witness_z else None,
+            "witness_x": str(report.witness_x) if report.witness_x else None,
+        }, args.out)
+    bound_z = "" if report.exact_z else ">="
+    bound_x = "" if report.exact_x else ">="
+    print(f"d_Z={bound_z}{report.d_z} d_X={bound_x}{report.d_x}")
+    if report.witness_z is not None:
+        print(f"witness_Z {report.witness_z}")
+    if report.witness_x is not None:
+        print(f"witness_X {report.witness_x}")
+    return 0

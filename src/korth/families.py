@@ -10,10 +10,11 @@ Reed-Muller code.
 
 from __future__ import annotations
 
-from .codes import StandardFormCode
+from .codes import StandardFormCode, code_to_json_dict
 from .errors import RangeError
-from .gf2 import BitMat, BitVec
+from .gf2 import BitMat, BitVec, format_matrix_text
 from .record import Record
+from .report import emit
 
 __all__ = [
     "SubdualParts",
@@ -131,3 +132,14 @@ def minimal_korth_matrix(k: int) -> BitMat:
         ),
     )
     return BitMat.from_columns(m, cols)
+
+
+def cmd_construct(args) -> int:
+    """``korth construct``: the code's descriptor, then A_X and A_Z as matrix text."""
+    sf = subdual_css(args.m)
+    emit(code_to_json_dict(sf.to_stabilizer_code()), args.out)
+    for path, block in ((args.ax, sf.a_x), (args.az, sf.a_z)):
+        if path:
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(format_matrix_text(block))
+    return 0

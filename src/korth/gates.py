@@ -7,15 +7,19 @@ carry the violating string and residue.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Iterable, Optional
 
-from .codes import StandardFormCode, degeneracy_classes, is_css
-from .errors import MAX_K, CongruenceError, DegenerateCodeError, RangeError, UnsupportedCodeError
+from .codes import StandardFormCode, degeneracy_classes, is_css, load_standard_form
+from .errors import (
+    MAX_K, CongruenceError, DegenerateCodeError, KorthError, RangeError, UnsupportedCodeError,
+)
 from .gf2 import BitVec, and_product, span_ints
 from .ortho import OrthogonalityReport, is_k_orthogonal, isolate_column, row_products
-from .phases import DyadicPhase, DyadicPhaseVector
+from .phases import DyadicPhase, DyadicPhaseVector, parse_phase_list
 from .record import Record
+from .report import SCHEMA, emit
 
 __all__ = [
     "GateDescriptor",
@@ -371,3 +375,95 @@ def controlled_phase_action(
         witness_residue=wit_res,
         witness_modulus=wit_mod,
     )
+
+
+def cmd_find_gates(args) -> int:
+    """``korth find-gates``."""
+    sf = load_standard_form(args.code)
+    sol = find_transversal_phases(sf, args.k)
+    payload = {
+        "schema": SCHEMA,
+        "command": "find-gates",
+        "k": sol.k,
+        "modulus": 1 << sol.k,
+        "count": sol.count(),
+        "generators": [
+            {
+                "p": list(gen.p),
+                "order": order,
+                "logical_phase": str(phase),
+            }
+            for gen, order, phase in zip(sol.generators, sol.orders, sol.phases)
+        ],
+    }
+    emit(payload, args.out)
+    return 0
+
+
+def cmd_verify_gate(args) -> int:
+    """``korth verify-gate``: PASS or FAIL on stdout, exit 1 on FAIL."""
+    sf = load_standard_form(args.code)
+    if args.gate:
+        try:
+            with open(args.gate, encoding="utf-8") as f:
+                spec = json.loads(f.read())
+        except (ValueError, RecursionError) as exc:  # bad, too deeply nested or too long a number
+            raise KorthError(str(exc)) from None
+        need = "gate descriptor needs integer k, optional controls and a list p"
+        try:
+            k, controls, p = spec["k"], spec.get("controls", 0), spec["p"]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise KorthError(f"{need}: {exc!r}") from None
+        # JSON floats and booleans would otherwise truncate to other values.
+        if not isinstance(p, list) or any(type(v) is not int for v in (k, controls, *p)):
+            raise KorthError(f"{need} of integers, got k={k!r}, controls={controls!r}")
+        theta = DyadicPhaseVector(k, tuple(p))
+    else:
+        if args.k is None or args.p is None:
+            raise KorthError("verify-gate needs --gate FILE or both --k and --p")
+        k = args.k
+        controls = args.controls
+        theta = parse_phase_list(args.p, sf.n, k)
+    payload: dict = {
+        "schema": SCHEMA,
+        "command": "verify-gate",
+        "k": k,
+        "controls": controls,
+    }
+    if controls == 0:
+        result = logical_phase_action(sf, theta)
+        payload["pass"] = result.ok
+        if result.ok:
+            payload["logical_phase"] = str(result.phase)
+            print(f"PASS: logical phase {result.phase}")
+        else:
+            payload["violation"] = str(result.violation)
+            payload["residue"] = result.residue
+            print(
+                f"FAIL: support {result.violation} picks up residue "
+                f"{result.residue} mod {1 << k}"
+            )
+    else:
+        report = controlled_phase_action(
+            sf, GateDescriptor(controls=controls, realized=theta)
+        )
+        payload["pass"] = report.passed
+        payload["induced_r"] = str(report.induced_r)
+        payload["non_clifford"] = report.non_clifford
+        if report.passed:
+            payload["logical_numerator"] = report.logical_numerator
+            print(
+                f"PASS: {controls}-controlled phase, logical numerator "
+                f"{report.logical_numerator} mod {1 << (k - controls)}"
+            )
+        else:
+            payload["witness_rows"] = list(report.witness_rows)
+            payload["residue"] = report.witness_residue
+            payload["modulus"] = report.witness_modulus
+            print(
+                f"FAIL: rows {list(report.witness_rows)} break the congruence "
+                f"mod {report.witness_modulus}"
+            )
+    if args.out:
+        emit(payload, args.out)
+    return 0 if payload["pass"] else 1

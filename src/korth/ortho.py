@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import NoSyndromeError, RangeError
-from .gf2 import BitMat, BitVec
+from .gf2 import BitMat, BitVec, parse_matrix_text
 from .record import Record
 
 __all__ = [
@@ -88,3 +88,27 @@ def isolate_column(a_x: BitMat, q: int) -> BitMat:
     return BitMat.from_ints(
         a_x.ncols, [r if r & mask else r ^ pivot for r in rows]
     )
+
+
+def cmd_check_orth(args) -> int:
+    """``korth check-orth``: PASS or FAIL on stdout, exit 1 on FAIL."""
+    with open(args.matrix, encoding="utf-8") as f:
+        mat = parse_matrix_text(f.read())
+    restriction = BitVec.from_string(args.r) if args.r else None
+    report = is_k_orthogonal(mat, args.k, restriction)
+    wit = report.witness
+    if args.out:
+        from .report import SCHEMA, emit  # only a written report loads the writer
+
+        payload = {"schema": SCHEMA, "command": "check-orth", "k": args.k, "holds": report.holds}
+        if wit is not None:
+            payload["witness"] = {
+                "t": wit.t, "rows": list(wit.rows), "restriction": str(wit.restriction),
+            }
+        emit(payload, args.out)
+    if report.holds:
+        print(f"PASS: matrix is {args.k}-orthogonal")
+        return 0
+    print(f"FAIL: rows {list(wit.rows)} have an odd {wit.t}-fold product "
+          f"(restriction {wit.restriction})")
+    return 1

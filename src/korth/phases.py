@@ -8,7 +8,7 @@ from __future__ import annotations
 import operator
 import sys
 
-from .errors import MAX_K, DimensionError, RangeError
+from .errors import MAX_K, DimensionError, KorthError, RangeError
 from .record import Record
 
 __all__ = ["DyadicPhase", "DyadicPhaseVector"]
@@ -120,3 +120,19 @@ class DyadicPhaseVector(Record):
     def masked_sum(self, bits: int) -> int:
         """Sum of p[i] over the set bits i < n of ``bits`` (plain integer sum)."""
         return sum((bits & plane).bit_count() << b for b, plane in enumerate(self.planes))
+
+
+def parse_phase_list(spec: str, n: int, k: int) -> DyadicPhaseVector:
+    """The phase vector a ``--p`` value names: ``all-ones`` or n
+    comma-separated integer exponents."""
+    if spec == "all-ones":
+        return DyadicPhaseVector.all_ones(n, k)
+    try:
+        values = [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise KorthError(
+            f"--p expects 'all-ones' or a comma-separated integer list, got {spec!r}"
+        ) from None
+    if len(values) != n:
+        raise KorthError(f"--p lists {len(values)} entries for an n={n} code")
+    return DyadicPhaseVector(k, tuple(values))

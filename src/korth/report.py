@@ -1,13 +1,19 @@
 """The report writer: ``json_text`` writes every korth report and code
-descriptor.  It needs only the standard library, so a command that writes a
-report loads no other layer for it."""
+descriptor, and ``emit`` sends a report to its file or to stdout.  It needs
+only the standard library, and not the ``json`` package either (the string
+escaper is json's C one), so a command that writes a report loads no other
+layer for it."""
 
 from __future__ import annotations
 
 import math
-from json.encoder import encode_basestring_ascii as _quote
+import sys
 
-__all__ = ["json_text"]
+from _json import encode_basestring_ascii as _quote
+
+__all__ = ["SCHEMA", "emit", "json_text"]
+
+SCHEMA = 1  # the "schema" number every JSON report carries
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
@@ -27,6 +33,16 @@ def json_text(obj) -> str:
     _write_json(obj, "\n", out)
     out.append("\n")
     return "".join(out)
+
+
+def emit(payload: dict, out: str | None) -> None:
+    """Write ``payload`` as a JSON report to the file ``out``, or to stdout."""
+    text = json_text(payload)
+    if out:
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _write_json(obj, nl: str, out: list[str]) -> None:

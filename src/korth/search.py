@@ -30,11 +30,13 @@ calling process.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import MAX_K, RangeError
 from .record import Record
+from .report import SCHEMA, emit
 
 # gf2 and ortho are imported where they are used: a search whose boxes hold
 # no witness runs neither.
@@ -113,7 +115,7 @@ class SearchReport(Record):
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": SCHEMA,
             "k": self.k,
             "prune": self.prune,
             "complete": self.complete,
@@ -321,3 +323,20 @@ def minimality_search(space: SearchSpace, prune: str = "none") -> SearchReport:
     return SearchReport(k=k, prune=prune, boxes=tuple(boxes),
                         elapsed_seconds=time.monotonic() - start, notes=tuple(notes),
                         engines=tuple(engines.values()))
+
+
+def cmd_search_min(args) -> int:
+    """``korth search-min``: exit 1 when the report lists a witness."""
+    if args.m_min > args.m_max:
+        raise RangeError(f"the row-count range is empty: --m-min {args.m_min} "
+                         f"exceeds --m-max {args.m_max}")
+    space = SearchSpace(k=args.k, m_range=tuple(range(args.m_min, args.m_max + 1)),
+                        n_max=args.n_max, budget_seconds=args.budget_seconds)
+    report = minimality_search(space, prune=args.prune)
+    if args.verbose:
+        for line in report.engines:
+            print(f"search-min {line}", file=sys.stderr)
+    payload = report.to_dict()
+    payload["command"] = "search-min"
+    emit(payload, args.out)
+    return 1 if report.witnesses else 0

@@ -20,10 +20,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 import pytest
 
-from korth.cli import (
-    _cmd_check_orth, _cmd_construct, _cmd_distance, _cmd_find_gates, _cmd_reduce_degenerate,
-    _cmd_search_min, _cmd_standard_form, _cmd_verify_gate,
-)
 from korth.codes import PauliOp, StabilizerCode, StandardFormCode, css_standard_form
 from korth.gates import PhaseSolutionSet
 from korth.errors import RangeError
@@ -116,7 +112,8 @@ def all_solutions(sol: PhaseSolutionSet) -> list[tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # the argparse parser the CLI used before its command table: the reference
-# ``korth.cli.parse_args`` must agree with on every command line
+# ``korth.cli.parse_args`` must agree with on every command line.  Each
+# ``func`` is the handler's name, "module.function", as the table gives it.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,25 +130,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON code descriptor here")
     p.add_argument("--ax", help="write A_X in matrix text format")
     p.add_argument("--az", help="write A_Z in matrix text format")
-    p.set_defaults(func=_cmd_construct)
+    p.set_defaults(func="families.cmd_construct")
 
     p = sub.add_parser("standard-form", help="reduce a JSON code to standard form")
     p.add_argument("--code", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_standard_form)
+    p.set_defaults(func="codes.cmd_standard_form")
 
     p = sub.add_parser("check-orth", help="certify k-orthogonality of a matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", help="restriction bit string (defaults to all ones)")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_check_orth)
+    p.set_defaults(func="ortho.cmd_check_orth")
 
     p = sub.add_parser("find-gates", help="solve for all transversal phase vectors")
     p.add_argument("--code", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_find_gates)
+    p.set_defaults(func="gates.cmd_find_gates")
 
     p = sub.add_parser("verify-gate", help="verify a transversal (controlled) phase gate")
     p.add_argument("--code", required=True)
@@ -160,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", help="'all-ones' or comma-separated exponents")
     p.add_argument("--controls", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify_gate)
+    p.set_defaults(func="gates.cmd_verify_gate")
 
     p = sub.add_parser("distance", help="exact CSS distances")
     p.add_argument("--code")
@@ -168,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--az")
     p.add_argument("--weight-cap", type=int, default=None)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_distance)
+    p.set_defaults(func="distance.cmd_distance")
 
     p = sub.add_parser("search-min", help="exhaustive k-orthogonality minimality search")
     p.add_argument("--k", type=int, required=True)
@@ -178,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--prune", choices=("none", "orbit"), default="none")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_search_min)
+    p.set_defaults(func="search.cmd_search_min")
 
     p = sub.add_parser("reduce-degenerate",
                        help="aggregate phases onto degeneracy class representatives")
@@ -186,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_reduce_degenerate)
+    p.set_defaults(func="codes.cmd_reduce_degenerate")
     return parser
 
 

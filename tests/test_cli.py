@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import korth
-from korth import cli
+from korth import usage
 from korth.cli import COMMANDS, REQUIRED, main, parse_args
 from korth.codes import (
     PauliOp, StabilizerCode, code_from_json, code_to_json, is_css, to_standard_form,
@@ -517,20 +518,32 @@ class TestLoadedLayers:
         loaded = proc.stderr.splitlines()[-1].split()
         assert loaded == ["korth"] + [f"korth.{m}" for m in sorted(["cli", "errors", *layers.split()])]
 
-    @pytest.mark.parametrize("argv, status", [
-        ("search-min --k 3 --m-min 4 --m-max 5 --n-max 14 --prune orbit", 0),
-        ("verify-gate --code code.json --k 3 --p all-ones", 0),
-    ], ids=["search-min", "verify-gate"])
-    def test_no_site_preloads_and_no_parser_modules(self, files, argv, status):
-        # Under -S nothing is preloaded, so every module the command needs shows.
+    @pytest.mark.parametrize("argv, status, heavy", [
+        ("search-min --k 3 --m-min 4 --m-max 5 --n-max 14 --prune orbit", 0, {"json"}),
+        ("search-min --k 2 --m-min 3 --m-max 4 --n-max 8 --out r.json", 1, {"json"}),
+        ("check-orth --matrix ax.txt --k 3 --out r.json", 0, {"json"}),
+        ("verify-gate --code code.json --k 3 --p all-ones", 0, set()),
+    ], ids=["search-min", "search-min-witnesses", "check-orth", "verify-gate"])
+    def test_no_site_preloads_and_no_parser_modules(self, files, argv, status, heavy):
+        # Under -S nothing is preloaded, so every module the command needs
+        # shows.  The report writer does without the json package, so only a
+        # command that reads JSON loads it.
+        heavy = heavy | {"argparse", "gettext", "locale", "shutil", "pathlib"}
         probe = ("import sys\n"
                  "from korth.cli import main\n"
                  "status = main(sys.argv[1:])\n"
-                 "heavy = {'argparse', 'gettext', 'locale', 'shutil', 'pathlib'} & set(sys.modules)\n"
+                 f"heavy = {sorted(heavy)!r} & sys.modules.keys()\n"
                  "assert not heavy, f'loaded {sorted(heavy)}'\n"
                  "sys.exit(status)\n")
         proc = self.spawn(files, "-S", "-c", probe, *argv.split())
         assert proc.returncode == status, proc.stderr
+
+    def test_every_handler_is_in_a_layer_its_command_loads(self):
+        for command, (handler, _, _) in COMMANDS.items():
+            module, _, name = handler.partition(".")
+            loads = [layers.split() for argv, _, layers in self.CASES if argv.split()[0] == command]
+            assert loads and all(module in layers for layers in loads), handler
+            assert callable(getattr(importlib.import_module(f"korth.{module}"), name)), handler
 
     def test_import_korth_loads_no_layer(self, tmp_path):
         proc = self.spawn(tmp_path, "-c", "import sys, korth; "
@@ -541,6 +554,14 @@ class TestLoadedLayers:
     def test_verbose_line_names_the_layers(self, tmp_path):
         proc = self.spawn(tmp_path, "-m", "korth.cli", "--verbose", "search-min", "--k", "3",
                           "--m-min", "4", "--m-max", "4", "--n-max", "15", "--prune", "orbit")
+        assert proc.returncode == 1, proc.stderr
+        assert re.fullmatch(r"search-min: exit 1 in \d+\.\d{3}s; layers errors gf2 ortho record report search",
+                            proc.stderr.splitlines()[-1])
+
+    def test_verbose_line_read_by_the_standard_parser_names_the_same_layers(self, tmp_path):
+        # usage, and the second copy of cli it imports under -m, are no layers.
+        proc = self.spawn(tmp_path, "-m", "korth.cli", "--verbose", "search-min", "--k=3",
+                          "--m-min", "4", "--m-max", "4", "--n-max", "15", "--pr", "orbit")
         assert proc.returncode == 1, proc.stderr
         assert re.fullmatch(r"search-min: exit 1 in \d+\.\d{3}s; layers errors gf2 ortho record report search",
                             proc.stderr.splitlines()[-1])
@@ -709,9 +730,9 @@ class TestWholeFlagLines:
             calls.append(line)
             return standard(line)
 
-        standard = cli._parse_standard
+        standard = usage._parse_standard
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_parse_standard", recorded)
+            patch.setattr(usage, "_parse_standard", recorded)
             outcome = _outcome(parse_args, argv)
         assert outcome == _outcome(self.REFERENCE.parse_args, argv)
         if outcome[0] == 0:
@@ -744,7 +765,7 @@ class TestWholeFlagLines:
         def refused(line):
             raise AssertionError(f"the standard parser read {line}")
 
-        monkeypatch.setattr(cli, "_parse_standard", refused)
+        monkeypatch.setattr(usage, "_parse_standard", refused)
         assert _outcome(parse_args, argv) == _outcome(self.REFERENCE.parse_args, argv)
 
     def test_readme_lines_are_found(self):

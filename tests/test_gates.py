@@ -1,6 +1,8 @@
 import cmath
 import itertools
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -177,6 +179,37 @@ class TestFindTransversalPhases:
     def test_k_range(self):
         with pytest.raises(RangeError):
             find_transversal_phases(subdual_css(3), 0)
+
+
+def subdual_module(m: int, k: int) -> tuple[int, Counter]:
+    """The exponent of the solution count and the orders above 1 of the
+    transversal phases mod 2**k on a code whose A_X columns are the 2**m - 1
+    nonzero points x.  Graded row T is 2**(|T|-1) times the indicator of
+    {x >= T}, and the zeta transform q_T = sum_{x >= T} p_x is unimodular
+    (Moebius inversion on the subset lattice), so the solutions are the
+    q with q_T = 0 mod 2**(k-|T|+1) for 1 <= |T| <= k, and q_T free above."""
+    n = (1 << m) - 1
+    exponent = k * n - sum((k - t + 1) * math.comb(m, t) for t in range(1, min(k, m) + 1))
+    orders = Counter({1 << k: n - sum(math.comb(m, t) for t in range(1, k + 1))})
+    for t in range(2, min(k, m) + 1):
+        orders[1 << (t - 1)] += math.comb(m, t)
+    return exponent, +orders
+
+
+class TestSubdualClosedForm:
+    """find-gates on the sub-dual family and a generator-scrambled copy
+    against the closed form of its solution module: standard form changes
+    only the basis of A_X's row space."""
+
+    @pytest.mark.parametrize("m, k", [(m, k) for m in range(3, 9) for k in range(1, m + 2)])
+    def test_count_and_orders(self, m, k):
+        sf = subdual_css(m)
+        mixed = to_standard_form(scrambled(sf.to_stabilizer_code(), random.Random(100 * m + k)))
+        exponent, orders = subdual_module(m, k)
+        for code in (sf, mixed):
+            sol = find_transversal_phases(code, k)
+            assert sol.count() == 1 << exponent
+            assert Counter(order for order in sol.orders if order > 1) == orders
 
 
 def packed_matches_dense(masks: list[int], n: int, k: int,

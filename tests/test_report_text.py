@@ -148,7 +148,7 @@ def test_large_report_memory_peak(tmp_path, monkeypatch, capsys):
     out = tmp_path / "report.json"
     tracemalloc.start()
     try:
-        cli._emit(payloads[0], str(out))
+        report.emit(payloads[0], str(out))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
