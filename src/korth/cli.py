@@ -11,8 +11,8 @@ names it as ``"module.function"``, so the table imports no layer and
 whole flag names, each followed by one value that does not start with "-",
 is read here.  Every other line (help, abbreviations, ``--flag=value``,
 negative numbers as values and every usage error) goes to the standard
-parser in :mod:`korth.usage`, built from the same table; neither it nor the
-standard parser is imported for a plain line.
+parser in :mod:`korth.usage`, built from the same table; neither it nor
+argparse is imported for a plain line.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .errors import KorthError
 # The command table: each subcommand's handler ("module.function" in the
 # layer it drives), help line and flags.  A flag is (name, type, default,
 # choices, help): the default REQUIRED marks one that must be given, and the
-# type None one that takes no value.  Both parsers, the usage lines and
-# -h/--help read it.
+# type None one that takes no value.  Both parsers read it, and argparse
+# writes -h/--help and the usage lines from it.
 REQUIRED = object()
 
 
@@ -145,7 +145,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     module, _, handler = args.func.partition(".")
     try:
         status = getattr(import_module(f"korth.{module}"), handler)(args)
-    except (KorthError, OSError) as exc:
+    except (KorthError, OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.verbose:
@@ -161,4 +161,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    sys.modules["korth.cli"] = sys.modules[__name__]  # korth.usage imports the table from here
     sys.exit(main())

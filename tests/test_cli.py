@@ -545,6 +545,15 @@ class TestLoadedLayers:
             assert loads and all(module in layers for layers in loads), handler
             assert callable(getattr(importlib.import_module(f"korth.{module}"), name)), handler
 
+    @pytest.mark.parametrize("argv", ["--help", "search-min --k x"], ids=["help", "usage-error"])
+    def test_run_as_main_loads_cli_once(self, tmp_path, argv):
+        # korth.usage takes the table from the running copy of cli.
+        proc = self.spawn(tmp_path, "-X", "importtime", "-m", "korth.cli", *argv.split())
+        assert proc.returncode in (0, 2) and "Traceback" not in proc.stderr
+        imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "korth.usage" in imported and "korth.cli" not in imported
+
     def test_import_korth_loads_no_layer(self, tmp_path):
         proc = self.spawn(tmp_path, "-c", "import sys, korth; "
                           "print(*sorted(m for m in sys.modules if m.startswith('korth')))")
@@ -559,7 +568,7 @@ class TestLoadedLayers:
                             proc.stderr.splitlines()[-1])
 
     def test_verbose_line_read_by_the_standard_parser_names_the_same_layers(self, tmp_path):
-        # usage, and the second copy of cli it imports under -m, are no layers.
+        # usage is no layer.
         proc = self.spawn(tmp_path, "-m", "korth.cli", "--verbose", "search-min", "--k=3",
                           "--m-min", "4", "--m-max", "4", "--n-max", "15", "--pr", "orbit")
         assert proc.returncode == 1, proc.stderr
@@ -584,14 +593,15 @@ class TestUsage:
         assert "unrecognized arguments: --strategy weight" in err
 
 
-def _outcome(parse, argv: list[str]) -> tuple[int, dict[str, str] | None]:
+def _outcome(parse, argv: list[str]) -> tuple[int, dict[str, str] | str | None]:
     """The exit status and, on success, the repr of every parsed field
-    (repr, so that nan equals nan)."""
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    (repr, so that nan equals nan); after a usage error, the whole stderr."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
             args = parse(argv)
         except SystemExit as exc:
-            return exc.code, None
+            return exc.code, err.getvalue() if exc.code else None
     return 0, {name: repr(value) for name, value in vars(args).items()}
 
 
@@ -633,7 +643,8 @@ def _command_lines(draw) -> list[str]:
 
 
 class TestParserAgainstArgparse:
-    """The command-table parser accepts and rejects what argparse did."""
+    """The command-table parser accepts and rejects what argparse did, and
+    writes the same usage errors."""
 
     REFERENCE = build_parser()
 
@@ -671,14 +682,14 @@ class TestParserAgainstArgparse:
         ("construct --m 3 -- --ax a", "unrecognized arguments: -- --ax a"),
     ])
     def test_rejects(self, argv, message, capsys):
-        assert _outcome(self.REFERENCE.parse_args, argv.split())[0] == 2
-        assert main(argv.split()) == 2
+        status, reference = _outcome(self.REFERENCE.parse_args, argv.split())
+        assert status == 2 and main(argv.split()) == 2
         captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == reference
         command = argv.split()[0] if argv.split()[:1] in (["construct"], ["search-min"]) else None
-        usage, error = captured.err.splitlines()
-        assert usage.startswith("usage: korth ") and captured.out == ""
+        assert captured.err.startswith("usage: korth ")
         prog = "korth" if command is None or "unrecognized" in message else f"korth {command}"
-        assert error.startswith(f"{prog}: error: {message}")
+        assert captured.err.splitlines()[-1].startswith(f"{prog}: error: {message}")
 
 
 _WHOLE_VALUES = ["3", "+3", "3_000", " 3", "\u0663", "", "nan", "1e400", "x", "orbit", "none", "all"]
@@ -777,7 +788,9 @@ class TestHelp:
         for flag in ("-h", "--help", "--he"):
             status, out, err = run(capsys, flag)
             assert status == 0 and err == "" and out.startswith("usage: korth ")
-            assert len(COMMANDS) == 8 and all(f"\n  {name} " in out for name in COMMANDS)
+            # argparse lists each command on its own line, under the choices
+            assert len(COMMANDS) == 8
+            assert all(re.search(rf"^    {name}( |$)", out, re.M) for name in COMMANDS)
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_command_names_every_flag(self, command, capsys):
@@ -785,6 +798,15 @@ class TestHelp:
         assert status == 0 and err == "" and out.startswith(f"usage: korth {command} ")
         for flag in COMMANDS[command][2]:
             assert f"\n  {flag[0]} " in out
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_notes_each_default(self, command, capsys):
+        status, out, _ = run(capsys, command, "-h")
+        words = " ".join(out.split())  # argparse wraps at the terminal width
+        for name, _, default, _, text in COMMANDS[command][2]:
+            if default is not None:
+                note = "(required)" if default is REQUIRED else f"(default: {default})"
+                assert re.search(rf" {name} \S+ {re.escape(f'{text} {note}'.strip())}", words), name
 
     def test_help_before_a_bad_flag_wins_and_after_one_loses(self, capsys):
         assert main(["search-min", "-h", "--k", "x"]) == 0
@@ -844,9 +866,9 @@ class TestBadInput:
 
     @pytest.fixture
     def files(self, tmp_path, capsys):
-        code, ax = tmp_path / "code.json", tmp_path / "ax.txt"
-        run(capsys, "construct", "--m", "3", "--out", str(code), "--ax", str(ax))
-        files = {"code": code, "ax": ax}
+        code, ax, az = tmp_path / "code.json", tmp_path / "ax.txt", tmp_path / "az.txt"
+        run(capsys, "construct", "--m", "3", "--out", str(code), "--ax", str(ax), "--az", str(az))
+        files = {"code": code, "ax": ax, "az": az}
         descriptor = json.loads(code.read_text())
         for name, content in (
             ("gate_without_p", {"k": 2, "controls": 0}),
@@ -871,6 +893,8 @@ class TestBadInput:
         # nesting past the JSON decoder's recursion limit
         files["deep"] = tmp_path / "deep.json"
         files["deep"].write_text("[" * 200_000)
+        files["not_utf8"] = tmp_path / "not_utf8"
+        files["not_utf8"].write_bytes(b"\xff\xfe")
         for name, text in (("header_words", "a b\n"), ("header_negative", "-1 3\n")):
             files[name] = tmp_path / f"{name}.txt"
             files[name].write_text(text)
@@ -907,17 +931,28 @@ class TestBadInput:
         ["check-orth", "--matrix", "{header_words}", "--k", "1"],
         ["check-orth", "--matrix", "{header_negative}", "--k", "1"],
         ["search-min", "--k", "1", "--m-min", "2", "--m-max", "2", "--n-max", "0"],
+        ["standard-form", "--code", "{not_utf8}"],
+        ["find-gates", "--code", "{not_utf8}", "--k", "2"],
+        ["verify-gate", "--code", "{not_utf8}", "--k", "2", "--p", "all-ones"],
+        ["distance", "--code", "{not_utf8}"],
+        ["reduce-degenerate", "--code", "{not_utf8}", "--k", "2", "--p", "1"],
+        ["check-orth", "--matrix", "{not_utf8}", "--k", "1"],
+        ["distance", "--ax", "{not_utf8}", "--az", "{az}"],
+        ["distance", "--ax", "{ax}", "--az", "{not_utf8}"],
+        ["verify-gate", "--code", "{code}", "--gate", "{not_utf8}"],
     ], ids=["gate-without-p", "pauli-letter-q", "stabilizers-int", "restriction-bit-2",
             "weight-cap-below-1", "negative-budget", "budget-nan", "n-float", "n-bool",
             "gate-floats", "gate-k-bool", "gate-controls-bool", "gate-p-entry-float",
             "gate-p-string", "m-range-empty", "m-min-0", "n-max-above-columns",
             "gate-huge-number", "n-huge", "code-deep", "gate-deep", "p-not-integers",
             "reduce-p-not-integers", "p-wrong-length", "k-without-p", "header-not-integers",
-            "header-negative", "n-max-0"])
+            "header-negative", "n-max-0", "standard-form-not-utf8", "find-gates-not-utf8",
+            "verify-gate-not-utf8", "distance-code-not-utf8", "reduce-not-utf8",
+            "matrix-not-utf8", "ax-not-utf8", "az-not-utf8", "gate-not-utf8"])
     def test_exit_two(self, files, argv, capsys):
         status, _, err = run(capsys, *(a.format(**files) for a in argv))
         assert status == 2
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("descriptor", [

@@ -1,7 +1,9 @@
 import cmath
+import functools
 import itertools
 import math
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -196,20 +198,63 @@ def subdual_module(m: int, k: int) -> tuple[int, Counter]:
     return exponent, +orders
 
 
+def superset_sums(columns: list[int], m: int, p: tuple[int, ...]) -> int:
+    """The zeta transform q_T = sum of p_j over the columns x_j >= T, for
+    every set T of the m check rows, as 64-bit lane T of one int (bit i of a
+    column value x_j is row i's bit j)."""
+    lanes = array("Q", bytes(8 << m))
+    for x, value in zip(columns, p):
+        lanes[x] += value
+    q = int.from_bytes(lanes.tobytes(), "little")
+    for i, without in enumerate(_lanes_without(m)):  # lane T gains lane T | {i}
+        q += (q >> (64 << i)) & without
+    return q
+
+
+@functools.lru_cache(maxsize=None)
+def _lanes_without(m: int) -> list[int]:
+    """For each row i, the mask of the 64-bit lanes T that do not hold i."""
+    full = (1 << 64) - 1
+    return [sum(full << (64 * t) for t in range(1 << m) if not t >> i & 1) for i in range(m)]
+
+
 class TestSubdualClosedForm:
     """find-gates on the sub-dual family and a generator-scrambled copy
     against the closed form of its solution module: standard form changes
     only the basis of A_X's row space."""
 
-    @pytest.mark.parametrize("m, k", [(m, k) for m in range(3, 9) for k in range(1, m + 2)])
-    def test_count_and_orders(self, m, k):
+    CASES = [(m, k) for m in range(3, 9) for k in range(1, m + 2)] + [(9, 3), (10, 3)]
+
+    @staticmethod
+    def codes(m: int, k: int) -> tuple:
         sf = subdual_css(m)
-        mixed = to_standard_form(scrambled(sf.to_stabilizer_code(), random.Random(100 * m + k)))
+        return sf, to_standard_form(scrambled(sf.to_stabilizer_code(), random.Random(100 * m + k)))
+
+    @pytest.mark.parametrize("m, k", CASES)
+    def test_count_and_orders(self, m, k):
         exponent, orders = subdual_module(m, k)
-        for code in (sf, mixed):
+        for code in self.codes(m, k):
             sol = find_transversal_phases(code, k)
             assert sol.count() == 1 << exponent
             assert Counter(order for order in sol.orders if order > 1) == orders
+
+    @pytest.mark.parametrize("m, k", CASES)
+    def test_generators_lie_in_the_moebius_module(self, m, k):
+        # Every generator p has sum_{x >= T} p_x = 0 mod 2**(k-|T|+1) for
+        # each set T of 1..min(k, m) check rows of its own code.  With the
+        # count, this shows the solver's module is the Moebius module.
+        assert (1 << m) << k < 1 << 64  # no lane carries into the next
+        modulus = {t: (1 << (k - t + 1)) - 1 for t in range(1, min(k, m) + 1)}
+        low = sum(modulus[t.bit_count()] << (64 * t) for t in range(1, 1 << m)
+                  if t.bit_count() in modulus)
+        for code in self.codes(m, k):
+            sol = find_transversal_phases(code, k)
+            rows = code.a_x.row_ints()
+            assert len(rows) == m
+            columns = [sum((row >> j & 1) << i for i, row in enumerate(rows))
+                       for j in range(code.n)]
+            for vec in sol.generators:
+                assert superset_sums(columns, m, vec.p) & low == 0, vec.p
 
 
 def packed_matches_dense(masks: list[int], n: int, k: int,
