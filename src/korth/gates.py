@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Optional
+from itertools import combinations
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .codes import StandardFormCode, degeneracy_classes, is_css, load_standard_form
 from .errors import (
     MAX_K, CongruenceError, DegenerateCodeError, KorthError, RangeError, UnsupportedCodeError,
 )
 from .gf2 import BitVec, and_product, span_ints
-from .ortho import OrthogonalityReport, is_k_orthogonal, isolate_column, row_products
 from .phases import DyadicPhase, DyadicPhaseVector, parse_phase_list
 from .record import Record
 from .report import SCHEMA, emit
+
+if TYPE_CHECKING:
+    from .ortho import OrthogonalityReport
 
 __all__ = [
     "GateDescriptor",
@@ -137,6 +140,8 @@ def phase_quantization_exponent(sf: StandardFormCode) -> int:
                 f"columns {cls.indices} share a syndrome; apply "
                 "nondegenerate_reduction first"
             )
+    from .ortho import isolate_column
+
     for col in range(sf.n):
         rows = isolate_column(sf.a_x, col).rows
         assert and_product(rows).bits == 1 << col, "column isolation failed on distinct columns"
@@ -151,22 +156,80 @@ def find_transversal_phases(sf: StandardFormCode, k: int) -> PhaseSolutionSet:
     row 2**(|T|-1) * x_T per set T of 1..k check rows, x_T their AND: the XOR
     of rows b_i over S is the sum over nonempty T in S of (-2)**(|T|-1) * x_T,
     Moebius inversion gives the converse and terms with |T| > k vanish mod
-    2**k, so both row sets span one module.  The solve is a diagonalization
-    with odd-unit pivots (the ring is local, so minimum 2-adic valuation
-    entries can always pivot).
+    2**k, so both row sets span one module.  When the columns of A_X are the
+    2**m - 1 nonzero points of GF(2)**m (the sub-dual family and every copy
+    of it) the module has the closed-form basis of :func:`_moebius_basis`;
+    any other code is solved by a diagonalization with odd-unit pivots (the
+    ring is local, so minimum 2-adic valuation entries can always pivot).
     """
     if not 1 <= k <= MAX_K:
         raise RangeError(f"denominator exponent must be in 1..{MAX_K}, got {k}")
-    n = sf.n
-    graded = ((acc, len(subset) - 1)
-              for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << n) - 1))
-    gens = _kernel_mod_power_of_two(graded, n, k)
+    n, m = sf.n, sf.a_x.nrows
+    # The columns are the nonzero points when there are 2**m - 1 of them,
+    # pairwise distinct and nonzero.
+    if n == (1 << m) - 1 and len(set(columns := sf.a_x.column_ints()) - {0}) == n:
+        gens = _moebius_basis(columns, m, k)
+    else:
+        from .ortho import row_products
+
+        graded = ((acc, len(subset) - 1)
+                  for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << n) - 1))
+        gens = _kernel_mod_power_of_two(graded, n, k)
     generators = tuple(vec for vec, _ in gens)
     orders = tuple(order for _, order in gens)
     phases = tuple(
         DyadicPhase(g.masked_sum(sf.s.bits), k) for g in generators
     )
     return PhaseSolutionSet(k, n, generators, orders, phases)
+
+
+def _moebius_basis(columns: list[int], m: int, k: int) -> list[tuple[DyadicPhaseVector, int]]:
+    """Generators (vector, additive order) of {p : A p = 0 mod 2**k} for the
+    graded rows A of a code whose A_X columns x_j (bit i = row i's bit j)
+    are the 2**m - 1 nonzero points of GF(2)**m.
+
+    Graded row T is 2**(|T|-1) times the indicator of {x >= T}, and the zeta
+    transform q_T = sum_{x >= T} p_x is unimodular over Z, with inverse
+    p_x = sum_{U >= x} (-1)**(|U|-|x|) q_U (Moebius inversion on the subset
+    lattice, Rota 1964).  So the solutions are the q with
+    q_T = 0 mod 2**(k-|T|+1) for |T| <= k, and the basis pulls back
+    q = 2**max(0, k-|U|+1) * e_U for each row set U, in (|U|, lexicographic)
+    order: c_U is 2**a * (-1)**(|U|-|x_j|), a = max(0, k-|U|+1), at each
+    qubit j with x_j <= U, and zero elsewhere, of order 2**min(|U|-1, k).
+    Sets of one row give c_U = 0 and are left out.
+
+    Entry 2**a has bit a alone and entry 2**k - 2**a has bits a..k-1, so
+    bit plane a is c_U's support and planes a+1..k-1 hold its negative
+    entries: the vectors are built from these masks without a check.
+    """
+    n, q = len(columns), 1 << k
+    where = [0] * (n + 1)  # where[x]: the qubit whose column is x
+    even, odd = [0] * (n + 1), [0] * (n + 1)  # qubits with x <= U and |x| even, odd
+    for j, x in enumerate(columns):
+        where[x] = j
+        (odd if x.bit_count() & 1 else even)[x] = 1 << j
+    for i in range(m):  # the subset sums, one row at a time
+        bit = 1 << i
+        for u in range(n + 1):
+            if u & bit:
+                even[u] |= even[u ^ bit]
+                odd[u] |= odd[u ^ bit]
+    base = [0] * n
+    gens = []
+    for t in range(2, m + 1):
+        a = max(0, k - t + 1)
+        plus, minus = 1 << a, q - (1 << a)
+        for subset in combinations(range(m), t):
+            u = sum(1 << i for i in subset)
+            p = base.copy()
+            x = u
+            while x:  # every nonzero x <= u
+                p[where[x]] = minus if (t - x.bit_count()) & 1 else plus
+                x = (x - 1) & u
+            negative = odd[u] if t % 2 == 0 else even[u]
+            planes = (0,) * a + (even[u] | odd[u],) + (negative,) * (k - 1 - a)
+            gens.append((DyadicPhaseVector._from_planes(k, tuple(p), planes), 1 << min(t - 1, k)))
+    return gens
 
 
 def _kernel_mod_power_of_two(
@@ -273,6 +336,8 @@ def _graded_violation(
     whose phase exponents do not sum to zero modulo 2**(k - max(controls, t-1)),
     as (rows, product mask, residue, modulus); None when every one does.
     """
+    from .ortho import row_products
+
     k = theta.k
     for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << sf.n) - 1):
         modulus = 1 << (k - max(controls, len(subset) - 1))
@@ -321,6 +386,8 @@ def verify_korth_necessity(
             residue=residue,
             modulus=modulus,
         )
+    from .ortho import is_k_orthogonal
+
     r_prime = BitVec(sf.n, sum(theta.planes[:1]))  # bit plane 0: the odd exponents
     return is_k_orthogonal(sf.a_x, k, r_prime)
 

@@ -87,6 +87,15 @@ class DyadicPhaseVector(Record):
         vec._fill(k, p, k, [raw[j::size][::-1] for j in range((k + 7) // 8)])
         return vec
 
+    @classmethod
+    def _from_planes(cls, k: int, p: tuple[int, ...], planes: tuple[int, ...]) -> "DyadicPhaseVector":
+        """The vector with exponents ``p``, each already in [0, 2**k), and
+        bit planes ``planes``, the top one nonzero: unchecked."""
+        vec = cls.__new__(cls)
+        for name, value in (("k", k), ("p", p), ("planes", planes)):
+            object.__setattr__(vec, name, value)
+        return vec
+
     def _fill(self, k: int, p: tuple[int, ...], width: int, chunks: list[bytes]) -> None:
         """Set the fields.  ``chunks[j]`` holds byte j of every exponent, one
         byte per qubit, last qubit first, so bit i lands at bit i; the planes

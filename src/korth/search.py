@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import MAX_K, RangeError
 from .record import Record
@@ -55,15 +55,18 @@ __all__ = [
 
 # Boxes with at most this many subsets report an exact candidate count.
 _EXACT_COUNT_LIMIT = 200_000
+# Most (m, n) boxes one scan may list: each is a record in the report.
+MAX_BOXES = 1 << 16
 
 
 class SearchSpace(Record):
     """Parameter boxes to scan: row counts in ``m_range``, columns up to
-    ``n_max``, with an optional wall-clock budget."""
+    ``n_max``, with an optional wall-clock budget.  A scan of more than
+    ``MAX_BOXES`` (m, n) boxes is refused before anything is built."""
 
     __slots__ = ("k", "m_range", "n_max", "budget_seconds")
 
-    def __init__(self, k: int, m_range: tuple[int, ...], n_max: int,
+    def __init__(self, k: int, m_range: Sequence[int], n_max: int,
                  budget_seconds: Optional[float] = None):
         if not 1 <= k <= MAX_K:
             raise RangeError(f"orthogonality level must be in 1..{MAX_K}, got {k}")
@@ -72,6 +75,13 @@ class SearchSpace(Record):
                              f"size floor {(1 << (k + 1)) - 1} has fewer columns, got {n_max}")
         if n_max < 1:
             raise RangeError(f"n_max must be >= 1, got {n_max}")
+        try:
+            boxes = len(m_range) * n_max  # a range's length is not a walk
+        except OverflowError:  # a range longer than a C index counts
+            boxes = (m_range.stop - m_range.start) // m_range.step * n_max
+        if boxes > MAX_BOXES:
+            raise RangeError(f"the scan holds {boxes} (m, n) boxes, "
+                             f"more than the {MAX_BOXES} one run may list")
         if not m_range or min(m_range) < 1:
             raise RangeError(f"m_range must hold row counts >= 1, got {m_range}")
         top = max(m_range)  # no box holds more distinct nonzero columns
@@ -330,7 +340,7 @@ def cmd_search_min(args) -> int:
     if args.m_min > args.m_max:
         raise RangeError(f"the row-count range is empty: --m-min {args.m_min} "
                          f"exceeds --m-max {args.m_max}")
-    space = SearchSpace(k=args.k, m_range=tuple(range(args.m_min, args.m_max + 1)),
+    space = SearchSpace(k=args.k, m_range=range(args.m_min, args.m_max + 1),
                         n_max=args.n_max, budget_seconds=args.budget_seconds)
     report = minimality_search(space, prune=args.prune)
     if args.verbose:

@@ -23,7 +23,7 @@ from korth.codes import (
 from korth.families import subdual_css
 from korth.gf2 import format_matrix_text, parse_matrix_text
 
-from conftest import build_parser, five_qubit_code, scrambled, spans_equal
+from conftest import build_parser, five_qubit_code, random_css_sf, scrambled, spans_equal
 
 
 def run(capsys, *argv):
@@ -301,21 +301,25 @@ class TestFindGates:
         assert data["count"] == 32
         assert all(len(g["p"]) == 7 for g in data["generators"])
 
-    # sha256 of the `find-gates --out` report.  The k = 1 cases were recorded
-    # with the list-of-lists solver (tests/test_gates.py::dense_kernel) fed
-    # the 2**m codeword supports, the rest with it fed the graded rows
-    # 2**(|T|-1) * x_T the solver takes: a change to the generators, their
+    # sha256 of the `find-gates --out` report.  The sub-dual codes
+    # ("construct" and "scrambled") were recorded with the Moebius basis
+    # (gates._moebius_basis), after their count and multiset of orders were
+    # checked against the solver's reports; the "random" codes (A_X of m
+    # rows and 4m - 1 columns, not all distinct and nonzero) with the
+    # solver, whose reports they pin: a change to the generators, their
     # order or the report layout breaks them.
     GOLDEN = {
-        ("construct", 7, 3): "d64730cf33c481e424cd173cb830ccbcbfa3aba00eeba13f7b75c71bc6c00621",
-        ("construct", 8, 7): "997ec5a93293105c5be167a340b9f7d1e4dbe12079002505b626bdbfa9f123fc",
-        ("construct", 5, 1): "e1d93d5aea42cfc62432b6b750c469105a6f85afbc5b3ff64df8269312031503",
-        ("construct", 5, 3): "8d5b6067a94f5b2b8ad8ab37d715469018ab9346cea85bbbb566a7b78bef0f67",
-        ("construct", 5, 4): "02071443fe0fcdebd256265c40f18d830221bda3a0b30ee45096fddad2671670",
-        ("construct", 6, 1): "8540e34e883f7e16210d2a688fb170a43f3520dbc8b63b4c4bddaef8bbbe5752",
-        ("construct", 6, 3): "bf0b2a6f5b90ddc46585c3c9d44ed0fd30c8e0114fce6a9e2b27db121b1cf0fe",
-        ("construct", 6, 5): "0100129badcfcab6dc0cd238c36592d85ebfb103dc2af70b49915e505850398d",
-        ("scrambled", 6, 3): "5996f0404b2c04d6f6b531ca6680b31e940dc76c6e362be0ae21c0f9833fcfc5",
+        ("construct", 7, 3): "33eb65f5952750d5444823356b20e07b0aefa70df6a6099a7188179b76f86f7e",
+        ("construct", 8, 7): "54f96c4bab2f3e3df45ac52a20250626ba4f54b8051dde841e38bd3cd6e53983",
+        ("construct", 5, 1): "a5d42df161c895318a1aad140760bd10b4825fb6a55ec51b2751bcfa8774da16",
+        ("construct", 5, 3): "9a470f2ab51960ccfa2509d2462f35c5326da07320646fc060b4745db1dfac5b",
+        ("construct", 5, 4): "8978d74a8fca412605d97de94a25bb7ae8a011fdb2c6956bf76a06bacdcc3cf3",
+        ("construct", 6, 1): "e77d5c87cd4a810829df44933c4f6fd5389da69958ba5ba140142494633a90df",
+        ("construct", 6, 3): "ca86e4905f222c9565f96b1af062d642a28a217f7d895f6d8f3358a3b1b56393",
+        ("construct", 6, 5): "51c7d7c73385a75d1b2cf1b2ad0f860572edfc936370fd88d64a5c09eec2d86e",
+        ("scrambled", 6, 3): "d8505954b204901ac6cfa37f6d0221f8587b7da86dd25ada1ded42224788548e",
+        ("random", 4, 3): "4921a42f7ead726be8e71452a174eaa16270cc32c0b15a9196e4c2ab06c8c5a6",
+        ("random", 5, 2): "fb0a40ac20ef43241d2e523d844d268edc82ed04169919e3bf166eac8dd291ef",
     }
 
     @pytest.mark.parametrize("source,m,k", sorted(GOLDEN), ids=lambda v: str(v))
@@ -323,6 +327,9 @@ class TestFindGates:
         code = tmp_path / "code.json"
         if source == "construct":
             run(capsys, "construct", "--m", str(m), "--out", str(code))
+        elif source == "random":
+            sf = random_css_sf(random.Random(m), 4 * m - 1, m)
+            code.write_text(code_to_json(sf.to_stabilizer_code()))
         else:
             base = subdual_css(m).to_stabilizer_code()
             code.write_text(code_to_json(scrambled(base, random.Random(m), permute_qubits=True)))
@@ -502,8 +509,10 @@ class TestLoadedLayers:
         ("construct --m 5 --out c5.json", 0, "codes families gf2 phases record report"),
         ("standard-form --code code.json", 0, "codes gf2 phases record report"),
         ("check-orth --matrix ax.txt --k 3", 0, "gf2 ortho record"),
-        ("find-gates --code code.json --k 3", 0, "codes gates gf2 ortho phases record report"),
-        ("verify-gate --code code.json --k 3 --p all-ones", 0, "codes gates gf2 ortho phases record report"),
+        ("find-gates --code code.json --k 3", 0, "codes gates gf2 phases record report"),
+        ("verify-gate --code code.json --k 3 --p all-ones", 0, "codes gates gf2 phases record report"),
+        ("verify-gate --code code.json --k 3 --p all-ones --controls 1", 0,
+         "codes gates gf2 ortho phases record report"),
         ("distance --code code.json", 0, "codes distance gf2 phases record report"),
         ("distance --ax ax.txt --az az.txt", 0, "distance gf2 record"),
         ("search-min --k 2 --m-min 3 --m-max 4 --n-max 8", 1, "gf2 ortho record report search"),
@@ -511,7 +520,8 @@ class TestLoadedLayers:
     ]
 
     @pytest.mark.parametrize("argv, status, layers", CASES,
-                             ids=[" ".join(c[0].split()[:2]) for c in CASES])
+                             ids=[" ".join(c[0].split()[:2]) + " --controls" * ("--controls" in c[0])
+                                  for c in CASES])
     def test_command_loads_only_its_layers(self, files, argv, status, layers):
         proc = self.spawn(files, "-c", self.PROBE, *argv.split())
         assert proc.returncode == status, proc.stderr
@@ -858,6 +868,30 @@ class TestHugeK:
                               timeout=120)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+class TestHugeSearch:
+    """A search over more (m, n) boxes than one report may list is refused
+    before any box is built: each run gets 2,000,000 KB of address space."""
+
+    PROBE = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2_000_000 << 10, 2_000_000 << 10))\n"
+             "from korth.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+
+    @pytest.mark.parametrize("argv", [
+        "--k 3 --m-min 4 --m-max 1000000000000 --n-max 14 --budget-seconds 1",
+        "--k 64 --m-min 64 --m-max 64 --n-max 18446744073709551615 --budget-seconds 1",
+        "--k 3 --m-min 4 --m-max 1000000000000000000000000000000 --n-max 14",
+    ], ids=["wide-m-range", "huge-n-max", "m-range-past-a-c-index"])
+    def test_exit_two(self, tmp_path, argv):
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, "search-min", *argv.split()],
+                              cwd=tmp_path, env=TestLoadedLayers.ENV, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert re.fullmatch(r"error: the scan holds \d+ \(m, n\) boxes, more than the 65536 "
+                            r"one run may list\n", proc.stderr)
         assert proc.stdout == ""
 
 

@@ -3,7 +3,6 @@ import functools
 import itertools
 import math
 import random
-from array import array
 from collections import Counter
 
 import pytest
@@ -198,63 +197,157 @@ def subdual_module(m: int, k: int) -> tuple[int, Counter]:
     return exponent, +orders
 
 
-def superset_sums(columns: list[int], m: int, p: tuple[int, ...]) -> int:
+def superset_sums(columns: list[int], m: int, p: tuple[int, ...], width: int) -> int:
     """The zeta transform q_T = sum of p_j over the columns x_j >= T, for
-    every set T of the m check rows, as 64-bit lane T of one int (bit i of a
-    column value x_j is row i's bit j)."""
-    lanes = array("Q", bytes(8 << m))
+    every set T of the m check rows, as lane T, ``width`` bits wide, of one
+    int (bit i of a column value x_j is row i's bit j).  ``width`` is a
+    whole number of bytes."""
+    size = width // 8
+    lanes = bytearray(size << m)
     for x, value in zip(columns, p):
-        lanes[x] += value
-    q = int.from_bytes(lanes.tobytes(), "little")
-    for i, without in enumerate(_lanes_without(m)):  # lane T gains lane T | {i}
-        q += (q >> (64 << i)) & without
+        lanes[size * x:size * (x + 1)] = value.to_bytes(size, "little")
+    q = int.from_bytes(lanes, "little")
+    for i in range(m):  # lane T gains lane T | {i}
+        q += (q >> (width << i)) & _lanes_without(m, width)[i]
     return q
 
 
 @functools.lru_cache(maxsize=None)
-def _lanes_without(m: int) -> list[int]:
-    """For each row i, the mask of the 64-bit lanes T that do not hold i."""
-    full = (1 << 64) - 1
-    return [sum(full << (64 * t) for t in range(1 << m) if not t >> i & 1) for i in range(m)]
+def _lanes_without(m: int, width: int) -> list[int]:
+    """For each row i, the mask of the lanes T that do not hold i."""
+    full = (1 << width) - 1
+    return [sum(full << (width * t) for t in range(1 << m) if not t >> i & 1) for i in range(m)]
 
 
 class TestSubdualClosedForm:
-    """find-gates on the sub-dual family and a generator-scrambled copy
-    against the closed form of its solution module: standard form changes
-    only the basis of A_X's row space."""
+    """find-gates on codes whose A_X columns are the 2**m - 1 nonzero points:
+    the sub-dual family, a qubit-permuted generator-scrambled copy and an
+    S-conjugated (non-CSS) copy, whose standard forms change only the basis
+    of A_X's row space.  It writes the Moebius basis without a solve, so its
+    oracles are the closed form of the module and the solver fed the graded
+    rows."""
 
-    CASES = [(m, k) for m in range(3, 9) for k in range(1, m + 2)] + [(9, 3), (10, 3)]
+    CASES = [(m, k) for m in range(3, 9) for k in range(1, m + 2)] + [(3, 64), (4, 64)]
 
     @staticmethod
     def codes(m: int, k: int) -> tuple:
         sf = subdual_css(m)
-        return sf, to_standard_form(scrambled(sf.to_stabilizer_code(), random.Random(100 * m + k)))
+        base, rng = sf.to_stabilizer_code(), random.Random(100 * m + k)
+        permuted = to_standard_form(scrambled(base, rng, permute_qubits=True))
+        conjugated = to_standard_form(scrambled(base, rng, s_mask=rng.getrandbits(sf.n) | 1))
+        assert not is_css(conjugated)
+        return sf, permuted, conjugated
 
-    @pytest.mark.parametrize("m, k", CASES)
+    @pytest.mark.parametrize("m, k", CASES + [(9, 3), (10, 3)])
     def test_count_and_orders(self, m, k):
         exponent, orders = subdual_module(m, k)
         for code in self.codes(m, k):
             sol = find_transversal_phases(code, k)
             assert sol.count() == 1 << exponent
-            assert Counter(order for order in sol.orders if order > 1) == orders
+            assert Counter(sol.orders) == orders
 
-    @pytest.mark.parametrize("m, k", CASES)
+    @pytest.mark.parametrize("m, k", CASES + [(9, 3), (10, 3)])
     def test_generators_lie_in_the_moebius_module(self, m, k):
         # Every generator p has sum_{x >= T} p_x = 0 mod 2**(k-|T|+1) for
-        # each set T of 1..min(k, m) check rows of its own code.  With the
-        # count, this shows the solver's module is the Moebius module.
-        assert (1 << m) << k < 1 << 64  # no lane carries into the next
+        # each set T of 1..min(k, m) check rows of its own code.
+        width = (k + m + 8) // 8 * 8  # p_x < 2**k, so no lane carries into the next
         modulus = {t: (1 << (k - t + 1)) - 1 for t in range(1, min(k, m) + 1)}
-        low = sum(modulus[t.bit_count()] << (64 * t) for t in range(1, 1 << m)
+        low = sum(modulus[t.bit_count()] << (width * t) for t in range(1, 1 << m)
                   if t.bit_count() in modulus)
         for code in self.codes(m, k):
             sol = find_transversal_phases(code, k)
-            rows = code.a_x.row_ints()
-            assert len(rows) == m
-            columns = [sum((row >> j & 1) << i for i, row in enumerate(rows))
-                       for j in range(code.n)]
+            columns = code.a_x.column_ints()
             for vec in sol.generators:
-                assert superset_sums(columns, m, vec.p) & low == 0, vec.p
+                assert superset_sums(columns, m, vec.p, width) & low == 0, vec.p
+
+    @pytest.mark.parametrize("m, k", CASES)
+    def test_same_module_as_the_solver(self, m, k):
+        # Each side's generators lie in the other's module, and the two
+        # have one count and one multiset of orders.
+        for code in self.codes(m, k):
+            sol = find_transversal_phases(code, k)
+            n, q = code.n, 1 << k
+            masks, exponents = graded_rows(code.a_x.row_ints(), n, k)
+            solver = gates._kernel_mod_power_of_two(zip(masks, exponents), n, k)
+            assert sol.count() == math.prod(order for _, order in solver)
+            assert sorted(sol.orders) == sorted(order for _, order in solver)
+            for gen in sol.generators:
+                assert all((gen.masked_sum(mask) << e) % q == 0
+                           for mask, e in zip(masks, exponents))
+            contains = moebius_span(code, sol.generators, k)
+            assert all(contains(vec.p) for vec, _ in solver)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_generators_are_gates_built_as_checked(self, m):
+        for k in sorted({1, 2, 3, m - 1, m, m + 1, 64}):
+            for code in self.codes(m, k):
+                sol = find_transversal_phases(code, k)
+                for gen, order in zip(sol.generators, sol.orders):
+                    checked = DyadicPhaseVector(k, gen.p)
+                    assert (gen.k, gen.p, gen.planes) == (checked.k, checked.p, checked.planes)
+                    low = min((x & -x).bit_length() - 1 for x in gen.p if x)
+                    assert order == 1 << (k - low)
+                    assert logical_phase_action(code, gen).ok
+
+    def test_only_all_nonzero_points_skip_the_solver(self, monkeypatch, rng):
+        solve = gates._kernel_mod_power_of_two
+        calls = []
+        monkeypatch.setattr(gates, "_kernel_mod_power_of_two",
+                            lambda *args: calls.append(1) or solve(*args))
+        for code in self.codes(4, 3):
+            find_transversal_phases(code, 3)
+        assert not calls
+        repeated = [*range(1, 7), 6]  # n = 2**3 - 1, one column twice
+        fewer = list(range(1, 15))  # 14 of the 15 nonzero points
+        for m, columns in ((3, repeated), (4, fewer), (4, [*range(1, 15), 3])):
+            code = css_from_columns(m, columns, rng)
+            for k in (1, 3, m + 1):
+                sol = find_transversal_phases(code, k)
+                masks, exponents = graded_rows(code.a_x.row_ints(), code.n, k)
+                expected = solve(zip(masks, exponents), code.n, k)
+                assert [vec.p for vec in sol.generators] == [vec.p for vec, _ in expected]
+                assert list(sol.orders) == [order for _, order in expected]
+        assert len(calls) == 9
+
+
+def css_from_columns(m: int, columns: list[int], rng: random.Random):
+    """A CSS standard form with these A_X columns and one logical qubit."""
+    a_x = BitMat.from_columns(m, columns)
+    rows = list(null_space(a_x).rows)
+    rng.shuffle(rows)
+    return css_standard_form(a_x, BitMat(a_x.ncols, tuple(rows[: len(columns) - 1 - m])))
+
+
+def moebius_span(code, generators, k: int):
+    """A test of membership in the span of ``generators`` mod 2**k, generator
+    i taken as c_U for the i-th set U of two or more check rows in (|U|,
+    lexicographic) order.  c_U is zero at the qubit whose column is x unless
+    x <= U, so peeling the generators off from the last, each at the qubit
+    whose column is its U, leaves zero exactly when a vector is in the span.
+    Vectors are packed in lanes of 2k + 1 bits, as the solver packs them."""
+    m, n, q, width = code.a_x.nrows, code.n, 1 << k, 2 * k + 1
+    where = {x: j for j, x in enumerate(code.a_x.column_ints())}
+    sets = [sum(1 << i for i in subset)
+            for t in range(2, m + 1) for subset in itertools.combinations(range(m), t)]
+    assert len(sets) == len(generators)
+    ones = sum(1 << (width * j) for j in range(n))
+
+    def pack(p):
+        return sum(x << (width * j) for j, x in enumerate(p))
+
+    peel = [(width * where[u], vec.p[where[u]], ones * q - pack(vec.p))
+            for u, vec in zip(sets, generators)][::-1]
+
+    def contains(p) -> bool:
+        rest = pack(p)
+        for shift, scale, negated in peel:
+            entry = (rest >> shift) & (q - 1)
+            if entry % scale:
+                return False
+            rest = (rest + entry // scale * negated) & (ones * (q - 1))
+        return rest == 0
+
+    return contains
 
 
 def packed_matches_dense(masks: list[int], n: int, k: int,
@@ -368,8 +461,9 @@ class TestGradedSolveAgainstSpanSolve:
 class TestExactPhaseVectors:
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_solver_generators_match_checked_construction(self, m, rng):
-        sf = subdual_css(m)
-        for k in sorted({1, 2, 3, m - 1, m, m + 1}):
+        # The family takes the Moebius basis, the random code the solver.
+        for sf, k in itertools.product((subdual_css(m), random_css_sf(rng, (1 << m) + 1, m)),
+                                       sorted({1, 2, 3, m - 1, m, m + 1})):
             for gen in find_transversal_phases(sf, k).generators:
                 checked = DyadicPhaseVector(k, gen.p)
                 assert (gen.k, gen.p, gen.planes) == (checked.k, checked.p, checked.planes)

@@ -9,7 +9,9 @@ from korth import search
 from korth.errors import RangeError
 from korth.gf2 import BitMat, null_space, rank
 from korth.ortho import is_k_orthogonal
-from korth.search import SearchSpace, full_rank_count, minimality_search, subset_parity_table
+from korth.search import (
+    MAX_BOXES, SearchSpace, full_rank_count, minimality_search, subset_parity_table,
+)
 
 from conftest import (engine_search, enumerate_candidates, kernel, sweep_rank, tail_table,
                       walk_hits, walk_lookups)
@@ -342,6 +344,20 @@ class TestSinglePathAgainstBruteForce:
         SearchSpace(k=3, m_range=(4, 3), n_max=15)
         with pytest.raises(RangeError, match=r"n_max must be <= 2\*\*4-1"):
             SearchSpace(k=3, m_range=(4, 3), n_max=16)
+
+    def test_more_boxes_than_a_report_lists_rejected(self):
+        # (m_max - m_min + 1) * n_max boxes, read off a range without walking it.
+        SearchSpace(k=12, m_range=range(14, 15), n_max=8192)
+        SearchSpace(k=15, m_range=range(17, 19), n_max=MAX_BOXES // 2)
+        with pytest.raises(RangeError, match=f"holds {MAX_BOXES + 2} \\(m, n\\) boxes, "
+                                             f"more than the {MAX_BOXES} one run may list"):
+            SearchSpace(k=15, m_range=range(17, 19), n_max=MAX_BOXES // 2 + 1)
+        with pytest.raises(RangeError, match="holds 13999999999958 "):
+            SearchSpace(k=3, m_range=range(4, 10**12 + 1), n_max=14)
+        with pytest.raises(RangeError, match=f"holds {(10**30 - 3) * 14} "):  # len() overflows
+            SearchSpace(k=3, m_range=range(4, 10**30 + 1), n_max=14)
+        with pytest.raises(RangeError, match=f"holds {2**64 - 1} "):
+            SearchSpace(k=64, m_range=range(64, 65), n_max=2**64 - 1)
 
 
 def _count_clock(monkeypatch) -> list[int]:
