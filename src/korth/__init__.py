@@ -15,21 +15,23 @@ from importlib import import_module
 _EXPORTS = {
     name: module
     for module, names in {
-        "codes": "DegeneracyClass DegeneracyPartition PauliOp ReducedView StabilizerCode "
-                 "StandardFormCode code_from_json code_to_json css_standard_form "
-                 "degeneracy_classes is_css logical_zero_support nondegenerate_reduction "
-                 "to_standard_form",
-        "distance": "DistanceReport ThreeColumnCheck css_distances z_distance_floor",
-        "errors": "CongruenceError DegenerateCodeError DimensionError InvalidCodeError "
-                  "KorthError MatrixParseError NoSyndromeError RangeError UnsupportedCodeError",
+        "codes": "PauliOp StabilizerCode StandardFormCode code_from_json code_to_json "
+                 "css_standard_form is_css to_standard_form",
+        "degenerate": "DegeneracyClass DegeneracyPartition ReducedView degeneracy_classes "
+                      "nondegenerate_reduction",
+        "distance": "DistanceReport css_distances",
+        "errors": "DimensionError InvalidCodeError KorthError MatrixParseError RangeError "
+                  "UnsupportedCodeError",
         "families": "SubdualParts hamming_parity_check minimal_korth_matrix subdual_css "
                     "subdual_parts",
         "gates": "ControlledPhaseReport GateDescriptor PhaseActionResult PhaseSolutionSet "
-                 "controlled_phase_action find_transversal_phases logical_phase_action "
-                 "phase_quantization_exponent verify_korth_necessity",
+                 "controlled_phase_action find_transversal_phases logical_phase_action",
         "gf2": "BitMat BitVec and_product format_matrix_text in_rowspan null_space "
                "parse_matrix_text rank",
-        "ortho": "OrthogonalityReport OrthogonalityWitness is_k_orthogonal isolate_column",
+        "lemmas": "CongruenceError DegenerateCodeError NoSyndromeError ThreeColumnCheck "
+                  "isolate_column logical_zero_support phase_quantization_exponent "
+                  "verify_korth_necessity z_distance_floor",
+        "ortho": "OrthogonalityReport OrthogonalityWitness is_k_orthogonal",
         "phases": "DyadicPhase DyadicPhaseVector",
         "search": "SearchReport SearchSpace SearchWitness minimality_search",
     }.items()

@@ -86,7 +86,7 @@ COMMANDS = {
         _flag("--prune", default="none", choices=("none", "orbit")),
         _flag("--out"),
     )),
-    "reduce-degenerate": ("codes.cmd_reduce_degenerate",
+    "reduce-degenerate": ("degenerate.cmd_reduce_degenerate",
                           "aggregate phases onto degeneracy class representatives", (
         _flag("--code", default=REQUIRED),
         _flag("--k", int, REQUIRED),

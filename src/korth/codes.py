@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .errors import DimensionError, InvalidCodeError
 from .gf2 import BitMat, BitVec, RowSpace, orthogonal_rows, rank, solve
-from .phases import DyadicPhaseVector, parse_phase_list
 from .record import Record
 from .report import SCHEMA, emit, json_text
 
@@ -25,14 +24,8 @@ __all__ = [
     "PauliOp",
     "StabilizerCode",
     "StandardFormCode",
-    "DegeneracyClass",
-    "DegeneracyPartition",
-    "ReducedView",
     "to_standard_form",
     "is_css",
-    "logical_zero_support",
-    "degeneracy_classes",
-    "nondegenerate_reduction",
     "css_standard_form",
     "code_to_json_dict",
     "code_from_json_dict",
@@ -42,7 +35,6 @@ __all__ = [
 
 _SIGN_LABELS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _SIGN_VALUES = {"+": 0, "+i": 1, "-": 2, "-i": 3}
-_PHASE_COMPLEX = (1 + 0j, 1j, -1 + 0j, -1j)
 _NOT_PAULI = str.maketrans("", "", "IXYZ")  # deletes every valid letter
 _X_DIGITS = bytes(map(dict(zip(b"IXYZ", b"0110")).get, range(256), b"." * 256))
 _Z_DIGITS = bytes(map(dict(zip(b"IXYZ", b"0011")).get, range(256), b"." * 256))
@@ -457,77 +449,6 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     )
 
 
-def logical_zero_support(sf: StandardFormCode) -> list[tuple[BitVec, complex]]:
-    """Basis-state expansion of the logical zero state.
-
-    Returns 2**m pairs aligned with ``span_ints(a_x.row_ints())``: the support
-    strings and the exact fourth-root-of-unity coefficient each one carries.
-    For CSS codes every coefficient is +1.
-    """
-    n, m = sf.n, sf.m
-    ops = [sf.x_row_pauli(i) for i in range(m)]
-    pairs = [(BitVec.zeros(n), _PHASE_COMPLEX[0])]
-    acc = PauliOp(n, 0, 0, 0)
-    for idx in range(1, 1 << m):
-        acc = acc * ops[(idx & -idx).bit_length() - 1]
-        pairs.append((BitVec(n, acc.x), _PHASE_COMPLEX[acc.i_exp]))
-    return pairs
-
-
-class DegeneracyClass(Record):
-    """Qubits whose check columns coincide; undetectable when all zero."""
-
-    __slots__ = ("indices", "representative", "undetectable")
-
-
-class DegeneracyPartition(Record):
-    __slots__ = ("n", "classes")
-
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(c.representative for c in self.classes)
-
-
-def degeneracy_classes(a_x: BitMat) -> DegeneracyPartition:
-    """Partition qubit indices by identical columns of ``a_x``."""
-    groups: dict[int, list[int]] = {}
-    cols = a_x.column_ints()
-    for j, col in enumerate(cols):
-        groups.setdefault(col, []).append(j)
-    classes = [
-        DegeneracyClass(tuple(idx), idx[0], col == 0)
-        for col, idx in groups.items()
-    ]
-    classes.sort(key=lambda c: c.representative)
-    return DegeneracyPartition(a_x.ncols, tuple(classes))
-
-
-class ReducedView(Record):
-    """Restriction of a check matrix to one representative per class."""
-
-    __slots__ = ("partition", "representatives", "a_x")
-
-
-def nondegenerate_reduction(
-    sf: StandardFormCode, theta: DyadicPhaseVector
-) -> tuple[ReducedView, DyadicPhaseVector]:
-    """Aggregate per-class phase exponents onto class representatives.
-
-    The returned phase vector acts identically on the code: every class sums
-    its exponents modulo 2**k onto the representative qubit, and all other
-    members carry zero.
-    """
-    theta.check_length(sf.n)
-    part = degeneracy_classes(sf.a_x)
-    q = theta.modulus
-    agg = [0] * sf.n
-    for cls in part.classes:
-        agg[cls.representative] = sum(theta.p[i] for i in cls.indices) % q
-    reps = part.representatives()
-    cols = sf.a_x.column_ints()
-    reduced = BitMat.from_columns(sf.m, [cols[j] for j in reps])
-    return ReducedView(part, reps, reduced), DyadicPhaseVector(theta.k, tuple(agg))
-
-
 def css_standard_form(
     a_x: BitMat,
     a_z: BitMat,
@@ -633,27 +554,3 @@ def cmd_standard_form(args) -> int:
     emit(payload, args.out)
     return 0
 
-
-def cmd_reduce_degenerate(args) -> int:
-    """``korth reduce-degenerate``."""
-    sf = load_standard_form(args.code)
-    theta = parse_phase_list(args.p, sf.n, args.k)
-    view, reduced = nondegenerate_reduction(sf, theta)
-    payload = {
-        "schema": SCHEMA,
-        "command": "reduce-degenerate",
-        "classes": [
-            {
-                "indices": list(c.indices),
-                "representative": c.representative,
-                "undetectable": c.undetectable,
-            }
-            for c in view.partition.classes
-        ],
-        "representatives": list(view.representatives),
-        "a_x_reduced": [str(r) for r in view.a_x.rows],
-        "p_reduced": list(reduced.p),
-        "k": reduced.k,
-    }
-    emit(payload, args.out)
-    return 0

@@ -16,7 +16,7 @@ from .errors import InvalidCodeError, KorthError, RangeError
 from .gf2 import BitMat, BitVec, RowSpace, orthogonal_rows, parse_matrix_text, span_ints
 from .record import Record
 
-__all__ = ["DistanceReport", "ThreeColumnCheck", "css_distances", "z_distance_floor"]
+__all__ = ["DistanceReport", "css_distances"]
 
 # Null spaces of at most this dimension are enumerated.
 _COSET_DIM_LIMIT = 16
@@ -31,13 +31,6 @@ class DistanceReport(Record):
 
     __slots__ = ("d_z", "d_x", "witness_z", "witness_x", "method_z", "method_x",
                  "exact_z", "exact_x")
-
-
-class ThreeColumnCheck(Record):
-    """Whether distinct nonzero columns force distance >= 3, plus a weight-3
-    null triple when one exists (making the distance exactly 3)."""
-
-    __slots__ = ("distance_at_least_3", "triple")
 
 
 def _min_logical_coset(checks: RowSpace, stabilizers: RowSpace) -> tuple[int, BitVec] | None:
@@ -131,27 +124,6 @@ def css_distances(a_x: BitMat, a_z: BitMat, weight_cap: int | None = None) -> Di
         method_z=method_z, method_x=method_x,
         exact_z=exact_z, exact_x=exact_x,
     )
-
-
-def z_distance_floor(a_x: BitMat) -> ThreeColumnCheck:
-    """Confirm distinct nonzero columns (distance >= 3 against single- and
-    double-qubit phase errors) and exhibit a trivial three-column sum.
-
-    The triple, when present, pins the Z distance to exactly 3; it is the
-    lexicographically first one.
-    """
-    cols = a_x.column_ints()
-    if 0 in cols or len(set(cols)) != len(cols):
-        return ThreeColumnCheck(False, None)
-    index_of = {}
-    for j, c in enumerate(cols):
-        index_of.setdefault(c, j)
-    for i, j in itertools.combinations(range(len(cols)), 2):
-        t = cols[i] ^ cols[j]
-        k = index_of.get(t)
-        if k is not None and k > j:
-            return ThreeColumnCheck(True, (i, j, k))
-    return ThreeColumnCheck(True, None)
 
 
 def cmd_distance(args) -> int:

@@ -31,24 +31,5 @@ class InvalidCodeError(KorthError, ValueError):
     """Input does not describe a valid stabilizer code."""
 
 
-class DegenerateCodeError(KorthError, ValueError):
-    """Operation requires distinct check columns; reduce degeneracy first."""
-
-
-class NoSyndromeError(KorthError, ValueError):
-    """A qubit position has an all-zero check column (no syndrome)."""
-
-
-class CongruenceError(KorthError, ValueError):
-    """A required modular congruence is violated; carries the offender."""
-
-    def __init__(self, message: str, witness=None, residue: int | None = None,
-                 modulus: int | None = None):
-        super().__init__(message)
-        self.witness = witness
-        self.residue = residue
-        self.modulus = modulus
-
-
 class UnsupportedCodeError(KorthError, ValueError):
     """Operation is only defined for a narrower class of codes (e.g. CSS)."""

@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 _C = 0b11  # the fixed weight-2 column c
+# The most check rows a construction takes: 2**14 - 1 = 16,383 qubits and a
+# code descriptor of about 268 MB, which grows as 4**m.
+MAX_M = 14
 
 
 class SubdualParts(Record):
@@ -49,6 +52,9 @@ def _subdual_columns(m: int) -> tuple[list[int], list[int], list[int]]:
     """V's columns, d's bits and J's rows, as ints, for :func:`subdual_parts`."""
     if m < 2:
         raise RangeError(f"need at least 2 check rows, got m={m}")
+    if m > MAX_M:
+        raise RangeError(f"m={m} asks for 2**{m} - 1 qubits; the construction takes at most "
+                         f"m={MAX_M}, 2**{MAX_M} - 1 = {(1 << MAX_M) - 1:,} qubits")
     v_cols = sorted(
         (col for col in range(1, 1 << m) if col.bit_count() >= 2 and col != _C),
         key=lambda col: (-col.bit_count(), _column_value(col, m)),

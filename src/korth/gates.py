@@ -10,19 +10,14 @@ from __future__ import annotations
 import json
 import math
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Optional
 
-from .codes import StandardFormCode, degeneracy_classes, is_css, load_standard_form
-from .errors import (
-    MAX_K, CongruenceError, DegenerateCodeError, KorthError, RangeError, UnsupportedCodeError,
-)
-from .gf2 import BitVec, and_product, span_ints
+from .codes import StandardFormCode, is_css, load_standard_form
+from .errors import MAX_K, KorthError, RangeError, UnsupportedCodeError
+from .gf2 import BitVec, span_ints
 from .phases import DyadicPhase, DyadicPhaseVector, parse_phase_list
 from .record import Record
 from .report import SCHEMA, emit
-
-if TYPE_CHECKING:
-    from .ortho import OrthogonalityReport
 
 __all__ = [
     "GateDescriptor",
@@ -30,9 +25,7 @@ __all__ = [
     "PhaseSolutionSet",
     "ControlledPhaseReport",
     "logical_phase_action",
-    "phase_quantization_exponent",
     "find_transversal_phases",
-    "verify_korth_necessity",
     "controlled_phase_action",
 ]
 
@@ -120,34 +113,6 @@ def logical_phase_action(
     )
 
 
-def phase_quantization_exponent(sf: StandardFormCode) -> int:
-    """Exponent e such that every admissible transversal angle on this code
-    is a multiple of pi/2**e.
-
-    Isolating each column in turn shows 2**(m-1) times any single-qubit
-    angle must vanish modulo 2*pi, giving e = m - 2.  Requires distinct
-    nonzero check columns; reduce degeneracy first otherwise.
-    """
-    part = degeneracy_classes(sf.a_x)
-    for cls in part.classes:
-        if cls.undetectable:
-            raise DegenerateCodeError(
-                f"column {cls.representative} has no syndrome; apply "
-                "nondegenerate_reduction first"
-            )
-        if len(cls.indices) > 1:
-            raise DegenerateCodeError(
-                f"columns {cls.indices} share a syndrome; apply "
-                "nondegenerate_reduction first"
-            )
-    from .ortho import isolate_column
-
-    for col in range(sf.n):
-        rows = isolate_column(sf.a_x, col).rows
-        assert and_product(rows).bits == 1 << col, "column isolation failed on distinct columns"
-    return max(sf.m - 2, 0)
-
-
 def find_transversal_phases(sf: StandardFormCode, k: int) -> PhaseSolutionSet:
     """Solve for every phase vector passing :func:`logical_phase_action`.
 
@@ -159,8 +124,9 @@ def find_transversal_phases(sf: StandardFormCode, k: int) -> PhaseSolutionSet:
     2**k, so both row sets span one module.  When the columns of A_X are the
     2**m - 1 nonzero points of GF(2)**m (the sub-dual family and every copy
     of it) the module has the closed-form basis of :func:`_moebius_basis`;
-    any other code is solved by a diagonalization with odd-unit pivots (the
-    ring is local, so minimum 2-adic valuation entries can always pivot).
+    any other code is solved by :mod:`korth.ring`, a diagonalization with
+    odd-unit pivots (the ring is local, so minimum 2-adic valuation entries
+    can always pivot).
     """
     if not 1 <= k <= MAX_K:
         raise RangeError(f"denominator exponent must be in 1..{MAX_K}, got {k}")
@@ -171,6 +137,7 @@ def find_transversal_phases(sf: StandardFormCode, k: int) -> PhaseSolutionSet:
         gens = _moebius_basis(columns, m, k)
     else:
         from .ortho import row_products
+        from .ring import _kernel_mod_power_of_two
 
         graded = ((acc, len(subset) - 1)
                   for subset, acc in row_products(sf.a_x.row_ints(), k, (1 << n) - 1))
@@ -232,103 +199,6 @@ def _moebius_basis(columns: list[int], m: int, k: int) -> list[tuple[DyadicPhase
     return gens
 
 
-def _kernel_mod_power_of_two(
-    weighted: Iterable[tuple[int, int]], n: int, k: int
-) -> list[tuple[DyadicPhaseVector, int]]:
-    """Generators (vector, additive order) of {p : A p = 0 mod 2**k}, where
-    row i of A is 2**e * mask for the i-th pair (mask, e) of ``weighted``:
-    a 0/1 row below 2**n and an exponent 0 <= e < k.
-
-    Each row is one int of n lanes, each 2k + 1 bits wide, with entry j in
-    lane n - 1 - j: pivoted columns are the top lanes and zero in every row
-    left to pivot, so those rows shrink as the solve goes on and the pivot
-    column's entry is the row shifted down, with no mask.  The column
-    transform V is kept as one packed int per column, entry j in lane j.
-    Lanes hold residues below q = 2**k.  A row operation x - f*y becomes
-    (x + f*(Q - y)) & MASK, where Q holds q in every lane and MASK keeps the
-    low k bits of each: a lane of x + f*(q - y) is at most
-    (q - 1) + (q - 1)*q < 2**(2k), and so is a lane times a unit below q,
-    so no lane ever carries into the next.  V's lanes hold the same residues
-    but are 8, 16, 32 or 64 bits wide, the least of those with room for
-    2k + 1 bits (whole bytes of room past k = 31): elimination never reads
-    them, and each generator then comes off its column's bytes from one
-    ``int.to_bytes``: its exponents by one ``memoryview.cast``, its bit
-    planes by slicing.
-
-    The pivot rule is unchanged from the list-of-lists diagonalisation the
-    tests keep as this solver's oracle: in row-major order, the first entry
-    of least 2-adic valuation among the rows and columns not yet pivoted.
-    That valuation is the least t with bit t set in some lane, and the
-    entry's column is that of the highest lane of its row with bit t set.  Row
-    operations by a pivot of valuation v leave every entry divisible by
-    2**v, so the least valuation never falls: the search resumes at the
-    last one and takes the first live row with its bit set.  After a
-    pivot's row operations its column is zero off the pivot, so its column
-    operations only clear the pivot row and update V.  The same pivots,
-    swaps and operations give the same generators in the same order.
-    """
-    q = 1 << k
-    qm = q - 1
-    width = 2 * k + 1
-    ones = ((1 << (n * width)) - 1) // ((1 << width) - 1)
-    mask, qpat = ones * qm, ones * q
-    bits = [ones << t for t in range(k)]
-    # Spread each mask's bits, lowest first, to the lane bases: join its digits.
-    gap = "0" * (width - 1)
-    rows = [int(gap.join(bin(x)[:1:-1].ljust(n, "0")), 2) << e for x, e in weighted]
-    live = [i for i, x in enumerate(rows) if x]  # unpivoted nonzero rows, in order
-    size = next((b for b in (1, 2, 4, 8) if 8 * b > 2 * k), (2 * k + 8) // 8)  # V lane bytes
-    vones = ((1 << (8 * n * size)) - 1) // ((1 << (8 * size)) - 1)
-    vmask, vqpat = vones * qm, vones * q
-    vcols = [1 << (8 * j * size) for j in range(n)]
-    piv_vals: list[int] = []
-    val = r = 0
-    while live and r < n:
-        while (bi := next((i for i in live if rows[i] & bits[val]), None)) is None:
-            val += 1  # the least valuation never falls
-        bj = n - 1 - ((rows[bi] & bits[val]).bit_length() - 1) // width
-        rows[r], rows[bi] = rows[bi], rows[r]
-        if live[0] == r:
-            del live[0]
-        else:
-            live.remove(bi)  # row r was zero and now sits at bi
-        shift = (n - 1 - r) * width  # lane r: the top one a live row can use
-        if bj != r:
-            lo = (n - 1 - bj) * width
-            for i in [r] + live:
-                x = rows[i]
-                d = ((x >> lo) ^ (x >> shift)) & qm
-                if d:
-                    rows[i] = x ^ (d << lo) ^ (d << shift)
-            vcols[r], vcols[bj] = vcols[bj], vcols[r]
-        prow = rows[r]
-        prow = (prow * pow((prow >> shift) >> val, -1, q)) & mask
-        neg = (qpat >> (r * width)) - prow
-        kept = []
-        for i in live:
-            x = rows[i]
-            entry = x >> shift
-            if entry:
-                x = rows[i] = (x + (entry >> val) * neg) & mask
-            if x:
-                kept.append(i)
-        live = kept
-        vneg = vqpat - vcols[r]
-        rest = prow ^ (1 << (shift + val))
-        while rest:  # the nonzero lanes, top (lowest column) first
-            lo = (rest.bit_length() - 1) // width * width
-            entry = rest >> lo
-            rest ^= entry << lo
-            j = n - 1 - lo // width
-            vcols[j] = (vcols[j] + (entry >> val) * vneg) & vmask
-        piv_vals.append(val)
-        r += 1
-    cols = [((vcols[i] << (k - val)) & vmask, 1 << val) for i, val in enumerate(piv_vals) if val > 0]
-    cols += [(vcols[j], q) for j in range(r, n)]
-    return [(DyadicPhaseVector._exact(k, col.to_bytes(n * size, "little"), size), order)
-            for col, order in cols]
-
-
 def _graded_violation(
     sf: StandardFormCode, theta: DyadicPhaseVector, controls: int
 ) -> Optional[tuple[tuple[int, ...], int, int, int]]:
@@ -345,51 +215,6 @@ def _graded_violation(
         if residue:
             return subset, acc, residue, modulus
     return None
-
-
-def verify_korth_necessity(
-    sf: StandardFormCode, theta: DyadicPhaseVector
-) -> OrthogonalityReport:
-    """Check the orthogonality structure a verified phase gate must induce.
-
-    Requires the gate to pass :func:`logical_phase_action` with an odd
-    numerator; extracts the parity subset r' of the phase exponents, checks
-    k-orthogonality restricted to it, and re-derives the graded congruences
-    sum over t-fold products = 0 mod 2**(k-t+1) along the way.
-    """
-    k = theta.k
-    q = theta.modulus
-    action = logical_phase_action(sf, theta)
-    if not action.ok:
-        raise CongruenceError(
-            f"support {action.violation} sums to {action.residue} mod {q}; "
-            "the phase vector is not a transversal logical gate",
-            witness=action.violation,
-            residue=action.residue,
-            modulus=q,
-        )
-    raw_numerator = theta.masked_sum(sf.s.bits) % q
-    if raw_numerator % 2 == 0:
-        raise CongruenceError(
-            f"logical phase numerator {raw_numerator} mod {q} is even; "
-            "the orthogonality argument needs an odd numerator at this exponent",
-            residue=raw_numerator,
-            modulus=q,
-        )
-    violation = _graded_violation(sf, theta, 0)
-    if violation is not None:
-        subset, acc, residue, modulus = violation
-        raise CongruenceError(
-            f"graded congruence broke: rows {subset} product sums to "
-            f"{residue} mod {modulus}",
-            witness=BitVec(sf.n, acc),
-            residue=residue,
-            modulus=modulus,
-        )
-    from .ortho import is_k_orthogonal
-
-    r_prime = BitVec(sf.n, sum(theta.planes[:1]))  # bit plane 0: the odd exponents
-    return is_k_orthogonal(sf.a_x, k, r_prime)
 
 
 def controlled_phase_action(

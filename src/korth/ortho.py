@@ -1,4 +1,4 @@
-"""k-orthogonality certification and the column-isolation transform.
+"""k-orthogonality certification.
 
 A check matrix is k-orthogonal when every AND-product of up to k elements of
 its row span has even weight.  By parity multilinearity this is equivalent to
@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .errors import NoSyndromeError, RangeError
+from .errors import RangeError
 from .gf2 import BitMat, BitVec, parse_matrix_text
 from .record import Record
 
@@ -21,7 +21,6 @@ __all__ = [
     "OrthogonalityReport",
     "row_products",
     "is_k_orthogonal",
-    "isolate_column",
 ]
 
 
@@ -67,27 +66,6 @@ def is_k_orthogonal(a_x: BitMat, k: int, r: BitVec | None = None) -> Orthogonali
                 k, False, OrthogonalityWitness(len(subset), subset, r)
             )
     return OrthogonalityReport(k, True)
-
-
-def isolate_column(a_x: BitMat, q: int) -> BitMat:
-    """Row-equivalent matrix in which column ``q`` (0-based) is all ones.
-
-    Picks the first row with a 1 at ``q`` and adds it to every row with a 0
-    there; the row space is unchanged.  On a matrix with distinct columns the
-    AND of all output rows is the indicator of column ``q``.
-    """
-    if not 0 <= q < a_x.ncols:
-        raise RangeError(f"column {q} out of range for {a_x.ncols} columns")
-    mask = 1 << q
-    rows = a_x.row_ints()
-    pivot = next((r for r in rows if r & mask), None)
-    if pivot is None:
-        raise NoSyndromeError(
-            f"column {q} is all-zero: a phase-type error there has no syndrome"
-        )
-    return BitMat.from_ints(
-        a_x.ncols, [r if r & mask else r ^ pivot for r in rows]
-    )
 
 
 def cmd_check_orth(args) -> int:

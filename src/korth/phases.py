@@ -6,14 +6,12 @@ No floating point is used anywhere; every angle comparison is a congruence.
 from __future__ import annotations
 
 import operator
-import sys
 
 from .errors import MAX_K, DimensionError, KorthError, RangeError
 from .record import Record
 
 __all__ = ["DyadicPhase", "DyadicPhaseVector"]
 
-_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by lane bytes
 # _DIGITS[b] maps a byte to the ASCII digit of its bit b.
 _DIGITS = tuple(bytes(48 + ((v >> b) & 1) for v in range(256)) for b in range(8))
 
@@ -73,19 +71,6 @@ class DyadicPhaseVector(Record):
         width, last_first = top.bit_length(), p[::-1]
         self._fill(k, p, width, [bytes(last_first) if width <= 8 else bytes(
             (x >> base) & 255 for x in last_first) for base in range(0, width, 8)])
-
-    @classmethod
-    def _exact(cls, k: int, raw: bytes, size: int) -> "DyadicPhaseVector":
-        """The vector whose exponent i is lane i of ``raw``, ``size`` bytes
-        little-endian, each already in [0, 2**k): unchecked."""
-        if size in _LANE_FORMATS and sys.byteorder == "little":
-            p = tuple(memoryview(raw).cast(_LANE_FORMATS[size]))
-        else:
-            p = tuple(int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
-        vec = cls.__new__(cls)
-        # Byte j of every lane, last lane first, is raw[j::size] reversed.
-        vec._fill(k, p, k, [raw[j::size][::-1] for j in range((k + 7) // 8)])
-        return vec
 
     @classmethod
     def _from_planes(cls, k: int, p: tuple[int, ...], planes: tuple[int, ...]) -> "DyadicPhaseVector":

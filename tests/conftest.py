@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--out")
-    p.set_defaults(func="codes.cmd_reduce_degenerate")
+    p.set_defaults(func="degenerate.cmd_reduce_degenerate")
     return parser
 
 
@@ -378,7 +378,7 @@ def spans_equal(A: BitMat, B: BitMat) -> bool:
 
 
 def sparse_logical_zero(sf: StandardFormCode) -> dict[int, complex]:
-    from korth.codes import logical_zero_support
+    from korth.lemmas import logical_zero_support
 
     state: dict[int, complex] = {}
     for vec, phase in logical_zero_support(sf):

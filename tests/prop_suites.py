@@ -133,7 +133,7 @@ def solver_vs_brute_force(seed: int = DEFAULT_SEED, cases: int = 200) -> int:
 
 def degeneracy_reduction_equivalence(seed: int = DEFAULT_SEED, cases: int = 200) -> int:
     """Aggregated phases act identically on every codeword support."""
-    from korth.codes import nondegenerate_reduction
+    from korth.degenerate import nondegenerate_reduction
 
     rng = random.Random(seed + 5)
     for _ in range(cases):

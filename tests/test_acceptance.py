@@ -16,9 +16,9 @@ from korth.gates import (
     GateDescriptor,
     controlled_phase_action,
     logical_phase_action,
-    phase_quantization_exponent,
 )
 from korth.gf2 import null_space, rank
+from korth.lemmas import phase_quantization_exponent
 from korth.ortho import is_k_orthogonal
 from korth.phases import DyadicPhase, DyadicPhaseVector
 from korth.search import SearchSpace, minimality_search

@@ -498,34 +498,42 @@ class TestLoadedLayers:
         (tmp_path / "az.txt").write_text(format_matrix_text(sf.a_z))
         (tmp_path / "deg.json").write_text(
             json.dumps({"n": 4, "stabilizers": ["+XXXX", "+ZZII", "+IIZZ"]}))
+        # A_X of 4 rows and 15 columns, not the 15 nonzero points: the solver path.
+        off_family = random_css_sf(random.Random(4), 15, 4)
+        (tmp_path / "rand.json").write_text(code_to_json(off_family.to_stabilizer_code()))
         return tmp_path
 
     def spawn(self, cwd, *args):
         return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                               env=self.ENV, cwd=cwd, timeout=120)
 
-    # A command that loads codes loads the report writer with it.
+    # A command that loads codes loads the report writer with it; only a
+    # command that reads or writes phases loads phases.  No command loads
+    # the paper's lemmas.
     CASES = [
-        ("construct --m 5 --out c5.json", 0, "codes families gf2 phases record report"),
-        ("standard-form --code code.json", 0, "codes gf2 phases record report"),
+        ("construct --m 5 --out c5.json", 0, "codes families gf2 record report"),
+        ("standard-form --code code.json", 0, "codes gf2 record report"),
         ("check-orth --matrix ax.txt --k 3", 0, "gf2 ortho record"),
         ("find-gates --code code.json --k 3", 0, "codes gates gf2 phases record report"),
+        ("find-gates --code rand.json --k 3", 0, "codes gates gf2 ortho phases record report ring"),
         ("verify-gate --code code.json --k 3 --p all-ones", 0, "codes gates gf2 phases record report"),
         ("verify-gate --code code.json --k 3 --p all-ones --controls 1", 0,
          "codes gates gf2 ortho phases record report"),
-        ("distance --code code.json", 0, "codes distance gf2 phases record report"),
+        ("distance --code code.json", 0, "codes distance gf2 record report"),
         ("distance --ax ax.txt --az az.txt", 0, "distance gf2 record"),
         ("search-min --k 2 --m-min 3 --m-max 4 --n-max 8", 1, "gf2 ortho record report search"),
-        ("reduce-degenerate --code deg.json --k 2 --p 1,1,1,2", 0, "codes gf2 phases record report"),
+        ("reduce-degenerate --code deg.json --k 2 --p 1,1,1,2", 0,
+         "codes degenerate gf2 phases record report"),
     ]
 
     @pytest.mark.parametrize("argv, status, layers", CASES,
                              ids=[" ".join(c[0].split()[:2]) + " --controls" * ("--controls" in c[0])
-                                  for c in CASES])
+                                  + " off-family" * ("rand.json" in c[0]) for c in CASES])
     def test_command_loads_only_its_layers(self, files, argv, status, layers):
         proc = self.spawn(files, "-c", self.PROBE, *argv.split())
         assert proc.returncode == status, proc.stderr
         loaded = proc.stderr.splitlines()[-1].split()
+        assert "korth.lemmas" not in loaded
         assert loaded == ["korth"] + [f"korth.{m}" for m in sorted(["cli", "errors", *layers.split()])]
 
     @pytest.mark.parametrize("argv, status, heavy", [
@@ -893,6 +901,21 @@ class TestHugeSearch:
         assert re.fullmatch(r"error: the scan holds \d+ \(m, n\) boxes, more than the 65536 "
                             r"one run may list\n", proc.stderr)
         assert proc.stdout == ""
+
+
+class TestHugeConstruct:
+    """An m past ``families.MAX_M`` is refused before any column is built:
+    each run gets 2,000,000 KB of address space."""
+
+    @pytest.mark.parametrize("m", [15, 40, 64, 10 ** 12])
+    def test_exit_two(self, tmp_path, m):
+        proc = subprocess.run([sys.executable, "-c", TestHugeSearch.PROBE, "construct", "--m",
+                               str(m), "--out", "code.json"], cwd=tmp_path,
+                              env=TestLoadedLayers.ENV, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"error: m={m} asks for 2**{m} - 1 qubits; the construction "
+                               f"takes at most m=14, 2**14 - 1 = 16,383 qubits\n")
+        assert proc.stdout == "" and not (tmp_path / "code.json").exists()
 
 
 class TestBadInput:

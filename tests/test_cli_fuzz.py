@@ -8,7 +8,10 @@ run is quick.  A huge k is refused before any work (``TestHugeK`` in
 ``test_cli.py`` runs those lines in a memory-capped process); no mutation
 here asks for a huge qubit count.  ``search-min`` is run at sizes up to 64
 (k, row counts and n_max) under a half-second budget: exit 0, 1 only with
-a witness in the report, or 2 with an ``error:`` line.
+a witness in the report, or 2 with an ``error:`` line.  ``construct`` is run
+at m up to 64: a code for m up to 7, an ``error:`` line past
+``families.MAX_M`` = 14.  The sizes in between build codes of up to 16,383
+qubits; the CI scale steps run them up to m = 12.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 
 from korth.cli import main
 from korth.codes import code_to_json_dict
-from korth.families import subdual_css
+from korth.families import MAX_M, subdual_css
 from korth.gf2 import format_matrix_text
 
 from conftest import five_qubit_code
@@ -183,3 +186,17 @@ def test_search_min_at_size(k, m_min, m_max, n_max, prune):
         assert err.startswith("error: ")
     else:
         assert status == (1 if json.loads(out)["witnesses"] else 0)
+
+
+@FUZZ
+@given(m=st.integers(-3, 7) | st.integers(MAX_M + 1, 64))
+def test_construct_at_size(workdir, m):
+    path = workdir / "construct.json"
+    path.unlink(missing_ok=True)
+    status, out, err = run_cli(["construct", "--m", str(m), "--out", str(path)])
+    assert status in (0, 2)
+    assert "Traceback" not in err and out == ""
+    if status == 2:
+        assert err.startswith("error: ") and not path.exists()
+    else:
+        assert 3 <= m <= MAX_M and json.loads(path.read_text())["n"] == (1 << m) - 1

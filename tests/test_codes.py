@@ -12,16 +12,15 @@ from korth.codes import (
     code_from_json,
     code_to_json,
     css_standard_form,
-    degeneracy_classes,
     is_css,
-    logical_zero_support,
-    nondegenerate_reduction,
     to_standard_form,
 )
 from korth import gf2
+from korth.degenerate import degeneracy_classes, nondegenerate_reduction
 from korth.errors import InvalidCodeError
 from korth.families import hamming_parity_check, subdual_css
 from korth.gf2 import BitMat, BitVec, rank
+from korth.lemmas import logical_zero_support
 from korth.phases import DyadicPhaseVector
 
 from conftest import (

@@ -10,11 +10,11 @@ from korth.distance import (
     _min_logical_coset,
     _min_logical_weight_search,
     css_distances,
-    z_distance_floor,
 )
 from korth.errors import InvalidCodeError
 from korth.families import hamming_parity_check, minimal_korth_matrix, subdual_css
 from korth.gf2 import BitMat, BitVec, null_space
+from korth.lemmas import z_distance_floor
 
 from conftest import bitmat, np_matrix, oracle_in_span, span_enumerate
 

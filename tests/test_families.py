@@ -5,6 +5,7 @@ import pytest
 from korth.codes import is_css
 from korth.errors import RangeError
 from korth.families import (
+    MAX_M,
     hamming_parity_check,
     minimal_korth_matrix,
     subdual_css,
@@ -134,6 +135,16 @@ class TestSubdualCss:
     def test_validates(self):
         for m in (3, 4, 5):
             subdual_css(m).validate()
+
+    def test_m_past_the_bound_rejected_before_building(self):
+        # The bound admits m = 14, the columns of 16,383 qubits; every
+        # builder refuses one row more, and a huge m, by name.
+        assert hamming_parity_check(MAX_M).ncols == (1 << 14) - 1
+        for build in (hamming_parity_check, subdual_parts, subdual_css):
+            for m in (MAX_M + 1, 64, 10 ** 12):
+                with pytest.raises(RangeError, match=rf"m={m} asks for 2\*\*{m} - 1 qubits; "
+                                                     r"the construction takes at most m=14"):
+                    build(m)
 
 
 class TestMinimalKorthMatrix:

@@ -8,19 +8,20 @@ from collections import Counter
 import pytest
 
 from korth.codes import css_standard_form, is_css, to_standard_form
-from korth.errors import CongruenceError, DegenerateCodeError, RangeError, UnsupportedCodeError
+from korth.errors import RangeError, UnsupportedCodeError
 from korth.families import hamming_parity_check, subdual_css
-from korth import gates
+from korth import ring
 from korth.gates import (
     ControlledPhaseReport,
     GateDescriptor,
     controlled_phase_action,
     find_transversal_phases,
     logical_phase_action,
-    phase_quantization_exponent,
-    verify_korth_necessity,
 )
 from korth.gf2 import BitMat, BitVec, null_space, span_ints
+from korth.lemmas import (
+    CongruenceError, DegenerateCodeError, phase_quantization_exponent, verify_korth_necessity,
+)
 from korth.ortho import row_products
 from korth.phases import DyadicPhase, DyadicPhaseVector
 
@@ -268,7 +269,7 @@ class TestSubdualClosedForm:
             sol = find_transversal_phases(code, k)
             n, q = code.n, 1 << k
             masks, exponents = graded_rows(code.a_x.row_ints(), n, k)
-            solver = gates._kernel_mod_power_of_two(zip(masks, exponents), n, k)
+            solver = ring._kernel_mod_power_of_two(zip(masks, exponents), n, k)
             assert sol.count() == math.prod(order for _, order in solver)
             assert sorted(sol.orders) == sorted(order for _, order in solver)
             for gen in sol.generators:
@@ -290,9 +291,9 @@ class TestSubdualClosedForm:
                     assert logical_phase_action(code, gen).ok
 
     def test_only_all_nonzero_points_skip_the_solver(self, monkeypatch, rng):
-        solve = gates._kernel_mod_power_of_two
+        solve = ring._kernel_mod_power_of_two
         calls = []
-        monkeypatch.setattr(gates, "_kernel_mod_power_of_two",
+        monkeypatch.setattr(ring, "_kernel_mod_power_of_two",
                             lambda *args: calls.append(1) or solve(*args))
         for code in self.codes(4, 3):
             find_transversal_phases(code, 3)
@@ -356,7 +357,7 @@ def packed_matches_dense(masks: list[int], n: int, k: int,
     (all exponents 0 when none are given)."""
     exponents = exponents or [0] * len(masks)
     rows = [[((mask >> j) & 1) << e for j in range(n)] for mask, e in zip(masks, exponents)]
-    packed = gates._kernel_mod_power_of_two(zip(masks, exponents), n, k)
+    packed = ring._kernel_mod_power_of_two(zip(masks, exponents), n, k)
     assert [(vec.p, order) for vec, order in packed] == dense_kernel(rows, n, k)
 
 
@@ -445,7 +446,7 @@ class TestGradedSolveAgainstSpanSolve:
             for k in range(1, sf.m + 2):
                 q = 1 << k
                 graded = find_transversal_phases(sf, k)
-                span = gates._kernel_mod_power_of_two(
+                span = ring._kernel_mod_power_of_two(
                     ((mask, 0) for mask in span_ints(a_x)), n, k)
                 assert graded.count() == math.prod(order for _, order in span)
                 assert sorted(graded.orders) == sorted(order for _, order in span)
@@ -478,11 +479,11 @@ class TestExactPhaseVectors:
         for n in (1, 7, 20):
             p = tuple(rng.getrandbits(k) for _ in range(n))
             raw = b"".join(x.to_bytes(size, "little") for x in p)
-            exact, checked = DyadicPhaseVector._exact(k, raw, size), DyadicPhaseVector(k, p)
+            exact, checked = ring._exact(k, raw, size), DyadicPhaseVector(k, p)
             assert (exact.k, exact.p, exact.planes) == (checked.k, checked.p, checked.planes)
 
     def test_zero_vector_has_no_planes(self):
-        assert DyadicPhaseVector._exact(3, bytes(2), 1).planes == DyadicPhaseVector(3, (0, 0)).planes == ()
+        assert ring._exact(3, bytes(2), 1).planes == DyadicPhaseVector(3, (0, 0)).planes == ()
 
 
 class TestKorthNecessity:
@@ -647,7 +648,7 @@ def dense_kernel(
     """Generators (vector, additive order) of {p : A p = 0 mod 2**k}.
 
     The list-of-lists diagonalisation, the oracle for the lane-packed
-    ``gates._kernel_mod_power_of_two``: that solver makes the same pivot
+    ``ring._kernel_mod_power_of_two``: that solver makes the same pivot
     choices, so it must return exactly these generators.
     """
     q = 1 << k

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from korth.errors import NoSyndromeError, RangeError
+from korth.errors import RangeError
 from korth.families import hamming_parity_check
 from korth.gf2 import BitMat, BitVec, and_product, in_rowspan, rank
-from korth.ortho import is_k_orthogonal, isolate_column
+from korth.lemmas import NoSyndromeError, isolate_column
+from korth.ortho import is_k_orthogonal
 
 from conftest import bitmat, mat_from_rows, max_orthogonality, random_full_rank, span_enumerate
 

@@ -10,19 +10,14 @@ from pathlib import Path
 import pytest
 
 import korth
-from korth.codes import (
-    DegeneracyClass,
-    DegeneracyPartition,
-    PauliOp,
-    ReducedView,
-    StabilizerCode,
-    StandardFormCode,
-)
-from korth.distance import DistanceReport, ThreeColumnCheck
+from korth.codes import PauliOp, StabilizerCode, StandardFormCode
+from korth.degenerate import DegeneracyClass, DegeneracyPartition, ReducedView
+from korth.distance import DistanceReport
 from korth.errors import DimensionError, RangeError
 from korth.families import subdual_css, subdual_parts
 from korth.gates import ControlledPhaseReport, GateDescriptor, PhaseActionResult, PhaseSolutionSet
 from korth.gf2 import BitMat, BitVec
+from korth.lemmas import ThreeColumnCheck
 from korth.ortho import OrthogonalityReport, OrthogonalityWitness
 from korth.phases import DyadicPhase, DyadicPhaseVector
 from korth.record import Record
