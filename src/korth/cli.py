@@ -17,6 +17,7 @@ argparse is imported for a plain line.
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from importlib import import_module
@@ -137,8 +138,21 @@ def _read_plain(argv: list[str]) -> Optional[SimpleNamespace]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the command line ``argv``, or ``sys.argv[1:]`` when run as the
+    process, and return its exit status."""
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        if argv is None:
+            # Run as the process: the interpreter's exit-time collections
+            # then skip the start-up heap, which the OS frees anyway.  Not
+            # before the command, whose own collections it would change.
+            gc.freeze()
+
+
+def _run(argv: Sequence[str]) -> int:
+    try:
+        args = parse_args(argv)
     except SystemExit as exc:
         return exc.code
     start = time.perf_counter()

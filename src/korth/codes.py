@@ -12,13 +12,12 @@ discarded.
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 from .errors import DimensionError, InvalidCodeError
 from .gf2 import BitMat, BitVec, RowSpace, orthogonal_rows, rank, solve
 from .record import Record
-from .report import SCHEMA, emit, json_text
+from .report import SCHEMA, emit, json_text, read_json
 
 __all__ = [
     "PauliOp",
@@ -522,7 +521,7 @@ def code_to_json(code: StabilizerCode) -> str:
 
 def code_from_json(text: str) -> StabilizerCode:
     try:
-        data = json.loads(text)
+        data = read_json(text)
     except (ValueError, RecursionError) as exc:  # bad, too deeply nested or too long a number
         raise InvalidCodeError(f"invalid JSON: {exc}") from None
     return code_from_json_dict(data)

@@ -7,7 +7,6 @@ carry the violating string and residue.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import combinations
 from typing import Optional
@@ -17,7 +16,7 @@ from .errors import MAX_K, KorthError, RangeError, UnsupportedCodeError
 from .gf2 import BitVec, span_ints
 from .phases import DyadicPhase, DyadicPhaseVector, parse_phase_list
 from .record import Record
-from .report import SCHEMA, emit
+from .report import SCHEMA, emit, read_json
 
 __all__ = [
     "GateDescriptor",
@@ -298,7 +297,7 @@ def cmd_verify_gate(args) -> int:
     if args.gate:
         try:
             with open(args.gate, encoding="utf-8") as f:
-                spec = json.loads(f.read())
+                spec = read_json(f.read())
         except (ValueError, RecursionError) as exc:  # bad, too deeply nested or too long a number
             raise KorthError(str(exc)) from None
         need = "gate descriptor needs integer k, optional controls and a list p"

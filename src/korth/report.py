@@ -1,17 +1,18 @@
-"""The report writer: ``json_text`` writes every korth report and code
-descriptor, and ``emit`` sends a report to its file or to stdout.  It needs
-only the standard library, and not the ``json`` package either (the string
-escaper is json's C one), so a command that writes a report loads no other
-layer for it."""
+"""The report writer and reader: ``json_text`` writes every korth report and
+code descriptor, ``emit`` sends a report to its file or to stdout, and
+``read_json`` reads a code or gate descriptor.  They need only the standard
+library, and not the ``json`` package either (the string escaper and the
+scanner are json's C ones), so a command that writes a report or reads a
+well-formed file loads no other layer for it."""
 
 from __future__ import annotations
 
 import math
 import sys
 
-from _json import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote, make_scanner
 
-__all__ = ["SCHEMA", "emit", "json_text"]
+__all__ = ["SCHEMA", "emit", "json_text", "read_json"]
 
 SCHEMA = 1  # the "schema" number every JSON report carries
 
@@ -40,9 +41,49 @@ def emit(payload: dict, out: str | None) -> None:
     text = json_text(payload)
     if out:
         with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
+            _write(f, text)
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
+
+
+def _write(stream, text: str) -> None:
+    """``stream.write(text)`` in slices of 64 KiB: a text stream encodes what
+    it is given at once, so a whole report would sit in memory twice.  A
+    slice and its bytes stay under glibc's default mmap threshold (128 KiB),
+    so each reuses heap memory instead of a fresh mapping."""
+    step = 1 << 16
+    for i in range(0, len(text), step):
+        stream.write(text[i:i + step])
+
+
+class _Decoding:
+    """json's decoding defaults, as ``_json.make_scanner`` reads them."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}.__getitem__
+
+
+_scan = make_scanner(_Decoding)
+_WHITESPACE = " \t\n\r"  # what json skips around the value
+
+
+def read_json(text: str):
+    """``json.loads(text)`` for a string.  The value is read by json's C
+    scanner with json's defaults; when that scan fails, or leaves anything
+    but whitespace after the value, ``json.loads`` reads the text again, so
+    every malformed text raises json's own exception with json's message."""
+    start = len(text) - len(text.lstrip(_WHITESPACE))
+    try:
+        value, end = _scan(text, start)
+    except (StopIteration, ValueError, RecursionError):  # no value, bad, too long or too deep
+        end = None
+    if end is None or text[end:].strip(_WHITESPACE):
+        import json
+
+        return json.loads(text)
+    return value
 
 
 def _write_json(obj, nl: str, out: list[str]) -> None:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import io
@@ -484,7 +485,7 @@ class TestLoadedLayers:
              "before = set(sys.modules)\n"
              "from korth.cli import main\n"
              "status = main(sys.argv[1:])\n"
-             "heavy = {'argparse', 'dataclasses', 'gettext', 'inspect', 'locale'} "
+             "heavy = {'argparse', 'dataclasses', 'gettext', 'inspect', 'json', 'locale'} "
              "& (set(sys.modules) - before)\n"
              "assert not heavy, f'loaded {sorted(heavy)}'\n"
              "print(*sorted(m for m in sys.modules if m.startswith('korth')), file=sys.stderr)\n"
@@ -498,6 +499,7 @@ class TestLoadedLayers:
         (tmp_path / "az.txt").write_text(format_matrix_text(sf.a_z))
         (tmp_path / "deg.json").write_text(
             json.dumps({"n": 4, "stabilizers": ["+XXXX", "+ZZII", "+IIZZ"]}))
+        (tmp_path / "gate.json").write_text(json.dumps({"k": 3, "controls": 0, "p": [1] * 15}))
         # A_X of 4 rows and 15 columns, not the 15 nonzero points: the solver path.
         off_family = random_css_sf(random.Random(4), 15, 4)
         (tmp_path / "rand.json").write_text(code_to_json(off_family.to_stabilizer_code()))
@@ -507,9 +509,9 @@ class TestLoadedLayers:
         return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                               env=self.ENV, cwd=cwd, timeout=120)
 
-    # A command that loads codes loads the report writer with it; only a
-    # command that reads or writes phases loads phases.  No command loads
-    # the paper's lemmas.
+    # A command that loads codes loads the report writer, which also reads
+    # the code, with it; only a command that reads or writes phases loads
+    # phases.  No command loads the paper's lemmas, and none loads json.
     CASES = [
         ("construct --m 5 --out c5.json", 0, "codes families gf2 record report"),
         ("standard-form --code code.json", 0, "codes gf2 record report"),
@@ -517,6 +519,7 @@ class TestLoadedLayers:
         ("find-gates --code code.json --k 3", 0, "codes gates gf2 phases record report"),
         ("find-gates --code rand.json --k 3", 0, "codes gates gf2 ortho phases record report ring"),
         ("verify-gate --code code.json --k 3 --p all-ones", 0, "codes gates gf2 phases record report"),
+        ("verify-gate --code code.json --gate gate.json", 0, "codes gates gf2 phases record report"),
         ("verify-gate --code code.json --k 3 --p all-ones --controls 1", 0,
          "codes gates gf2 ortho phases record report"),
         ("distance --code code.json", 0, "codes distance gf2 record report"),
@@ -528,7 +531,8 @@ class TestLoadedLayers:
 
     @pytest.mark.parametrize("argv, status, layers", CASES,
                              ids=[" ".join(c[0].split()[:2]) + " --controls" * ("--controls" in c[0])
-                                  + " off-family" * ("rand.json" in c[0]) for c in CASES])
+                                  + " off-family" * ("rand.json" in c[0])
+                                  + " --gate" * ("--gate" in c[0]) for c in CASES])
     def test_command_loads_only_its_layers(self, files, argv, status, layers):
         proc = self.spawn(files, "-c", self.PROBE, *argv.split())
         assert proc.returncode == status, proc.stderr
@@ -536,17 +540,17 @@ class TestLoadedLayers:
         assert "korth.lemmas" not in loaded
         assert loaded == ["korth"] + [f"korth.{m}" for m in sorted(["cli", "errors", *layers.split()])]
 
-    @pytest.mark.parametrize("argv, status, heavy", [
-        ("search-min --k 3 --m-min 4 --m-max 5 --n-max 14 --prune orbit", 0, {"json"}),
-        ("search-min --k 2 --m-min 3 --m-max 4 --n-max 8 --out r.json", 1, {"json"}),
-        ("check-orth --matrix ax.txt --k 3 --out r.json", 0, {"json"}),
-        ("verify-gate --code code.json --k 3 --p all-ones", 0, set()),
-    ], ids=["search-min", "search-min-witnesses", "check-orth", "verify-gate"])
-    def test_no_site_preloads_and_no_parser_modules(self, files, argv, status, heavy):
+    @pytest.mark.parametrize("argv, status", [
+        ("search-min --k 3 --m-min 4 --m-max 5 --n-max 14 --prune orbit", 0),
+        ("search-min --k 2 --m-min 3 --m-max 4 --n-max 8 --out r.json", 1),
+        ("check-orth --matrix ax.txt --k 3 --out r.json", 0),
+        ("verify-gate --code code.json --k 3 --p all-ones", 0),
+        ("verify-gate --code code.json --gate gate.json --out r.json", 0),
+    ], ids=["search-min", "search-min-witnesses", "check-orth", "verify-gate", "verify-gate-gate"])
+    def test_no_site_preloads_and_no_parser_modules(self, files, argv, status):
         # Under -S nothing is preloaded, so every module the command needs
-        # shows.  The report writer does without the json package, so only a
-        # command that reads JSON loads it.
-        heavy = heavy | {"argparse", "gettext", "locale", "shutil", "pathlib"}
+        # shows.  The report writer and reader do without the json package.
+        heavy = {"argparse", "gettext", "json", "locale", "shutil", "pathlib"}
         probe = ("import sys\n"
                  "from korth.cli import main\n"
                  "status = main(sys.argv[1:])\n"
@@ -592,6 +596,80 @@ class TestLoadedLayers:
         assert proc.returncode == 1, proc.stderr
         assert re.fullmatch(r"search-min: exit 1 in \d+\.\d{3}s; layers errors gf2 ortho record report search",
                             proc.stderr.splitlines()[-1])
+
+
+class TestRunAsProcess:
+    """Run as the process, ``main`` freezes the heap once the command has
+    run, on every way out, so the interpreter's exit-time collections skip
+    it; called in process it never does.  Teardown still writes every byte."""
+
+    # An atexit hook reads the freeze count after main has returned: through
+    # ``python -m korth.cli`` (runpy, as -m runs it) or the console script's
+    # ``sys.exit(main())``.
+    DRIVER = ("import atexit, gc, sys\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+              "way = sys.argv.pop(1)\n"
+              "sys.argv[0] = 'korth'\n"
+              "if way == 'module':\n"
+              "    import runpy\n"
+              "    runpy.run_module('korth.cli', run_name='__main__', alter_sys=True)\n"
+              "else:\n"
+              "    from korth.cli import main\n"
+              "    sys.exit(main())\n")
+    EXITS = [("check-orth --matrix ax.txt --k 3", 0), ("check-orth --matrix ax.txt --k 4", 1),
+             ("standard-form --code missing.json", 2), ("--help", 0), ("search-min --k x", 2)]
+    EXIT_IDS = ["pass", "fail", "error", "help", "usage-error"]
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        code, ax = tmp_path / "code.json", tmp_path / "ax.txt"
+        assert run(capsys, "construct", "--m", "4", "--out", str(code), "--ax", str(ax))[0] == 0
+        return tmp_path
+
+    def spawn(self, cwd, *args):
+        return subprocess.run([sys.executable, *args], capture_output=True, env=TestLoadedLayers.ENV,
+                              cwd=cwd, timeout=120)
+
+    @pytest.mark.parametrize("way", ["module", "console-script"])
+    @pytest.mark.parametrize("argv, status", EXITS, ids=EXIT_IDS)
+    def test_heap_frozen_at_exit(self, files, way, argv, status):
+        proc = self.spawn(files, "-c", self.DRIVER, way, *argv.split())
+        err = proc.stderr.decode()
+        assert proc.returncode == status and "Traceback" not in err, err
+        frozen = err.splitlines()[-1].split()
+        assert frozen[0] == "frozen" and int(frozen[1]) > 0, err
+
+    @pytest.mark.parametrize("argv, status", EXITS, ids=EXIT_IDS)
+    def test_in_process_main_never_freezes(self, files, argv, status, monkeypatch, capsys):
+        monkeypatch.chdir(files)
+        before = gc.get_freeze_count()
+        assert run(capsys, *argv.split())[0] == status
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("command", ["find-gates", "standard-form"])
+    def test_stdout_report_equals_out_file(self, tmp_path, command, capsys):
+        code = tmp_path / "code.json"
+        if command == "find-gates":
+            run(capsys, "construct", "--m", "7", "--out", str(code))
+            argv = ["find-gates", "--code", str(code), "--k", "3"]
+        else:
+            base = subdual_css(6).to_stabilizer_code()
+            code.write_text(code_to_json(scrambled(base, random.Random(6), permute_qubits=True)))
+            argv = ["standard-form", "--code", str(code)]
+        assert run(capsys, *argv, "--out", str(tmp_path / "report.json"))[0] == 0
+        proc = self.spawn(tmp_path, "-m", "korth.cli", *argv)
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+        assert proc.stdout == (tmp_path / "report.json").read_bytes()
+
+    def test_late_fail_keeps_its_line(self, tmp_path, capsys):
+        code, gate = tmp_path / "code.json", tmp_path / "gate.json"
+        run(capsys, "construct", "--m", "7", "--out", str(code))
+        gate.write_text(json.dumps(TestCertificateGoldens.late_fail_gate(code, 6)))
+        argv = ["verify-gate", "--code", str(code), "--gate", str(gate)]
+        status, out, _ = run(capsys, *argv)
+        assert status == 1 and out.startswith("FAIL: ")
+        proc = self.spawn(tmp_path, "-m", "korth.cli", *argv)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (1, out, b"")
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 """The report writer ``report.json_text`` against ``json.dumps(obj, indent=2)``:
 byte for byte on every CLI report and on fuzzed payloads, and with a bounded
-memory peak on a large report."""
+memory peak on a large report.  The reader ``report.read_json`` against
+``json.loads``: the same value, or the same exception and message."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korth import cli, codes, report
-from korth.report import json_text
+from korth.report import json_text, read_json
 
 
 def reference(obj) -> str:
@@ -155,3 +156,50 @@ def test_large_report_memory_peak(tmp_path, monkeypatch, capsys):
     size = out.stat().st_size
     assert size > 700_000
     assert peak < 2.5 * size
+
+
+def test_emit_holds_no_second_copy(tmp_path, monkeypatch, capsys):
+    """``emit`` hands the stream 64 KiB at a time: a text stream encodes
+    what it is given at once, so a whole 10 MB report would be held twice."""
+    text = "[\n" + "  1,\n" * 2_000_000 + "  1\n]\n"
+    monkeypatch.setattr(report, "json_text", lambda obj: text)
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        report.emit({}, str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert out.read_text() == text
+    report.emit({}, None)
+    assert capsys.readouterr().out == text
+
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "a": [[1, -2], {"b": null, "c": []}], "t": true, "f": false, "e": {}}',
+    '"\\u00e9\\ud83d\\ude00 \\"\\\\\\/\\b\\f\\n\\r\\t" ',
+    " \t\n\r[1.5, -0.0, 1e400, -2E-3, 10, 0]\r\n ",
+    "NaN", "[-Infinity, Infinity, NaN]", '{"a": 1, "a": 2}', "0", "1" * 4300, "[[[[]]]]",
+])
+def test_reader_reads_what_json_loads_reads(text):
+    value = read_json(text)
+    assert repr(value) == repr(json.loads(text)) and type(value) is type(json.loads(text))
+
+
+def _outcome(read, text):
+    try:
+        read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("text", [
+    "", " \n", "\ufeff{}", "{} {}", "[1] x", "1 2", '{"a" 1}', '{"a": 1 "b": 2}', "[1,]", "'a'",
+    '"\x01"', '"\\x"', "nan", "1" * 5000, "[" * 100_000, '{"a": ' * 100_000,
+], ids=["empty", "blank", "bom", "extra-object", "extra-word", "extra-number", "no-colon",
+        "no-comma", "trailing-comma", "single-quotes", "control-char", "bad-escape",
+        "lowercase-nan", "5000-digits", "deep-array", "deep-object"])
+def test_reader_fails_as_json_loads_fails(text):
+    expected = _outcome(json.loads, text)
+    assert expected is not None and _outcome(read_json, text) == expected
