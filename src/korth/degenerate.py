@@ -67,10 +67,10 @@ def nondegenerate_reduction(
     """
     theta.check_length(sf.n)
     part = degeneracy_classes(sf.a_x)
-    q = theta.modulus
+    q, p = theta.modulus, theta.p
     agg = [0] * sf.n
     for cls in part.classes:
-        agg[cls.representative] = sum(theta.p[i] for i in cls.indices) % q
+        agg[cls.representative] = sum(p[i] for i in cls.indices) % q
     reps = part.representatives()
     cols = sf.a_x.column_ints()
     reduced = BitMat.from_columns(sf.m, [cols[j] for j in reps])
@@ -95,7 +95,7 @@ def cmd_reduce_degenerate(args) -> int:
         ],
         "representatives": list(view.representatives),
         "a_x_reduced": [str(r) for r in view.a_x.rows],
-        "p_reduced": list(reduced.p),
+        "p_reduced": reduced.p,
         "k": reduced.k,
     }
     emit(payload, args.out)

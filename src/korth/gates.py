@@ -168,11 +168,9 @@ def _moebius_basis(columns: list[int], m: int, k: int) -> list[tuple[DyadicPhase
     bit plane a is c_U's support and planes a+1..k-1 hold its negative
     entries: the vectors are built from these masks without a check.
     """
-    n, q = len(columns), 1 << k
-    where = [0] * (n + 1)  # where[x]: the qubit whose column is x
+    n = len(columns)
     even, odd = [0] * (n + 1), [0] * (n + 1)  # qubits with x <= U and |x| even, odd
     for j, x in enumerate(columns):
-        where[x] = j
         (odd if x.bit_count() & 1 else even)[x] = 1 << j
     for i in range(m):  # the subset sums, one row at a time
         bit = 1 << i
@@ -180,21 +178,14 @@ def _moebius_basis(columns: list[int], m: int, k: int) -> list[tuple[DyadicPhase
             if u & bit:
                 even[u] |= even[u ^ bit]
                 odd[u] |= odd[u ^ bit]
-    base = [0] * n
     gens = []
     for t in range(2, m + 1):
         a = max(0, k - t + 1)
-        plus, minus = 1 << a, q - (1 << a)
         for subset in combinations(range(m), t):
             u = sum(1 << i for i in subset)
-            p = base.copy()
-            x = u
-            while x:  # every nonzero x <= u
-                p[where[x]] = minus if (t - x.bit_count()) & 1 else plus
-                x = (x - 1) & u
             negative = odd[u] if t % 2 == 0 else even[u]
             planes = (0,) * a + (even[u] | odd[u],) + (negative,) * (k - 1 - a)
-            gens.append((DyadicPhaseVector._from_planes(k, tuple(p), planes), 1 << min(t - 1, k)))
+            gens.append((DyadicPhaseVector.from_planes(k, n, planes), 1 << min(t - 1, k)))
     return gens
 
 
@@ -280,7 +271,7 @@ def cmd_find_gates(args) -> int:
         "count": sol.count(),
         "generators": [
             {
-                "p": list(gen.p),
+                "p": gen.p,
                 "order": order,
                 "logical_phase": str(phase),
             }

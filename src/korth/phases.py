@@ -6,14 +6,26 @@ No floating point is used anywhere; every angle comparison is a congruence.
 from __future__ import annotations
 
 import operator
+import struct
 
 from .errors import MAX_K, DimensionError, KorthError, RangeError
 from .record import Record
 
-__all__ = ["DyadicPhase", "DyadicPhaseVector"]
+__all__ = ["DyadicPhase", "DyadicPhaseVector", "lane_planes"]
 
-# _DIGITS[b] maps a byte to the ASCII digit of its bit b.
-_DIGITS = tuple(bytes(48 + ((v >> b) & 1) for v in range(256)) for b in range(8))
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to bit values
+_LANES = "BBHIIQQQQ"  # by bytes of room needed: the struct code of a 1-, 2-, 4- or 8-byte lane
+
+
+def lane_planes(x: int, n: int, w: int, depth: int) -> tuple[int, ...]:
+    """Bit planes 0..depth-1 of the n lanes of ``x``, each w >= depth bits
+    wide, lane i at bit w*i: plane b has bit i set when lane i has bit b.
+    Zero top planes are dropped."""
+    digits = format(x, f"0{n * w}b")  # lane n - 1 first, each top bit first
+    planes = [int(digits[w - 1 - b::w], 2) for b in range(depth)] if x else []
+    while planes and not planes[-1]:
+        planes.pop()
+    return tuple(planes)
 
 
 class DyadicPhase(Record):
@@ -52,48 +64,55 @@ class DyadicPhase(Record):
 class DyadicPhaseVector(Record):
     """Per-qubit phase exponents: qubit i receives P(p[i]*pi/2**(k-1)).
 
-    ``planes[b]`` packs bit b of every exponent (bit i = qubit i), so a
-    masked sum is at most k popcounts instead of a loop over the mask.
+    The vector holds its length n and its bit planes: ``planes[b]`` packs
+    bit b of every exponent (bit i = qubit i), with no zero top plane, so a
+    masked sum is at most k popcounts instead of a loop over the mask.  The
+    exponents ``p`` are read off the planes on demand.
     """
 
-    __slots__ = ("k", "p", "planes")
-    _fields = ("k", "p")  # planes is derived: not compared, hashed or shown
+    __slots__ = ("k", "n", "planes")
+    _fields = ("k", "p")  # p is a property: equality, hashing and repr read it
 
     def __init__(self, k: int, p: tuple[int, ...]):
         if not 1 <= k <= MAX_K:
             raise RangeError(f"denominator exponent must be in 1..{MAX_K}, got {k}")
         q = 1 << k
         p = tuple(map(operator.index, p))  # exact ints only
-        top = max(p, default=0)
-        if top >= q or min(p, default=0) < 0:
+        if max(p, default=0) >= q or min(p, default=0) < 0:
             p = tuple(x % q for x in p)
-            top = max(p, default=0)
-        width, last_first = top.bit_length(), p[::-1]
-        self._fill(k, p, width, [bytes(last_first) if width <= 8 else bytes(
-            (x >> base) & 255 for x in last_first) for base in range(0, width, 8)])
+        n, depth = len(p), max(p, default=0).bit_length()
+        code = _LANES[(depth + 7) // 8]
+        packed = int.from_bytes(struct.pack(f"<{n}{code}", *p), "little")  # exponent i in lane i
+        planes = lane_planes(packed, n, 8 * struct.calcsize(code), depth)
+        for name, value in zip(self.__slots__, (k, n, planes)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _from_planes(cls, k: int, p: tuple[int, ...], planes: tuple[int, ...]) -> "DyadicPhaseVector":
-        """The vector with exponents ``p``, each already in [0, 2**k), and
-        bit planes ``planes``, the top one nonzero: unchecked."""
+    def from_planes(cls, k: int, n: int, planes: tuple[int, ...]) -> "DyadicPhaseVector":
+        """The vector of n exponents whose bit planes are ``planes``: at most
+        k of them, each below 2**n, the top one nonzero.  Unchecked."""
         vec = cls.__new__(cls)
-        for name, value in (("k", k), ("p", p), ("planes", planes)):
+        for name, value in zip(cls.__slots__, (k, n, planes)):
             object.__setattr__(vec, name, value)
         return vec
 
-    def _fill(self, k: int, p: tuple[int, ...], width: int, chunks: list[bytes]) -> None:
-        """Set the fields.  ``chunks[j]`` holds byte j of every exponent, one
-        byte per qubit, last qubit first, so bit i lands at bit i; the planes
-        are the bits below ``width``, zero top ones dropped."""
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "p", p)
-        planes = []
-        for j, chunk in enumerate(chunks):
-            for b in range(min(8, width - 8 * j)):
-                planes.append(int(chunk.translate(_DIGITS[b]), 2))
-        while planes and not planes[-1]:
-            planes.pop()
-        object.__setattr__(self, "planes", tuple(planes))
+    @property
+    def p(self) -> tuple[int, ...]:
+        """The exponents.  Each distinct plane is spread once to lanes of 1,
+        2, 4 or 8 bytes, one per qubit, and weighted by the bits it holds."""
+        n, planes = self.n, self.planes
+        code = _LANES[(len(planes) + 7) // 8]
+        size = struct.calcsize(code)
+        weights: dict[int, int] = {}
+        for b, plane in enumerate(planes):
+            if plane:
+                weights[plane] = weights.get(plane, 0) | 1 << b
+        packed = 0
+        for plane, weight in weights.items():
+            lanes = bytearray(n * size)  # big-endian, qubit n - 1 first
+            lanes[size - 1::size] = format(plane, f"0{n}b").encode().translate(_BITS)
+            packed += int.from_bytes(lanes, "big") * weight
+        return struct.unpack(f"<{n}{code}", packed.to_bytes(n * size, "little"))
 
     @classmethod
     def all_ones(cls, n: int, k: int) -> "DyadicPhaseVector":
@@ -108,8 +127,8 @@ class DyadicPhaseVector(Record):
         return 1 << self.k
 
     def check_length(self, n: int) -> None:
-        if len(self.p) != n:
-            raise DimensionError(f"phase vector length {len(self.p)} != {n} qubits")
+        if self.n != n:
+            raise DimensionError(f"phase vector length {self.n} != {n} qubits")
 
     def masked_sum(self, bits: int) -> int:
         """Sum of p[i] over the set bits i < n of ``bits`` (plain integer sum)."""

@@ -3,10 +3,10 @@
 A record lists its fields as ``__slots__`` and the defaults of trailing
 fields in ``_defaults``; the base supplies the constructor, field-wise
 equality and hashing, the ``Name(field=value, ...)`` repr, pickling and
-immutability.  A class whose slots end in derived state names its fields
-in ``_fields``; the rest stay out of equality, hashing and repr.  Records
-built in bulk write their own ``__init__`` and set each slot with
-``object.__setattr__``.
+immutability.  A class whose fields are not its slots names them in
+``_fields``: equality, hashing, repr and pickling read those, and a field
+may be a property computed from the slots.  Records built in bulk write
+their own ``__init__`` and set each slot with ``object.__setattr__``.
 """
 
 from operator import attrgetter

@@ -7,14 +7,11 @@ closed-form Moebius basis and never loads it.
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable
 
-from .phases import DyadicPhaseVector
+from .phases import DyadicPhaseVector, lane_planes
 
-__all__ = ["_kernel_mod_power_of_two", "_exact"]
-
-_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by lane bytes
+__all__ = ["_kernel_mod_power_of_two"]
 
 
 def _kernel_mod_power_of_two(
@@ -28,17 +25,14 @@ def _kernel_mod_power_of_two(
     lane n - 1 - j: pivoted columns are the top lanes and zero in every row
     left to pivot, so those rows shrink as the solve goes on and the pivot
     column's entry is the row shifted down, with no mask.  The column
-    transform V is kept as one packed int per column, entry j in lane j.
-    Lanes hold residues below q = 2**k.  A row operation x - f*y becomes
-    (x + f*(Q - y)) & MASK, where Q holds q in every lane and MASK keeps the
-    low k bits of each: a lane of x + f*(q - y) is at most
-    (q - 1) + (q - 1)*q < 2**(2k), and so is a lane times a unit below q,
-    so no lane ever carries into the next.  V's lanes hold the same residues
-    but are 8, 16, 32 or 64 bits wide, the least of those with room for
-    2k + 1 bits (whole bytes of room past k = 31): elimination never reads
-    them, and each generator then comes off its column's bytes from one
-    ``int.to_bytes`` by :func:`_exact`: its exponents by one
-    ``memoryview.cast``, its bit planes by slicing.
+    transform V is kept as one packed int per column, entry j in lane j,
+    in lanes of the same width.  Lanes hold residues below q = 2**k.  A row
+    or column operation x - f*y becomes (x + f*(Q - y)) & MASK, where Q
+    holds q in every lane and MASK keeps the low k bits of each: a lane of
+    x + f*(q - y) is at most (q - 1) + (q - 1)*q < 2**(2k), and so is a
+    lane times a unit below q, so no lane ever carries into the next.  Each
+    generator is then its column's bit planes, read off by
+    :func:`korth.phases.lane_planes`.
 
     The pivot rule is unchanged from the list-of-lists diagonalisation the
     tests keep as this solver's oracle: in row-major order, the first entry
@@ -62,10 +56,7 @@ def _kernel_mod_power_of_two(
     gap = "0" * (width - 1)
     rows = [int(gap.join(bin(x)[:1:-1].ljust(n, "0")), 2) << e for x, e in weighted]
     live = [i for i, x in enumerate(rows) if x]  # unpivoted nonzero rows, in order
-    size = next((b for b in (1, 2, 4, 8) if 8 * b > 2 * k), (2 * k + 8) // 8)  # V lane bytes
-    vones = ((1 << (8 * n * size)) - 1) // ((1 << (8 * size)) - 1)
-    vmask, vqpat = vones * qm, vones * q
-    vcols = [1 << (8 * j * size) for j in range(n)]
+    vcols = [1 << (j * width) for j in range(n)]
     piv_vals: list[int] = []
     val = r = 0
     while live and r < n:
@@ -98,29 +89,17 @@ def _kernel_mod_power_of_two(
             if x:
                 kept.append(i)
         live = kept
-        vneg = vqpat - vcols[r]
+        vneg = qpat - vcols[r]
         rest = prow ^ (1 << (shift + val))
         while rest:  # the nonzero lanes, top (lowest column) first
             lo = (rest.bit_length() - 1) // width * width
             entry = rest >> lo
             rest ^= entry << lo
             j = n - 1 - lo // width
-            vcols[j] = (vcols[j] + (entry >> val) * vneg) & vmask
+            vcols[j] = (vcols[j] + (entry >> val) * vneg) & mask
         piv_vals.append(val)
         r += 1
-    cols = [((vcols[i] << (k - val)) & vmask, 1 << val) for i, val in enumerate(piv_vals) if val > 0]
+    cols = [((vcols[i] << (k - val)) & mask, 1 << val) for i, val in enumerate(piv_vals) if val > 0]
     cols += [(vcols[j], q) for j in range(r, n)]
-    return [(_exact(k, col.to_bytes(n * size, "little"), size), order) for col, order in cols]
-
-
-def _exact(k: int, raw: bytes, size: int) -> DyadicPhaseVector:
-    """The vector whose exponent i is lane i of ``raw``, ``size`` bytes
-    little-endian, each already in [0, 2**k): unchecked."""
-    if size in _LANE_FORMATS and sys.byteorder == "little":
-        p = tuple(memoryview(raw).cast(_LANE_FORMATS[size]))
-    else:
-        p = tuple(int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
-    vec = DyadicPhaseVector.__new__(DyadicPhaseVector)
-    # Byte j of every lane, last lane first, is raw[j::size] reversed.
-    vec._fill(k, p, k, [raw[j::size][::-1] for j in range((k + 7) // 8)])
-    return vec
+    return [(DyadicPhaseVector.from_planes(k, n, lane_planes(col, n, width, k)), order)
+            for col, order in cols]

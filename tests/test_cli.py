@@ -321,6 +321,9 @@ class TestFindGates:
         ("scrambled", 6, 3): "d8505954b204901ac6cfa37f6d0221f8587b7da86dd25ada1ded42224788548e",
         ("random", 4, 3): "4921a42f7ead726be8e71452a174eaa16270cc32c0b15a9196e4c2ab06c8c5a6",
         ("random", 5, 2): "fb0a40ac20ef43241d2e523d844d268edc82ed04169919e3bf166eac8dd291ef",
+        # Exponents wider than one byte, on each path.
+        ("construct", 5, 9): "5a49641bdf5665f8953750bc5bbbf85c550be103793d03806ac52bb37f0f9193",
+        ("random", 4, 9): "3b8273e315e5c5b0ffec5f5d805d1782b5e9c6a519572f3476a65e353c551c93",
     }
 
     @pytest.mark.parametrize("source,m,k", sorted(GOLDEN), ids=lambda v: str(v))

@@ -23,7 +23,7 @@ from korth.lemmas import (
     CongruenceError, DegenerateCodeError, phase_quantization_exponent, verify_korth_necessity,
 )
 from korth.ortho import row_products
-from korth.phases import DyadicPhase, DyadicPhaseVector
+from korth.phases import DyadicPhase, DyadicPhaseVector, lane_planes
 
 from conftest import (
     all_solutions,
@@ -474,16 +474,21 @@ class TestExactPhaseVectors:
 
     @pytest.mark.parametrize("k", [1, 3, 4, 8, 9, 16, 31, 32, 40])
     def test_lanes_of_every_width_match_checked_construction(self, k, rng):
-        # The solver's lanes are 1, 2, 4 or 8 bytes wide, or 2k + 8 bits past k = 31.
-        size = next((b for b in (1, 2, 4, 8) if 8 * b > 2 * k), (2 * k + 8) // 8)
-        for n in (1, 7, 20):
+        # p is read off in lanes of 1, 2, 4 or 8 bytes; the solver's planes
+        # come off lanes of 2k + 1 bits.
+        width = 2 * k + 1
+        for n in (0, 1, 7, 20, 70):
             p = tuple(rng.getrandbits(k) for _ in range(n))
-            raw = b"".join(x.to_bytes(size, "little") for x in p)
-            exact, checked = ring._exact(k, raw, size), DyadicPhaseVector(k, p)
+            checked = DyadicPhaseVector(k, p)
+            assert checked.p == p
+            assert DyadicPhaseVector.from_planes(k, n, checked.planes) == checked
+            packed = sum(x << (width * i) for i, x in enumerate(p))
+            exact = DyadicPhaseVector.from_planes(k, n, lane_planes(packed, n, width, k))
             assert (exact.k, exact.p, exact.planes) == (checked.k, checked.p, checked.planes)
 
     def test_zero_vector_has_no_planes(self):
-        assert ring._exact(3, bytes(2), 1).planes == DyadicPhaseVector(3, (0, 0)).planes == ()
+        assert DyadicPhaseVector(3, ()).planes == DyadicPhaseVector(3, (0, 0)).planes == ()
+        assert lane_planes(0, 2, 7, 3) == ()
 
 
 class TestKorthNecessity:

@@ -178,6 +178,13 @@ class TestValidatingConstructors:
         assert v.p == (1, 2, 7) and v.planes == (0b101, 0b110, 0b100)
         assert DyadicPhaseVector(3, (1, 2, 7)) == v
 
+    def test_phase_vector_from_planes_is_the_checked_vector(self):
+        checked = DyadicPhaseVector(9, (1, 300, 0, 511))
+        v = DyadicPhaseVector.from_planes(9, 4, checked.planes)
+        assert v == checked and hash(v) == hash(checked) and repr(v) == repr(checked)
+        assert pickle.dumps(v) == pickle.dumps(checked)
+        assert pickle.loads(pickle.dumps(v)) == checked
+
     def test_search_space(self):
         with pytest.raises(RangeError):
             SearchSpace(0, (4,), 5)
