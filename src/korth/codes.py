@@ -323,43 +323,6 @@ def _solve_pure_x_support(
     return solve(BitMat.from_ints(n, rows), rhs)
 
 
-def _logical_x_fallback(
-    x_rows: list[PauliOp], z_block: BitMat, r: BitVec, n: int
-) -> tuple[BitVec, int]:
-    """Find a logical X and the Z-axis rotation mask that makes it pure X.
-
-    Only reached when no pure-X logical exists outright, i.e. the code has
-    Y content that a qubit-wise S conjugation can absorb.
-    """
-    sympl_rows = [g.z | (g.x << n) for g in x_rows]
-    sympl_rows += z_block.row_ints()
-    sympl_rows.append(r.bits)
-    rhs = BitVec.from_indices(len(sympl_rows), [len(sympl_rows) - 1])
-    base = solve(BitMat.from_ints(2 * n, sympl_rows), rhs)
-    if base is None:
-        raise InvalidCodeError("no logical X operator exists; not a one-qubit code")
-    k_op = PauliOp(n, base.bits & ((1 << n) - 1), base.bits >> n)
-    candidates = [k_op] + [k_op * g for g in x_rows]
-    for cand in candidates:
-        pool = z_block.row_ints() + [r.bits]
-        pool += [1 << pos for pos in BitVec(n, cand.x).support()]
-        mat = BitMat.from_ints(n, pool).transpose()
-        mu = solve(mat, BitVec(n, cand.z))
-        if mu is None:
-            continue
-        fixed = cand.z
-        for j in range(z_block.nrows + 1):
-            if mu[j]:
-                fixed ^= pool[j]
-        # fixed is supported inside the candidate's X support; S gates there
-        # rotate the residual Y content onto the X axis.
-        return BitVec(n, cand.x), fixed
-    raise InvalidCodeError(
-        "logical X cannot be made pure X by stabilizer redefinition and "
-        "single-qubit Z-axis rotations"
-    )
-
-
 def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     """Reduce a one-logical-qubit stabilizer code to standard form.
 
@@ -427,8 +390,18 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     if s is None:
         s = _solve_pure_x_support(x_rows, z_block, r, n)
     if s is None:
-        s, s_mask = _logical_x_fallback(x_rows, z_block, r, n)
+        # No pure-X logical: take a kernel member of A_Z outside A_X's span
+        # and add each X row whose pivot it misses.  A_X is reduced, so S on
+        # pivot p_i rotates row i alone, to b_i + [s.b_i] e_{p_i}, which s
+        # then meets evenly; s.r = 1, as the pairing of the two logical
+        # cosets is nondegenerate for one logical qubit.
+        s = _derive_r(RowSpace(z_block), RowSpace(a_x)).bits
+        for g in x_rows:
+            if not s & g.x & -g.x:
+                s ^= g.x
+        s_mask = sum(g.x & -g.x for g in x_rows if (s & g.z).bit_count() & 1)
         x_rows = [g.conjugated_by_s(s_mask) for g in x_rows]
+        s = BitVec(n, s)
 
     # Normalize the X-bearing signs to + (or +i where the row squares demand)
     # by Z on the X pivot of each row that needs a flip.

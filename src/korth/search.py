@@ -190,13 +190,8 @@ def full_rank_count(m: int, n: int) -> int:
     Moebius inversion over the subspace lattice:
     sum_j (-1)**j 2**C(j,2) [m choose j]_2 C(2**(m-j) - 1, n).
     """
-    total = 0
-    gaussian = 1  # [m choose j]_2
-    for j in range(m + 1):
-        term = (1 << math.comb(j, 2)) * gaussian * math.comb((1 << (m - j)) - 1, n)
-        total += -term if j % 2 else term
-        gaussian = gaussian * ((1 << (m - j)) - 1) // ((1 << (j + 1)) - 1)
-    return total
+    return sum((-1) ** j * (1 << math.comb(j, 2)) * _gaussian(m, j)
+               * math.comb((1 << (m - j)) - 1, n) for j in range(m + 1))
 
 
 def _gaussian(m: int, j: int) -> int:

@@ -475,6 +475,41 @@ def random_css_sf(rng: random.Random, n: int, m: int) -> StandardFormCode:
     return css_standard_form(a_x, a_z)
 
 
+def random_one_qubit_code(rng: random.Random, n: int) -> StabilizerCode:
+    """A random [[n, 1]] stabilizer code, by symplectic Gram-Schmidt: random
+    vectors (x | z << n), each cleared against the pairs found so far, give n
+    hyperbolic pairs (e, f); the first n - 1 e's are the generators, with
+    random signs, and the last pair is the logical Z and X (dropped half the
+    time)."""
+    mask = (1 << n) - 1
+
+    def form(u: int, v: int) -> int:
+        return ((u & v >> n) ^ (u >> n & v)).bit_count() & 1
+
+    def cleared(v: int) -> int:
+        for e, f in pairs:
+            v ^= (e if form(v, f) else 0) ^ (f if form(v, e) else 0)
+        return v
+
+    pairs: list[tuple[int, int]] = []
+    while len(pairs) < n:
+        e = cleared(rng.getrandbits(2 * n))
+        if e:
+            f = 0
+            while not form(e, f):
+                f = cleared(rng.getrandbits(2 * n))
+            pairs.append((e, f))
+
+    def signed(v: int) -> PauliOp:
+        return PauliOp(n, v & mask, v >> n, (v & mask & v >> n).bit_count() + 2 * rng.randint(0, 1))
+
+    gens = tuple(signed(e) for e, _ in pairs[:-1])
+    if rng.random() < 0.5:
+        return StabilizerCode(n, gens)
+    lz, lx = pairs[-1]
+    return StabilizerCode(n, gens, logical_x=signed(lx), logical_z=signed(lz))
+
+
 def scrambled(code: StabilizerCode, rng: random.Random,
               sign_flips: bool = True, drop_logicals: bool = False,
               s_mask: int = 0, permute_qubits: bool = False) -> StabilizerCode:
@@ -511,6 +546,36 @@ def scrambled(code: StabilizerCode, rng: random.Random,
         gens = [relabel(g) for g in gens]
         lx, lz = relabel(lx), relabel(lz)
     return StabilizerCode(code.n, tuple(gens), logical_x=lx, logical_z=lz)
+
+
+# The six invertible 2x2 maps over GF(2), as (x, z) -> (x', z'): the actions
+# of the single-qubit Cliffords (I, H, S, ...) on one qubit's Pauli axes.
+_LOCAL_CLIFFORDS = (
+    lambda x, z: (x, z), lambda x, z: (z, x), lambda x, z: (x, x ^ z),
+    lambda x, z: (x ^ z, z), lambda x, z: (z, x ^ z), lambda x, z: (x ^ z, x),
+)
+
+
+def rotated(code: StabilizerCode, rng: random.Random) -> StabilizerCode:
+    """The code under a seeded single-qubit Clifford on every qubit: each
+    qubit's (x, z) bits go through one of the six invertible maps, and each
+    operator keeps its sign, so it stays Hermitian (and the group holds no -I,
+    as the generators stay independent)."""
+    maps = [rng.choice(_LOCAL_CLIFFORDS) for _ in range(code.n)]
+
+    def rotate(g):
+        if g is None:
+            return None
+        x = z = 0
+        for i, f in enumerate(maps):
+            xi, zi = f((g.x >> i) & 1, (g.z >> i) & 1)
+            x |= xi << i
+            z |= zi << i
+        sign = (g.i_exp - (g.x & g.z).bit_count()) // 2 % 2
+        return PauliOp(g.n, x, z, (x & z).bit_count() + 2 * sign)
+
+    return StabilizerCode(code.n, tuple(map(rotate, code.generators)),
+                          rotate(code.logical_x), rotate(code.logical_z))
 
 
 def pauli_group_member(target: PauliOp, gens: list[PauliOp]) -> bool:

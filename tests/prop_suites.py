@@ -16,7 +16,8 @@ from korth.ortho import is_k_orthogonal
 from korth.phases import DyadicPhaseVector
 
 from conftest import (covered_columns_count, frame_conjugate, groups_equal, mat_from_rows,
-                      random_css_sf, random_full_rank, scrambled, span_enumerate)
+                      random_css_sf, random_full_rank, random_one_qubit_code, scrambled,
+                      span_enumerate)
 
 DEFAULT_SEED = 20240817
 
@@ -76,7 +77,9 @@ def generator_vs_group_orthogonality(seed: int = DEFAULT_SEED, cases: int = 200)
 
 
 def standard_form_round_trip(seed: int = DEFAULT_SEED, cases: int = 200) -> int:
-    """Reduction preserves the stabilizer group through the recorded frame."""
+    """Reduction preserves the stabilizer group through the recorded frame,
+    on scrambled CSS codes and on random one-qubit codes with n <= 8, every
+    one of which reduces."""
     rng = random.Random(seed + 3)
     for case in range(cases):
         n = rng.randint(3, 9)
@@ -90,16 +93,24 @@ def standard_form_round_trip(seed: int = DEFAULT_SEED, cases: int = 200) -> int:
             drop_logicals=rng.random() < 0.5,
             s_mask=rng.getrandbits(n) if rng.random() < 0.4 else 0,
         )
-        sf = to_standard_form(code)
-        sf.validate()
-        out = [sf.x_row_pauli(i) for i in range(sf.m)]
-        out += [sf.z_row_pauli(j) for j in range(sf.a_z.nrows)]
-        conj = [frame_conjugate(sf, g) for g in code.generators]
-        assert groups_equal(conj, out), f"case {case}: group changed"
+        sf = _reduced_through_frame(code, case)
         # sign-consistent inputs require no frame change at all
         if all(g.i_exp == 0 for g in code.generators):
             assert sf.local_x_mask.is_zero() and sf.local_z_mask.is_zero()
+    rng = random.Random(seed + 6)
+    for case in range(cases):
+        _reduced_through_frame(random_one_qubit_code(rng, rng.randint(1, 8)), case)
     return cases
+
+
+def _reduced_through_frame(code, case: int):
+    sf = to_standard_form(code)
+    sf.validate()
+    out = [sf.x_row_pauli(i) for i in range(sf.m)]
+    out += [sf.z_row_pauli(j) for j in range(sf.a_z.nrows)]
+    conj = [frame_conjugate(sf, g) for g in code.generators]
+    assert groups_equal(conj, out), f"case {case}: group changed"
+    return sf
 
 
 def solver_vs_brute_force(seed: int = DEFAULT_SEED, cases: int = 200) -> int:

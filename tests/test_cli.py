@@ -24,7 +24,8 @@ from korth.codes import (
 from korth.families import subdual_css
 from korth.gf2 import format_matrix_text, parse_matrix_text
 
-from conftest import build_parser, five_qubit_code, random_css_sf, scrambled, spans_equal
+from conftest import (build_parser, five_qubit_code, random_css_sf, rotated, scrambled,
+                      spans_equal)
 
 
 def run(capsys, *argv):
@@ -357,7 +358,11 @@ class TestCertificateGoldens:
     random qubits (Y content, B nonzero; a pure-X logical still exists, so
     its local S mask stays zero), ``five-qubit`` the [[5,1,3]] code and
     ``y-pair`` the one-generator code +YY, whose standard form needs a
-    nonzero local S mask (m is unused for the last two)."""
+    nonzero local S mask (m is unused for the last two).  ``rotated`` is the
+    code under a seeded single-qubit Clifford on every qubit (``ROTATION``):
+    it has no pure-X logical, so its logical X and S mask are read off A_Z's
+    kernel and A_X's pivots; it was recorded when that replaced a candidate
+    search, which refused this code (exit 2)."""
 
     GOLDEN = {
         ("construct", 5, "standard-form"):
@@ -406,7 +411,10 @@ class TestCertificateGoldens:
             "38cc08210490d246db0660dbb7dbce51e799cb736503327ba15ff25f9e09e6fd",
         ("y-pair", 0, "pass"):
             "9b413134b2a80352c987053bf1405a340fc7bf5697e07e7ed9220fefea29cdc7",
+        ("rotated", 4, "standard-form"):
+            "ded865d572de916432f26aede1db79089d7983742ea616d70dfda8d2eb67e0d7",
     }
+    ROTATION = 14  # the seed of the rotated code's local frame
     FIXED = {"five-qubit": five_qubit_code,
              "y-pair": lambda: StabilizerCode(2, (PauliOp.from_label("+YY"),))}
 
@@ -428,6 +436,9 @@ class TestCertificateGoldens:
             run(capsys, "construct", "--m", str(m), "--out", str(code))
         elif source in self.FIXED:
             code.write_text(code_to_json(self.FIXED[source]()))
+        elif source == "rotated":
+            base = subdual_css(m).to_stabilizer_code()
+            code.write_text(code_to_json(rotated(base, random.Random(self.ROTATION))))
         else:
             base = subdual_css(m).to_stabilizer_code()
             s_mask = random.Random(55).getrandbits(base.n) if source == "s-conjugated" else 0

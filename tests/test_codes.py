@@ -32,6 +32,7 @@ from conftest import (
     random_css_sf,
     groups_equal,
     pauli_group_member,
+    rotated,
     scrambled,
     span_enumerate,
     sparse_logical_zero,
@@ -339,6 +340,10 @@ class TestStandardFormHoldsWithoutRecheck:
                                                  s_mask=s_mask)
             yield f"s-conjugated-bare-{m}", scrambled(base, random.Random(m), s_mask=s_mask,
                                                       drop_logicals=True)
+        for m in range(3, 8):  # no pure-X logical under most local Clifford frames
+            base = subdual_css(m).to_stabilizer_code()
+            for seed in range(4):
+                yield f"rotated-{m}-{seed}", rotated(base, random.Random(seed))
         yield "five-qubit", five_qubit_code()
         yield "y-pair", StabilizerCode(2, (PauliOp.from_label("+YY"),))
         yield "textbook-steane", textbook_steane()
@@ -346,6 +351,13 @@ class TestStandardFormHoldsWithoutRecheck:
     def test_certificate_corpus(self):
         for name, code in self.corpus():
             to_standard_form(code).validate()
+
+    def test_rotated_codes_keep_their_group(self):
+        for name, code in self.corpus():
+            if name.startswith("rotated-"):
+                sf = to_standard_form(code)
+                conj = [frame_conjugate(sf, g) for g in code.generators]
+                assert groups_equal(conj, list(sf.to_stabilizer_code().generators)), name
 
     def test_random_valid_codes(self):
         rng = random.Random(63)
@@ -388,12 +400,18 @@ class TestOneReductionOfSignedZRows:
 class TestStandardFormDigest:
     """sha256 over every field of 200 seeded standard forms, recorded before
     standard form read its signs and logicals off the one reduction: the frame
-    masks show in no report, so this is what pins them."""
+    masks show in no report, so this is what pins them.  Re-recorded when a
+    code without a pure-X logical began to read its logical X and S mask off
+    A_Z's kernel and A_X's pivots: 8 of the 200 take that branch (codes 57,
+    73, 80, 117, 157, 162, 191 and 196, counted from 0), and all but 117 and
+    196 changed; each form from that branch is checked here to validate and
+    keep the group under its frame."""
 
     def test_scrambled_codes(self):
         rng = random.Random(71)
         digest = hashlib.sha256()
-        for _ in range(200):
+        s_masked = []
+        for index in range(200):
             code = random_valid_code(rng)
             if code.logical_z is not None and rng.random() < 0.5:
                 # same logical coset, but with X content to purify away
@@ -404,8 +422,14 @@ class TestStandardFormDigest:
             fields = [sf.a_x, sf.b, sf.a_z, sf.r, sf.s, sf.x_phases,
                       sf.local_x_mask, sf.local_s_mask, sf.local_z_mask]
             digest.update("|".join(map(str, fields)).encode() + b"\n")
+            if sf.local_s_mask.bits:
+                s_masked.append(index)
+                sf.validate()
+                conj = [frame_conjugate(sf, g) for g in code.generators]
+                assert groups_equal(conj, list(sf.to_stabilizer_code().generators))
+        assert s_masked == [57, 73, 80, 117, 157, 162, 191, 196]
         assert digest.hexdigest() == (
-            "00eaf4851d6533929c4411272b635a5014c60ff1a4d1a84ac4d64401baf62b85"
+            "1b88561652b23abfa2f707503959e66266bfbac812592123ef13777314979365"
         )
 
 
