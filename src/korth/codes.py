@@ -189,9 +189,9 @@ class StandardFormCode(Record):
 
     Reaching all-plus Z signs may require conjugating the whole code by a
     local frame change; the reduction records it in the three masks (applied
-    to the input in the order X, S-rotation, Z).  All masks are zero when
-    the input signs were already consistent, in which case the output blocks
-    generate exactly the input group.
+    to the input in the order X, S-rotation, Z).  All masks are zero for a
+    CSS code written with + signs, whose output blocks then generate exactly
+    the input group; the S mask is nonzero only when no pure-X logical exists.
     """
 
     __slots__ = ("a_x", "b", "a_z", "r", "s", "x_phases",
@@ -328,8 +328,8 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
 
     Pure-Z rows come out with + signs and declared pure-type logicals are
     kept verbatim.  The output blocks generate the input stabilizer group
-    conjugated by the recorded local frame masks, which stay zero whenever
-    the input signs are already consistent.
+    conjugated by the recorded local frame masks: all zero for a CSS code
+    with + signs, and the S mask nonzero only when no pure-X logical exists.
 
     :meth:`StabilizerCode.validate` checks commutation, independence and the
     generator count, and the reduction gives the shapes, signs and logicals
@@ -390,15 +390,17 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     if s is None:
         s = _solve_pure_x_support(x_rows, z_block, r, n)
     if s is None:
-        # No pure-X logical: take a kernel member of A_Z outside A_X's span
-        # and add each X row whose pivot it misses.  A_X is reduced, so S on
-        # pivot p_i rotates row i alone, to b_i + [s.b_i] e_{p_i}, which s
-        # then meets evenly; s.r = 1, as the pairing of the two logical
-        # cosets is nondegenerate for one logical qubit.
+        # No pure-X logical: take a kernel member of A_Z outside A_X's span.
+        # Reduced against A_X it misses every pivot, so adding all of A_X's
+        # rows covers each pivot once.  A_X is reduced, so S on pivot p_i
+        # rotates row i alone, to b_i + [s.b_i] e_{p_i}, which s then meets
+        # evenly.  The pairing of the two logical cosets is nondegenerate for
+        # one logical qubit, so s.r = 1 unless r, declared, is a stabilizer.
         s = _derive_r(RowSpace(z_block), RowSpace(a_x)).bits
         for g in x_rows:
-            if not s & g.x & -g.x:
-                s ^= g.x
+            s ^= g.x
+        if not (s & r.bits).bit_count() & 1:
+            raise InvalidCodeError("logical_z lies in the stabilizer group")
         s_mask = sum(g.x & -g.x for g in x_rows if (s & g.z).bit_count() & 1)
         x_rows = [g.conjugated_by_s(s_mask) for g in x_rows]
         s = BitVec(n, s)

@@ -292,6 +292,20 @@ class TestStandardFormCommand:
         assert data["css"] is True
         assert data["n"] == 7 and data["m"] == 3
 
+    @pytest.mark.parametrize("command", [
+        "standard-form", "verify-gate --k 2 --p all-ones", "find-gates --k 2", "distance",
+    ])
+    def test_stabilizer_declared_as_logical_z_exits_two(self, command, tmp_path, capsys):
+        # It commutes with every generator, so only the reduction can refuse it.
+        steane = subdual_css(3).to_stabilizer_code()
+        code = tmp_path / "code.json"
+        code.write_text(code_to_json(StabilizerCode(
+            7, steane.generators, logical_z=steane.generators[-1])))
+        name, *flags = command.split()
+        status, out, err = run(capsys, name, "--code", str(code), *flags)
+        assert (status, out) == (2, "")
+        assert "logical_z lies in the stabilizer group" in err
+
 
 class TestFindGates:
     def test_solution_set(self, tmp_path, capsys):

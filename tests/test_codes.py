@@ -127,6 +127,21 @@ class TestValidation:
         with pytest.raises(InvalidCodeError, match="promote"):
             to_standard_form(code)
 
+    @pytest.mark.parametrize("logical_z", ["+ZIZIZIZ", "+XIXIXIX", "+YIYIYIY", "rotated"])
+    def test_stabilizer_declared_as_logical_z(self, logical_z):
+        # A stabilizer commutes with every generator, so validate passes it;
+        # with no logical X declared, only the reduction can refuse it.
+        code = textbook_steane()
+        if logical_z == "rotated":
+            code = rotated(code, random.Random(3))
+            lz = code.generators[0] * code.generators[4]
+        else:
+            lz = PauliOp.from_label(logical_z)
+        code = StabilizerCode(7, code.generators, logical_z=lz)
+        code.validate()
+        with pytest.raises(InvalidCodeError, match="logical_z lies in the stabilizer group"):
+            to_standard_form(code)
+
     def test_order_four_generator(self):
         code = StabilizerCode(1, (PauliOp.from_label("+iY"),))
         with pytest.raises(InvalidCodeError, match="square"):
