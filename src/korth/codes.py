@@ -132,9 +132,9 @@ class StabilizerCode(Record):
 
     def validate(self) -> tuple[list[PauliOp], RowSpace]:
         """Check the code; return its X-bearing rows, reduced on their X
-        parts, and the row space of its signed pure-Z rows (Z part, then the
-        sign as bit n), reduced once: exact products that generate the same
-        group, from the one reduction standard form uses.
+        parts with exact signs, and the row space of its signed pure-Z rows
+        (Z part, then the sign as bit n), reduced once: exact products that
+        generate the same group, from the eliminations standard form uses.
         """
         n = self.n
         for g in self.generators:
@@ -144,8 +144,8 @@ class StabilizerCode(Record):
                 raise InvalidCodeError("identity (or phase-only) generator")
             if not g.squares_to_identity():
                 raise InvalidCodeError(f"generator {g.label()} does not square to +1")
-        # Pure-Z generators never pivot and are never hit, so only the
-        # X-bearing ones are reduced; those left without X join the Z rows.
+        # Pure-Z generators never pivot on X, so only the X-bearing ones are
+        # reduced; those left without X join the Z rows.
         x_rows, rest = _pauli_reduce([g for g in self.generators if g.x], n)
         z_rows = [g for g in self.generators if not g.x] + rest
         # Commutation holds on the span, so the reduced rows may stand in for
@@ -274,35 +274,28 @@ def is_css(sf: StandardFormCode) -> bool:
 
 
 def _pauli_reduce(gens: Sequence[PauliOp], n: int) -> tuple[list[PauliOp], list[PauliOp]]:
-    """RREF on the X parts of Pauli rows, by exact Pauli products on lists of
-    the x, z and phase-exponent ints: the pivot rows, then the rest (no X
-    part).  Each pivot column is the lowest X bit left in unpivoted rows.
+    """Pauli rows reduced by one elimination: those pivoting on X (their X
+    parts in reduced echelon form), then those pivoting on Z.
+
+    Row i goes in as x | z << n | 1 << (2n + i), so the tags of a reduced row
+    name the rows it sums, and its phase is that of their product in index
+    order (the row sum of Aaronson and Gottesman).  A row left with tags
+    alone is a phase, and is dropped.
     """
-    xs = [g.x for g in gens]
-    zs = [g.z for g in gens]
-    es = [g.i_exp for g in gens]
-    row_idx = 0
-    while True:
-        left = 0
-        for x in xs[row_idx:]:
-            left |= x
-        if not left:
-            break
-        mask = left & -left
-        pivot = next(i for i in range(row_idx, len(xs)) if xs[i] & mask)
-        for field in (xs, zs, es):
-            field[row_idx], field[pivot] = field[pivot], field[row_idx]
-        px, pz, pe = xs[row_idx], zs[row_idx], es[row_idx]
-        for i in range(len(xs)):
-            if i != row_idx and xs[i] & mask:
-                # (i**e_i X_i Z_i)(i**pe X_p Z_p): moving Z_i past X_p
-                # contributes (-1)**|z_i & x_p|.
-                es[i] += pe + 2 * (zs[i] & px).bit_count()
-                xs[i] ^= px
-                zs[i] ^= pz
-        row_idx += 1
-    rows = [PauliOp(n, x, z, e) for x, z, e in zip(xs, zs, es)]
-    return rows[:row_idx], rows[row_idx:]
+    space = RowSpace.from_ints(2 * n + len(gens),
+                               [g.x | g.z << n | 1 << (2 * n + i) for i, g in enumerate(gens)])
+    x_rows, rest = [], []
+    for row, pivot in zip(space.rows, space.pivots):
+        if pivot >= 2 * n:
+            break  # pivots rise, so only phases are left
+        tags, e, z = row >> 2 * n, 0, 0
+        while tags:
+            g = gens[(tags & -tags).bit_length() - 1]
+            e += g.i_exp + 2 * (z & g.x).bit_count()  # as PauliOp.__mul__
+            z ^= g.z
+            tags &= tags - 1
+        (x_rows if pivot < n else rest).append(PauliOp(n, row, row >> n, e))  # masks x, z
+    return x_rows, rest
 
 
 def _derive_r(checks: RowSpace, stabilizers: RowSpace) -> BitVec:
@@ -390,17 +383,22 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     if s is None:
         s = _solve_pure_x_support(x_rows, z_block, r, n)
     if s is None:
-        # No pure-X logical: take a kernel member of A_Z outside A_X's span.
-        # Reduced against A_X it misses every pivot, so adding all of A_X's
-        # rows covers each pivot once.  A_X is reduced, so S on pivot p_i
-        # rotates row i alone, to b_i + [s.b_i] e_{p_i}, which s then meets
-        # evenly.  The pairing of the two logical cosets is nondegenerate for
-        # one logical qubit, so s.r = 1 unless r, declared, is a stabilizer.
-        s = _derive_r(RowSpace(z_block), RowSpace(a_x)).bits
-        for g in x_rows:
-            s ^= g.x
-        if not (s & r.bits).bit_count() & 1:
+        # No pure-X logical: read one off the reductions.  ker(A_Z) / span(A_X)
+        # has one dimension and A_X r = 0, so a kernel member lies outside A_X's
+        # span when it meets r oddly, and the member at free column f meets r
+        # as bit f of w, r reduced against A_Z: the lowest bit of w names the
+        # first (w = 0 only when r, declared, is a stabilizer).  Adding the rows
+        # of A_X whose pivot it misses makes s cover each pivot once; A_X is
+        # reduced, so S on pivot p_i then rotates row i alone, to
+        # b_i + [s.b_i] e_{p_i}, which s meets evenly.
+        w = signed_z.residue(r.bits) & ~(1 << n)  # drop the sign bit
+        if not w:
             raise InvalidCodeError("logical_z lies in the stabilizer group")
+        f = w & -w
+        s = f | sum(1 << p for row, p in zip(signed_z.rows, signed_z.pivots) if row & f)
+        for g in x_rows:
+            if not s & g.x & -g.x:
+                s ^= g.x
         s_mask = sum(g.x & -g.x for g in x_rows if (s & g.z).bit_count() & 1)
         x_rows = [g.conjugated_by_s(s_mask) for g in x_rows]
         s = BitVec(n, s)

@@ -602,6 +602,54 @@ def groups_equal(a: list[PauliOp], b: list[PauliOp]) -> bool:
     )
 
 
+def reference_pauli_reduce(gens: Sequence[PauliOp], n: int) -> tuple[list[PauliOp], list[PauliOp]]:
+    """RREF on the X parts of Pauli rows, one exact Pauli product at a time:
+    the pivot rows, then the rest (no X part, phase-only rows kept).  Each
+    pivot column is the lowest X bit left in the unpivoted rows."""
+    xs = [g.x for g in gens]
+    zs = [g.z for g in gens]
+    es = [g.i_exp for g in gens]
+    row_idx = 0
+    while True:
+        left = 0
+        for x in xs[row_idx:]:
+            left |= x
+        if not left:
+            break
+        mask = left & -left
+        pivot = next(i for i in range(row_idx, len(xs)) if xs[i] & mask)
+        for field in (xs, zs, es):
+            field[row_idx], field[pivot] = field[pivot], field[row_idx]
+        px, pz, pe = xs[row_idx], zs[row_idx], es[row_idx]
+        for i in range(len(xs)):
+            if i != row_idx and xs[i] & mask:
+                # (i**e_i X_i Z_i)(i**pe X_p Z_p): moving Z_i past X_p
+                # contributes (-1)**|z_i & x_p|.
+                es[i] += pe + 2 * (zs[i] & px).bit_count()
+                xs[i] ^= px
+                zs[i] ^= pz
+        row_idx += 1
+    rows = [PauliOp(n, x, z, e) for x, z, e in zip(xs, zs, es)]
+    return rows[:row_idx], rows[row_idx:]
+
+
+def reference_logical_x(sf: StandardFormCode) -> BitVec:
+    """The logical X support of a code without a pure-X logical, derived as
+    ``_derive_r`` first gave it: the first member of A_Z's kernel basis (free
+    columns rising) outside A_X's span, reduced against A_X, plus every row
+    of A_X."""
+    a_x = sf.a_x.row_ints()
+    for v in null_space(sf.a_z).row_ints():
+        for row in a_x:  # A_X is reduced: each row alone on its lowest bit
+            if v & row & -row:
+                v ^= row
+        if v:
+            break
+    for row in a_x:
+        v ^= row
+    return BitVec(sf.n, v)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

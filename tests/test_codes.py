@@ -14,6 +14,7 @@ from korth.codes import (
     css_standard_form,
     is_css,
     to_standard_form,
+    _pauli_reduce,
 )
 from korth import gf2
 from korth.degenerate import degeneracy_classes, nondegenerate_reduction
@@ -32,6 +33,8 @@ from conftest import (
     random_css_sf,
     groups_equal,
     pauli_group_member,
+    reference_logical_x,
+    reference_pauli_reduce,
     rotated,
     scrambled,
     span_enumerate,
@@ -367,6 +370,25 @@ class TestStandardFormHoldsWithoutRecheck:
         for name, code in self.corpus():
             to_standard_form(code).validate()
 
+    def test_rotated_codes_under_generator_products(self):
+        """Exact products of generator pairs, then a shuffle, keep the group,
+        and with it every field of the standard form.  Where no pure-X
+        logical exists, the logical X is the one first derived from A_Z's
+        kernel basis."""
+        derived = 0
+        for seed, (name, code) in enumerate(self.corpus()):
+            if not name.startswith("rotated-"):
+                continue
+            sf = to_standard_form(code)
+            copy = scrambled(code, random.Random(seed), sign_flips=False)
+            assert copy.generators != code.generators
+            assert to_standard_form(copy) == sf, name
+            checks = BitMat.from_ints(code.n, [g.z for g in code.generators] + [sf.r.bits])
+            if gf2.solve(checks, BitVec.from_indices(checks.nrows, [checks.nrows - 1])) is None:
+                derived += 1
+                assert sf.s == reference_logical_x(sf), name
+        assert derived >= 14  # of the 20 rotated codes
+
     def test_rotated_codes_keep_their_group(self):
         for name, code in self.corpus():
             if name.startswith("rotated-"):
@@ -684,12 +706,39 @@ def with_dependent_generator(code: StabilizerCode, rng: random.Random) -> Stabil
 class TestFoldedValidationAgainstPairwiseScan:
     """``validate`` checks commutation on its one reduction and reads the
     rank from it; the pairwise scan and the symplectic rank stay here as the
-    reference, message for message."""
+    reference, message for message.  The reduction of the X-bearing rows, one
+    elimination with each sign read off the rows it combines, is checked
+    against the row-by-row Pauli products it replaced."""
 
     def check(self, code):
         expected = outcome(reference_validate, code)
         assert outcome(StabilizerCode.validate, code) == expected
+        self.check_reduction(code)
         return expected
+
+    @staticmethod
+    def check_reduction(code):
+        """The X-bearing rows match the oracle's X parts, and so its pivots
+        (their lowest bits); where the generators commute and -I is not in
+        their group, the kept rows generate the oracle's signed group."""
+        n = code.n
+        gens = [g for g in code.generators if g.x]
+        x_rows, rest = _pauli_reduce(gens, n)
+        ref_x, ref_rest = reference_pauli_reduce(gens, n)
+        assert [g.x for g in x_rows] == [g.x for g in ref_x]
+        assert all(not g.x and g.z for g in rest)
+        # -I is in the group exactly when the signs of the oracle's rows
+        # without X raise their rank.
+        signed = [g.z | (g.i_exp >> 1) << n for g in ref_rest]
+        if all(g.commutes_with(h) for g in gens for h in gens) and (
+            sweep_rank(signed) == sweep_rank(g.z for g in ref_rest)
+        ):
+            assert groups_equal(x_rows + rest, ref_x + ref_rest)
+
+    def test_rotated_codes(self):
+        for name, code in TestStandardFormHoldsWithoutRecheck.corpus():
+            if name.startswith("rotated-"):
+                assert self.check(code) is None, name
 
     def test_valid_codes(self):
         rng = random.Random(61)
@@ -744,6 +793,13 @@ class TestFoldedValidationAgainstPairwiseScan:
                 for _ in range(rng.randint(0, n + 1))
             ]
             self.check(StabilizerCode(n, tuple(g for g in gens if not g.is_identity())))
+
+    def test_minus_identity_from_x_bearing_rows(self):
+        # YY XX = -ZZ, so with +ZZ the group holds -I.
+        code = StabilizerCode(3, tuple(map(PauliOp.from_label, ("+XXI", "+ZZI", "+YYI"))))
+        assert self.check(code) == "generators are dependent"
+        x_rows, rest = _pauli_reduce([code.generators[0], code.generators[2]], 3)
+        assert [g.label() for g in x_rows + rest] == ["+XXI", "-ZZI"]
 
     def test_signed_pure_z_dependency(self):
         code = StabilizerCode(3, (PauliOp.from_label("+ZZI"), PauliOp.from_label("-ZZI")))
