@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DimensionError, InvalidCodeError
-from .gf2 import BitMat, BitVec, RowSpace, orthogonal_rows, rank, solve
+from .gf2 import BitMat, BitVec, RowSpace, orthogonal_rows, rank
 from .record import Record
 from .report import SCHEMA, emit, json_text, read_json
 
@@ -134,7 +134,8 @@ class StabilizerCode(Record):
         """Check the code; return its X-bearing rows, reduced on their X
         parts with exact signs, and the row space of its signed pure-Z rows
         (Z part, then the sign as bit n), reduced once: exact products that
-        generate the same group, from the eliminations standard form uses.
+        generate the same group.  No X-bearing row holds a bit on a pivot of
+        that space, so their Z parts are standard form's B, final.
         """
         n = self.n
         for g in self.generators:
@@ -144,23 +145,31 @@ class StabilizerCode(Record):
                 raise InvalidCodeError("identity (or phase-only) generator")
             if not g.squares_to_identity():
                 raise InvalidCodeError(f"generator {g.label()} does not square to +1")
-        # Pure-Z generators never pivot on X, so only the X-bearing ones are
-        # reduced; those left without X join the Z rows.
-        x_rows, rest = _pauli_reduce([g for g in self.generators if g.x], n)
-        z_rows = [g for g in self.generators if not g.x] + rest
+        # Order-2 pure-Z generators are +-Z_z: reduce them with the sign as
+        # column n (it pivots only when -I is in the group), and clear them
+        # from the X-bearing generators' Z parts, signs included.  One
+        # elimination then reduces those, clearing from the X-bearing rows the
+        # pivots of the rows it leaves without X, which join the Z rows.
+        signed_z = RowSpace.from_ints(n + 1, [g.z | (g.i_exp >> 1) << n
+                                              for g in self.generators if not g.x])
+        x_gens = [g for g in self.generators if g.x]
+        for i, g in enumerate(x_gens):
+            if g.z:
+                z = signed_z.residue(g.z)
+                x_gens[i] = PauliOp(n, g.x, z, g.i_exp + 2 * (z >> n))  # PauliOp masks z
+        x_rows, rest = _pauli_reduce(x_gens, n)
         # Commutation holds on the span, so the reduced rows may stand in for
         # the generators; pure-Z rows commute with each other.
         anticommute = any(((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1
                           for i, a in enumerate(x_rows) for b in x_rows[i + 1:])
-        if anticommute or not orthogonal_rows([g.z for g in z_rows], [a.x for a in x_rows]):
+        z_rows = signed_z.rows + [g.z | (g.i_exp >> 1) << n for g in rest]
+        if anticommute or not orthogonal_rows(z_rows, [a.x for a in x_rows]):
             gens = self.generators
             g, h = next((g, h) for i, g in enumerate(gens) for h in gens[i + 1:]
                         if not g.commutes_with(h))
             raise InvalidCodeError(f"generators {g.label()} and {h.label()} anticommute")
-        # Commuting products of order-2 generators have order 2, so every
-        # pure-Z row is +-Z_z, with its sign as column n.  That column pivots
-        # only when -I is in the group.
-        signed_z = RowSpace.from_ints(n + 1, [g.z | (g.i_exp >> 1) << n for g in z_rows])
+        if rest:  # commuting products of order-2 generators have order 2
+            signed_z = RowSpace.from_ints(n + 1, z_rows)
         if len(x_rows) + len(signed_z.rows) != len(self.generators) or n in signed_z.pivots:
             raise InvalidCodeError("generators are dependent")
         for name, op in (("logical_x", self.logical_x), ("logical_z", self.logical_z)):
@@ -308,14 +317,6 @@ def _derive_r(checks: RowSpace, stabilizers: RowSpace) -> BitVec:
     raise InvalidCodeError("no pure-Z logical operator exists; not a one-qubit code")
 
 
-def _solve_pure_x_support(
-    x_rows: list[PauliOp], z_block: BitMat, r: BitVec, n: int
-) -> BitVec | None:
-    rows = [g.z for g in x_rows] + z_block.row_ints() + [r.bits]
-    rhs = BitVec.from_indices(len(rows), [len(rows) - 1])
-    return solve(BitMat.from_ints(n, rows), rhs)
-
-
 def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     """Reduce a one-logical-qubit stabilizer code to standard form.
 
@@ -325,9 +326,10 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
     with + signs, and the S mask nonzero only when no pure-X logical exists.
 
     :meth:`StabilizerCode.validate` checks commutation, independence and the
-    generator count, and the reduction gives the shapes, signs and logicals
-    (A_X r = B s = A_Z s = 0, r.s = 1: r is no Z stabilizer), so the output
-    is not re-checked with :meth:`StandardFormCode.validate`.
+    generator count, and hands over A_X, B (final) and A_Z; the reduction
+    gives the signs and logicals (A_X r = B s = A_Z s = 0, r.s = 1: r is no
+    Z stabilizer), so the output is not re-checked with
+    :meth:`StandardFormCode.validate`.
     """
     x_rows, signed_z = code.validate()
     n = code.n
@@ -341,18 +343,10 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
             "promote the logical operators of the extra qubits to stabilizers first"
         )
 
-    # validate reduced the pure-Z rows with each sign at bit n.  Reducing the
-    # Z parts of the X-bearing rows against them multiplies those rows in,
-    # signs included; for a CSS group this empties B entirely.
-    for idx, g in enumerate(x_rows):
-        if g.z:
-            z = signed_z.residue(g.z)
-            x_rows[idx] = PauliOp(n, g.x, z, g.i_exp + 2 * (z >> n))  # PauliOp masks z
-
     # Normalize the pure-Z signs with a single X-type conjugation: X on the
-    # pivot of a reduced row meets no other row, so every Z row comes out +.
+    # pivot of a reduced row meets no other row, so every Z row comes out +,
+    # and no B row (validate left B clear of the pivots), so no X row flips.
     x_mask = sum(1 << p for row, p in zip(signed_z.rows, signed_z.pivots) if row >> n)
-    x_rows = [g.conjugated_by_x(x_mask) for g in x_rows]
 
     a_x = BitMat.from_ints(n, [g.x for g in x_rows])
     z_block = BitMat.from_ints(n, signed_z.rows)  # BitVec masks off the sign bit
@@ -372,7 +366,6 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
         r = _derive_r(RowSpace(a_x), RowSpace(z_block))
 
     # Logical X support, preferring a declared pure-X operator.
-    s = None
     s_mask = 0
     if (
         code.logical_x is not None
@@ -380,27 +373,32 @@ def to_standard_form(code: StabilizerCode) -> StandardFormCode:
         and BitVec(n, code.logical_x.x).dot_parity(r)
     ):
         s = BitVec(n, code.logical_x.x)
-    if s is None:
-        s = _solve_pure_x_support(x_rows, z_block, r, n)
-    if s is None:
-        # No pure-X logical: read one off the reductions.  ker(A_Z) / span(A_X)
-        # has one dimension and A_X r = 0, so a kernel member lies outside A_X's
-        # span when it meets r oddly, and the member at free column f meets r
-        # as bit f of w, r reduced against A_Z: the lowest bit of w names the
-        # first (w = 0 only when r, declared, is a stabilizer).  Adding the rows
-        # of A_X whose pivot it misses makes s cover each pivot once; A_X is
-        # reduced, so S on pivot p_i then rotates row i alone, to
-        # b_i + [s.b_i] e_{p_i}, which s meets evenly.
-        w = signed_z.residue(r.bits) & ~(1 << n)  # drop the sign bit
+    else:
+        # Read one off a reduction: the kernel member of a row space at free
+        # column f is f plus the pivots of the rows holding f, and meets r as
+        # bit f of w, r reduced against the space.  Against B and A_Z, w != 0
+        # gives a pure-X logical (solving [B; A_Z; r] s = e_last, free columns 0).
+        space = RowSpace.from_ints(n, [g.z for g in x_rows if g.z] + z_block.row_ints())
+        w = space.residue(r.bits)
         if not w:
-            raise InvalidCodeError("logical_z lies in the stabilizer group")
+            # None exists.  ker(A_Z) / span(A_X) has one dimension and A_X r = 0,
+            # so a kernel member of A_Z lies outside A_X's span when it meets r
+            # oddly: the lowest bit of w against A_Z names the first (w = 0 only
+            # when r, declared, is a stabilizer).
+            space, w = signed_z, signed_z.residue(r.bits) & ~(1 << n)  # drop the sign bit
+            if not w:
+                raise InvalidCodeError("logical_z lies in the stabilizer group")
         f = w & -w
-        s = f | sum(1 << p for row, p in zip(signed_z.rows, signed_z.pivots) if row & f)
-        for g in x_rows:
-            if not s & g.x & -g.x:
-                s ^= g.x
-        s_mask = sum(g.x & -g.x for g in x_rows if (s & g.z).bit_count() & 1)
-        x_rows = [g.conjugated_by_s(s_mask) for g in x_rows]
+        s = f | sum(1 << p for row, p in zip(space.rows, space.pivots) if row & f)
+        if space is signed_z:
+            # Adding the rows of A_X whose pivot it misses makes s cover each
+            # pivot once; A_X is reduced, so S on pivot p_i then rotates row i
+            # alone, to b_i + [s.b_i] e_{p_i}, which s meets evenly.
+            for g in x_rows:
+                if not s & g.x & -g.x:
+                    s ^= g.x
+            s_mask = sum(g.x & -g.x for g in x_rows if (s & g.z).bit_count() & 1)
+            x_rows = [g.conjugated_by_s(s_mask) for g in x_rows]
         s = BitVec(n, s)
 
     # Normalize the X-bearing signs to + (or +i where the row squares demand)

@@ -556,6 +556,23 @@ _LOCAL_CLIFFORDS = (
 )
 
 
+def product_mixed(code: StabilizerCode, rng: random.Random) -> StabilizerCode:
+    """The code's generators, reduced on X by the oracle and mixed by random
+    exact pairwise products: half of the rows without X are hidden in a
+    product with an X-bearing row, so the set holds pure-Z generators beside
+    X-bearing ones whose products lose their X part, and X-bearing ones with
+    Z content from both."""
+    x_rows, z_rows = reference_pauli_reduce(code.generators, code.n)
+    gens = x_rows + [z * rng.choice(x_rows) if x_rows and rng.random() < 0.5 else z
+                     for z in z_rows]
+    for _ in range(len(gens) if len(gens) > 1 else 0):
+        i, j = rng.sample(range(len(gens)), 2)
+        if gens[i].x or rng.random() < 0.3:
+            gens[i] = gens[i] * gens[j]
+    rng.shuffle(gens)
+    return StabilizerCode(code.n, tuple(gens), code.logical_x, code.logical_z)
+
+
 def rotated(code: StabilizerCode, rng: random.Random) -> StabilizerCode:
     """The code under a seeded single-qubit Clifford on every qubit: each
     qubit's (x, z) bits go through one of the six invertible maps, and each
@@ -631,6 +648,19 @@ def reference_pauli_reduce(gens: Sequence[PauliOp], n: int) -> tuple[list[PauliO
         row_idx += 1
     rows = [PauliOp(n, x, z, e) for x, z, e in zip(xs, zs, es)]
     return rows[:row_idx], rows[row_idx:]
+
+
+def reference_pure_x_support(
+    x_rows: list[PauliOp], z_block: BitMat, r: BitVec, n: int
+) -> BitVec | None:
+    """The pure-X logical support as standard form first solved for it: the
+    particular solution of [B; A_Z; r] s = e_last (free columns zero), or
+    None when no pure-X logical exists."""
+    from korth.gf2 import solve
+
+    rows = [g.z for g in x_rows] + z_block.row_ints() + [r.bits]
+    rhs = BitVec.from_indices(len(rows), [len(rows) - 1])
+    return solve(BitMat.from_ints(n, rows), rhs)
 
 
 def reference_logical_x(sf: StandardFormCode) -> BitVec:

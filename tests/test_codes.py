@@ -33,8 +33,11 @@ from conftest import (
     random_css_sf,
     groups_equal,
     pauli_group_member,
+    product_mixed,
+    random_one_qubit_code,
     reference_logical_x,
     reference_pauli_reduce,
+    reference_pure_x_support,
     rotated,
     scrambled,
     span_enumerate,
@@ -444,17 +447,22 @@ class TestStandardFormDigest:
     196 changed; each form from that branch is checked here to validate and
     keep the group under its frame."""
 
-    def test_scrambled_codes(self):
+    @staticmethod
+    def corpus():
         rng = random.Random(71)
-        digest = hashlib.sha256()
-        s_masked = []
-        for index in range(200):
+        for _ in range(200):
             code = random_valid_code(rng)
             if code.logical_z is not None and rng.random() < 0.5:
                 # same logical coset, but with X content to purify away
                 x_gens = [g for g in code.generators if g.x]
                 mixed = code.logical_z * rng.choice(x_gens)
                 code = StabilizerCode(code.n, code.generators, code.logical_x, mixed)
+            yield code
+
+    def test_scrambled_codes(self):
+        digest = hashlib.sha256()
+        s_masked = []
+        for index, code in enumerate(self.corpus()):
             sf = to_standard_form(code)
             fields = [sf.a_x, sf.b, sf.a_z, sf.r, sf.s, sf.x_phases,
                       sf.local_x_mask, sf.local_s_mask, sf.local_z_mask]
@@ -468,6 +476,89 @@ class TestStandardFormDigest:
         assert digest.hexdigest() == (
             "1b88561652b23abfa2f707503959e66266bfbac812592123ef13777314979365"
         )
+
+
+class TestValidateLeavesBFinal:
+    """``validate`` clears the pure-Z generators from the X-bearing ones
+    before their one elimination, and that elimination clears the pivots of
+    the rows it leaves without X: the X-bearing rows it returns hold no bit
+    on a pivot of its Z space, so standard form takes their Z parts as B
+    with no residue pass.  Checked against the exact product oracle."""
+
+    @staticmethod
+    def check(code, reached):
+        n = code.n
+        x_rows, signed_z = code.validate()
+        pivots = sum(1 << p for p in signed_z.pivots)
+        assert not any(g.z & pivots for g in x_rows)
+        z_rows = [PauliOp(n, 0, row, 2 * (row >> n)) for row in signed_z.rows]
+        assert groups_equal(x_rows + z_rows, list(code.generators))
+        # Where a generator's Z part meets a pure-Z pivot, the pre-reduction
+        # changes it; where the Z rows outnumber the pure-Z generators' rank,
+        # the elimination left Z-only rows to merge.
+        pure_z = gf2.RowSpace.from_ints(n, [g.z for g in code.generators if not g.x])
+        reached["pre-reduction"] += any(pure_z.residue(g.z) != g.z
+                                        for g in code.generators if g.x)
+        reached["merge"] += len(signed_z.rows) > len(pure_z.rows)
+
+    def test_rotated_codes(self):
+        reached = {"pre-reduction": 0, "merge": 0}
+        for name, code in TestStandardFormHoldsWithoutRecheck.corpus():
+            if name.startswith("rotated-"):
+                self.check(code, reached)
+        assert reached["merge"] >= 14, reached
+
+    def test_random_valid_codes(self):
+        rng, reached = random.Random(72), {"pre-reduction": 0, "merge": 0}
+        for _ in range(1000):
+            self.check(random_valid_code(rng), reached)
+        assert min(reached.values()) > 100, reached
+
+    def test_product_mixed_codes(self):
+        rng, reached = random.Random(73), {"pre-reduction": 0, "merge": 0}
+        for i in range(1000):
+            self.check(product_mixed(random_one_qubit_code(rng, 2 + i % 11), rng), reached)
+        assert min(reached.values()) > 100, reached
+
+
+class TestLogicalXAgainstPureXSolve:
+    """Where no usable pure-X logical is declared, standard form reads its
+    logical X off a reduction, with no system solved: a pure-X one equals the
+    particular solution of the solve it replaced, and the S mask is nonzero
+    exactly where that solve finds none."""
+
+    @staticmethod
+    def check(code, branches):
+        sf = to_standard_form(code)
+        lx = code.logical_x
+        if lx is not None and not lx.z and (lx.x & sf.r.bits).bit_count() & 1:
+            return  # the declared logical is kept
+        x_rows, signed_z = code.validate()
+        z_block = BitMat.from_ints(code.n, signed_z.rows)
+        expected = reference_pure_x_support(x_rows, z_block, sf.r, code.n)
+        assert bool(sf.local_s_mask.bits) == (expected is None)
+        if expected is not None:
+            assert sf.s == expected
+        branches[expected is None] += 1
+
+    def test_digest_corpus(self):
+        branches = [0, 0]
+        for code in TestStandardFormDigest.corpus():
+            self.check(code, branches)
+        assert branches[0] > 20 and branches[1] == 8
+
+    def test_rotated_codes(self):
+        branches = [0, 0]
+        for name, code in TestStandardFormHoldsWithoutRecheck.corpus():
+            if name.startswith("rotated-"):
+                self.check(code, branches)
+        assert branches[1] >= 14
+
+    def test_random_one_qubit_codes(self):
+        rng, branches = random.Random(74), [0, 0]
+        for i in range(2000):
+            self.check(random_one_qubit_code(rng, 1 + i % 12), branches)
+        assert min(branches) > 100, branches
 
 
 class TestLogicalZeroSupport:
